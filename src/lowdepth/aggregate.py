@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blackbox import Uqae1Contract, Uqae2Contract
+from .blackbox import Uqae1Contract, Uqae2Contract, draw_runs
 from .core import ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
 
 # Bias fraction r and variance fraction s used by default for the
@@ -147,9 +147,7 @@ class Type2Plan:
 
 
 def _batched_mean(sampler, contract, runs: int, seed: SeedSpec, ledger: ResourceLedger) -> float:
-    values = np.asarray(sampler(contract, derive_stream(seed, 0), ledger, runs), dtype=float)
-    if values.shape != (runs,):
-        raise ValueError(f"sampler returned shape {values.shape}, expected ({runs},)")
+    values = draw_runs(sampler, contract, derive_stream(seed, 0), ledger, runs)
     # fsum gives an exactly rounded sum, independent of summation order.
     return math.fsum(values.tolist()) / runs
 

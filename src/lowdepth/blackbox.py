@@ -2,9 +2,11 @@
 
 The synthetic samplers realise their contracts *exactly* (two-point
 constructions), which isolates the aggregation math from any particular
-estimation circuit.  The parameter calculators translate a precision /
-failure / depth target into the knob settings of the three published
-weakly-biased estimators this package models.
+estimation circuit.  Each draws ``size`` independent runs from the one stream
+it is given and returns them as an array, run i being element i.  The
+parameter calculators translate a precision / failure / depth target into
+the knob settings of the three published weakly-biased estimators this
+package models.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .core import ABS_TOL, TWO_PI, Amplitude, ResourceLedger, SeedSpec, TargetSpec, ceil_int
 
@@ -119,8 +123,16 @@ UQAE2_COST = SyntheticCostModel(_uqae2_depth, _uqae2_queries)
 UQPE2_COST = SyntheticCostModel(_uqae2_depth, _uqae2_queries)
 
 
-def _maybe_scalar(values, size):
-    return float(values[0]) if size is None else values
+def draw_runs(sampler, contract, seed: SeedSpec, ledger: ResourceLedger, size: int) -> np.ndarray:
+    """Call a batched sampler for ``size`` runs of one contract on one stream.
+
+    Run i is element i of the returned array; a sampler returning any other
+    shape is rejected.
+    """
+    values = np.asarray(sampler(contract, seed, ledger, size), dtype=float)
+    if values.shape != (size,):
+        raise ValueError(f"sampler returned shape {values.shape}, expected ({size},)")
+    return values
 
 
 def synth_uqae1_sample(
@@ -131,24 +143,23 @@ def synth_uqae1_sample(
     ledger: ResourceLedger,
     *,
     cost_model: SyntheticCostModel = UQAE1_COST,
-    size: int | None = None,
-):
+    size: int,
+) -> np.ndarray:
     """Two-point estimator meeting a bias/variance contract exactly.
 
     Returns a + bias_setting +/- sqrt(variance_bound) with equal sign
     probability, so the mean is a + bias_setting and the variance is
-    exactly the contract's variance bound.  ``size`` draws that many
-    independent runs from the one stream, as a mean aggregation does.
+    exactly the contract's variance bound.
     """
     if abs(bias_setting) > contract.bias_bound + ABS_TOL:
         raise ValueError("bias_setting exceeds the contracted bias bound")
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 1:
         raise ValueError("size must be positive")
     signs = seed.rng().integers(0, 2, size=n) * 2 - 1
     values = a.value + bias_setting + math.sqrt(contract.variance_bound) * signs
     cost_model.charge(contract, ledger, copies=n)
-    return _maybe_scalar(values, size)
+    return values
 
 
 def synth_uqae2_sample(
@@ -160,8 +171,8 @@ def synth_uqae2_sample(
     ledger: ResourceLedger,
     *,
     cost_model: SyntheticCostModel = UQAE2_COST,
-    size: int | None = None,
-):
+    size: int,
+) -> np.ndarray:
     """Mixture estimator meeting a bias/precision/failure contract exactly.
 
     With probability 1 - fail_prob the output is a + bias_setting
@@ -179,7 +190,7 @@ def synth_uqae2_sample(
         raise ValueError("tail branch would exceed the output cap")
     if abs(a.value) + contract.precision > cap + ABS_TOL:
         raise ValueError("good branch would exceed the output cap")
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 1:
         raise ValueError("size must be positive")
     rng = seed.rng()
@@ -189,7 +200,7 @@ def synth_uqae2_sample(
     magnitudes = (coins < contract.fail_prob) * (tail_magnitude - spread) + spread
     values = a.value + bias_setting + magnitudes * signs
     cost_model.charge(contract, ledger, copies=n)
-    return _maybe_scalar(values, size)
+    return values
 
 
 def synth_uqpe2_sample(
@@ -202,8 +213,8 @@ def synth_uqpe2_sample(
     *,
     good_spread: float | None = None,
     cost_model: SyntheticCostModel = UQPE2_COST,
-    size: int | None = None,
-):
+    size: int,
+) -> np.ndarray:
     """Circular two-point mixture honouring a phase contract exactly.
 
     Angles are returned in [0, 2 pi).  ``good_spread`` narrows the good
@@ -219,7 +230,7 @@ def synth_uqpe2_sample(
         raise ValueError("tail_magnitude must be nonnegative")
     if abs(bias_setting) + max(spread, tail_magnitude) > math.pi:
         raise ValueError("offsets must stay below pi for unambiguous circular bias")
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 1:
         raise ValueError("size must be positive")
     rng = seed.rng()
@@ -228,7 +239,7 @@ def synth_uqpe2_sample(
     magnitudes = (coins < contract.fail_prob) * (tail_magnitude - spread) + spread
     values = (theta + bias_setting + magnitudes * signs) % TWO_PI
     cost_model.charge(contract, ledger, copies=n)
-    return _maybe_scalar(values, size)
+    return values
 
 
 def monkey_sample(a: Amplitude, epsilon: float) -> float:

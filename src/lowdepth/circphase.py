@@ -4,6 +4,11 @@ Angles cannot be averaged directly (the circle has no global mean), so the
 estimator first pins down a short arc that contains the truth with high
 probability, maps that arc isometrically onto [0, 1], averages there, and
 maps back.
+
+:func:`circ_diff`, :meth:`Arc.contains` and :func:`arc_map` take plain
+floats, :class:`Angle` objects or numpy arrays of angles through one code
+path; scalar inputs give a Python ``float`` or ``bool``, array inputs an
+array of the same shape.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .blackbox import Uqpe2Contract
+import numpy as np
+
+from .blackbox import Uqpe2Contract, draw_runs
 from .core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
 
 # Tolerance on the distance-additivity identity defining arc membership;
@@ -22,7 +29,10 @@ ARC_TOL = 1e-9
 # Half-width of the reference arc built around the preprocessing estimate.
 _REF_ARC_HALF_WIDTH = math.pi / 8
 
-UqpeSampler = Callable[[Uqpe2Contract, SeedSpec, ResourceLedger], float]
+# A phase sampler draws ``size`` independent runs of one contract from a
+# single stage stream and returns them as an array of angles; run i is
+# element i of each draw, as for the mean-aggregation samplers.
+UqpeSampler = Callable[[Uqpe2Contract, SeedSpec, ResourceLedger, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -32,28 +42,33 @@ class Angle:
     value: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"angle must be finite, got {self.value}")
-        reduced = self.value % TWO_PI
-        if reduced >= TWO_PI:  # float modulo may round up to the divisor
-            reduced = 0.0
-        object.__setattr__(self, "value", reduced)
+        object.__setattr__(self, "value", float(_reduce(self.value)))
 
 
-def _angle_value(angle) -> float:
-    return angle.value if isinstance(angle, Angle) else Angle(float(angle)).value
+def _reduce(angles):
+    """Canonical representative(s) in [0, 2 pi): a float for a scalar or an
+    :class:`Angle`, an array for an array, both through the same arithmetic."""
+    if isinstance(angles, Angle):
+        return angles.value
+    values = np.asarray(angles, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"angle must be finite, got {angles}")
+    if values.ndim == 0:
+        values = values.item()
+    reduced = values % TWO_PI
+    # float modulo may round up to the divisor itself; that angle is 0
+    return reduced - TWO_PI * (reduced >= TWO_PI)
 
 
-def circ_diff(theta, phi) -> float:
+def circ_diff(theta, phi):
     """Signed circular difference in [-pi, pi).
 
     The unique representative r with theta - phi = r (mod 2 pi); positive
     when the short way from theta back to phi runs clockwise.
     """
-    r = (_angle_value(theta) - _angle_value(phi) + math.pi) % TWO_PI - math.pi
-    if r >= math.pi:  # float modulo rounding at the wrap point
-        r = -math.pi
-    return r
+    r = (_reduce(theta) - _reduce(phi) + math.pi) % TWO_PI - math.pi
+    # float modulo rounding at the wrap point can give exactly pi; that is -pi
+    return r - TWO_PI * (r >= math.pi)
 
 
 @dataclass(frozen=True)
@@ -80,23 +95,25 @@ class Arc:
         # is also correct (+pi) at the half-circle boundary.
         return (self.end.value - self.start.value) % TWO_PI
 
-    def contains(self, theta, tol: float = ARC_TOL) -> bool:
+    def contains(self, theta, tol: float = ARC_TOL):
         to_start = abs(circ_diff(theta, self.start))
         to_end = abs(circ_diff(theta, self.end))
         return abs(to_start + to_end - abs(circ_diff(self.start, self.end))) <= tol
 
 
-def arc_map(arc: Arc, theta) -> float:
+def arc_map(arc: Arc, theta):
     """Map an angle on the arc to its fraction of arc length in [0, 1].
 
     The map is bijective and difference-preserving up to the arc-length
     normalisation: differences of mapped values are circular differences
     divided by ``arc.length``.
     """
-    if not arc.contains(theta):
-        raise ValueError(f"angle {_angle_value(theta)} lies outside the arc")
-    fraction = circ_diff(theta, arc.start) / arc.length
-    return min(1.0, max(0.0, fraction))
+    values = _reduce(theta)
+    outside = np.extract(np.logical_not(arc.contains(values)), values)
+    if outside.size:
+        raise ValueError(f"angle {outside[0]} lies outside the arc")
+    fraction = np.clip(circ_diff(values, arc.start) / arc.length, 0.0, 1.0)
+    return fraction if isinstance(values, np.ndarray) else float(fraction)
 
 
 def arc_unmap(arc: Arc, fraction: float) -> Angle:
@@ -171,18 +188,22 @@ def lowdepth_phase_estimate(
     and maps back.  Any estimate escaping the widened arc aborts to the
     zero angle, which the harness counts as a failure.
 
+    Each stage calls the sampler once on its own stream: the reference
+    stage with ``derive_stream(seed, 0)`` and ``size=1``, the main stage
+    with ``derive_stream(seed, 1)`` and ``size=plan.runs``.  Main run i is
+    element i of each draw, so the result does not depend on the schedule.
+
     When a ``diagnostics`` dict is supplied it receives the arc length and
     both the mapped (normalised) and circular (radian) deviations of the
     main-stage estimates, making the normalisation gap between the two
     measurable.
     """
     plan = PhasePlan.from_target(target, bias_fraction, tail_fraction)
-    reference = Angle(sampler(plan.ref_contract(target), derive_stream(seed, 0), ledger))
+    reference = Angle(
+        draw_runs(sampler, plan.ref_contract(target), derive_stream(seed, 0), ledger, 1)[0]
+    )
     main_contract = plan.main_contract(target)
-    estimates = [
-        Angle(sampler(main_contract, derive_stream(seed, index + 1), ledger))
-        for index in range(plan.runs)
-    ]
+    estimates = draw_runs(sampler, main_contract, derive_stream(seed, 1), ledger, plan.runs)
     widened = Arc(
         Angle(reference.value - _REF_ARC_HALF_WIDTH - plan.run_precision),
         Angle(reference.value + _REF_ARC_HALF_WIDTH + plan.run_precision),
@@ -191,19 +212,15 @@ def lowdepth_phase_estimate(
         diagnostics["arc_length"] = widened.length
         diagnostics["runs"] = plan.runs
         diagnostics["escaped"] = False
-    mapped = []
-    for estimate in estimates:
-        if not widened.contains(estimate):
-            if diagnostics is not None:
-                diagnostics["escaped"] = True
-            return Angle(0.0)
-        mapped.append(arc_map(widened, estimate))
-    mean_fraction = math.fsum(mapped) / plan.runs
+    if not widened.contains(estimates).all():
+        if diagnostics is not None:
+            diagnostics["escaped"] = True
+        return Angle(0.0)
+    mapped = arc_map(widened, estimates)
+    mean_fraction = math.fsum(mapped.tolist()) / plan.runs
     result = arc_unmap(widened, mean_fraction)
     if diagnostics is not None:
         diagnostics["mapped_mean"] = mean_fraction
-        diagnostics["mapped_deviations"] = [value - mean_fraction for value in mapped]
-        diagnostics["circular_deviations"] = [
-            circ_diff(estimate, result) for estimate in estimates
-        ]
+        diagnostics["mapped_deviations"] = (mapped - mean_fraction).tolist()
+        diagnostics["circular_deviations"] = circ_diff(estimates, result).tolist()
     return result

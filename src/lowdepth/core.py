@@ -5,11 +5,16 @@ from a :class:`SeedSpec`, so whole experiments are pure functions of a
 master seed and can be replayed bit for bit.
 
 Stream layout: trial (or scaling cell) i gets
-``derive_stream(SeedSpec(master_seed, 0), i)``.  A mean aggregation is one
-stage with one stream, ``derive_stream(trial_seed, 0)``; its sampler draws
-every run in one batch, and run i takes the i-th element of each draw.
-Phase-estimation runs and Rall-Fuller steps still take one child stream
-each.
+``derive_stream(SeedSpec(master_seed, 0), i)``.  Within a trial, each stage
+has one stream and draws all its runs in one batch, run i taking the i-th
+element of each draw:
+
+* a mean aggregation is one stage, ``derive_stream(trial_seed, 0)``;
+* phase estimation has a reference stage, ``derive_stream(trial_seed, 0)``
+  with one run, and a main stage, ``derive_stream(trial_seed, 1)`` with
+  ``runs`` runs.
+
+Rall-Fuller steps still take one child stream each.
 """
 
 from __future__ import annotations

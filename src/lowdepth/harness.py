@@ -214,13 +214,13 @@ def _trial_estimate(
         ref_spread = constants["ref_spread"]
         tail = constants["phase_tail"]
 
-        def sampler(contract, seed, run_ledger):
+        def sampler(contract, seed, run_ledger, size):
             bias_setting = bias_scale * contract.bias_bound
             spread = None
             if contract.precision == plan.ref_precision:
                 spread = max(0.0, ref_spread - abs(bias_setting))
             return blackbox.synth_uqpe2_sample(
-                truth, contract, bias_setting, tail, seed, run_ledger, good_spread=spread
+                truth, contract, bias_setting, tail, seed, run_ledger, good_spread=spread, size=size
             )
 
         return circphase.lowdepth_phase_estimate(
@@ -370,6 +370,11 @@ def scaling_study(
         cells = [row for row in rows if row.beta == beta]
         if len(cells) < 2:
             errors.append({"beta": beta, "error": "not enough cells to fit slopes"})
+            continue
+        if any(min(c.max_depth, c.total_queries) <= 0 for c in cells):
+            # log-log slopes need positive ledgers; an estimator that charges
+            # nothing (monkey-demo) has no scaling to fit
+            errors.append({"beta": beta, "error": "non-positive ledger values: no slopes to fit"})
             continue
         eps = [c.epsilon for c in cells]
         slopes[beta] = {

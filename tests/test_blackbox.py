@@ -41,8 +41,10 @@ class TestSynthUqae1:
     def test_degenerate_zero_variance_worst_bias(self):
         contract = Uqae1Contract(bias_bound=0.05, variance_bound=0.0)
         for index in range(5):
-            value = synth_uqae1_sample(A, contract, 0.05, SeedSpec(1, index), ResourceLedger())
-            assert value == 0.35
+            values = synth_uqae1_sample(
+                A, contract, 0.05, SeedSpec(1, index), ResourceLedger(), size=1
+            )
+            assert values[0] == 0.35
 
     def test_contract_conformance(self):
         contract = Uqae1Contract(bias_bound=0.01, variance_bound=0.004)
@@ -56,12 +58,12 @@ class TestSynthUqae1:
     def test_bias_setting_validated(self):
         contract = Uqae1Contract(bias_bound=0.01, variance_bound=0.01)
         with pytest.raises(ValueError):
-            synth_uqae1_sample(A, contract, 0.02, SEED, ResourceLedger())
+            synth_uqae1_sample(A, contract, 0.02, SEED, ResourceLedger(), size=1)
 
     def test_cost_model_charges(self):
         contract = Uqae1Contract(bias_bound=0.01, variance_bound=0.0025)
         ledger = ResourceLedger()
-        synth_uqae1_sample(A, contract, 0.0, SEED, ledger)
+        synth_uqae1_sample(A, contract, 0.0, SEED, ledger, size=1)
         assert ledger.max_depth == 20  # ceil(0.0025 ** -0.5)
         expected_queries = math.ceil(20 * math.log(math.e / 0.01) * (1 - 1e-9))
         assert ledger.total_queries == expected_queries
@@ -109,12 +111,12 @@ class TestSynthUqae2:
     def test_preconditions_rejected(self):
         contract = Uqae2Contract(bias_bound=0.01, precision=0.05, fail_prob=0.1)
         with pytest.raises(ValueError):
-            synth_uqae2_sample(A, contract, 0.02, 0.1, SEED, ResourceLedger())
+            synth_uqae2_sample(A, contract, 0.02, 0.1, SEED, ResourceLedger(), size=1)
         with pytest.raises(ValueError):
-            synth_uqae2_sample(A, contract, 0.01, 0.8, SEED, ResourceLedger())
+            synth_uqae2_sample(A, contract, 0.01, 0.8, SEED, ResourceLedger(), size=1)
         big_precision = Uqae2Contract(bias_bound=0.01, precision=0.9, fail_prob=0.1)
         with pytest.raises(ValueError):
-            synth_uqae2_sample(A, big_precision, 0.0, 0.0, SEED, ResourceLedger())
+            synth_uqae2_sample(A, big_precision, 0.0, 0.0, SEED, ResourceLedger(), size=1)
 
 
 class TestSynthUqpe2:
@@ -144,10 +146,12 @@ class TestSynthUqpe2:
 
     def test_rejects_oversized_offsets(self):
         contract = Uqpe2Contract(bias_bound=0.05, precision=0.2, fail_prob=0.1)
-        with pytest.raises(ValueError):
-            synth_uqpe2_sample(1.0, contract, 0.0, 3.2, SEED, ResourceLedger())
-        with pytest.raises(ValueError):
-            synth_uqpe2_sample(1.0, contract, 0.0, 0.0, SEED, ResourceLedger(), good_spread=0.3)
+        with pytest.raises(ValueError, match="offsets must stay below pi"):
+            synth_uqpe2_sample(1.0, contract, 0.0, 3.2, SEED, ResourceLedger(), size=1)
+        with pytest.raises(ValueError, match="good-branch spread"):
+            synth_uqpe2_sample(
+                1.0, contract, 0.0, 0.0, SEED, ResourceLedger(), good_spread=0.3, size=1
+            )
 
 
 class TestMonkey:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lowdepth.blackbox import Uqpe2Contract, synth_uqpe2_sample
+from lowdepth.blackbox import UQPE2_COST, Uqpe2Contract, synth_uqpe2_sample
 from lowdepth.circphase import (
     Angle,
     Arc,
@@ -16,6 +16,10 @@ from lowdepth.circphase import (
 from lowdepth.core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec
 
 PI = math.pi
+
+# One-degree-multiple grid plus inputs that need reducing, for comparing the
+# array path with the scalar one.
+GRID = np.append(np.radians(np.arange(0, 360, 3)), [-1e-18, -0.5, TWO_PI, 7 * PI])
 
 
 class TestAngle:
@@ -54,6 +58,14 @@ class TestCircDiff:
                 assert (theta - phi - r) % TWO_PI == pytest.approx(0.0, abs=1e-9) or (
                     theta - phi - r
                 ) % TWO_PI == pytest.approx(TWO_PI, abs=1e-9)
+        # arrays go through the same code and give the scalar results exactly
+        thetas, phis = np.meshgrid(GRID, GRID)
+        scalar = [
+            [circ_diff(theta, phi) for theta, phi in zip(*rows)]
+            for rows in zip(thetas.tolist(), phis.tolist())
+        ]
+        assert type(scalar[0][1]) is float
+        np.testing.assert_array_equal(circ_diff(thetas, phis), scalar)
 
     def test_minimality_on_grid(self):
         # |circular difference| equals the distance to the nearest 2 pi shift
@@ -93,6 +105,13 @@ class TestArc:
         assert arc.contains(Angle(PI / 4))
         assert not arc.contains(Angle(PI))
         assert not arc.contains(Angle(PI / 4 + 0.01))
+        # arrays go through the same code and give the scalar results exactly
+        inside = arc.contains(GRID)
+        assert type(arc.contains(0.0)) is bool
+        assert inside.tolist() == [arc.contains(theta) for theta in GRID.tolist()]
+        assert arc_map(arc, GRID[inside]).tolist() == [
+            arc_map(arc, theta) for theta in GRID[inside].tolist()
+        ]
 
     def test_length(self):
         assert Arc(Angle(7 * PI / 4), Angle(PI / 4)).length == pytest.approx(PI / 2, abs=1e-12)
@@ -139,6 +158,8 @@ class TestArcMapping:
         with pytest.raises(ValueError):
             arc_map(arc, Angle(2.0))
         with pytest.raises(ValueError):
+            arc_map(arc, np.array([0.5, 2.0]))
+        with pytest.raises(ValueError):
             arc_unmap(arc, 1.5)
 
 
@@ -162,13 +183,13 @@ class TestPhasePlan:
 def make_sampler(truth, *, ref_spread=PI / 10, tail=PI / 2, bias_scale=1.0):
     ref_precision = PI / 4
 
-    def sampler(contract, seed, ledger):
+    def sampler(contract, seed, ledger, size):
         bias = bias_scale * contract.bias_bound
         spread = None
         if contract.precision == ref_precision:
             spread = max(0.0, ref_spread - bias)
         return synth_uqpe2_sample(
-            truth, contract, bias, tail, seed, ledger, good_spread=spread
+            truth, contract, bias, tail, seed, ledger, good_spread=spread, size=size
         )
 
     return sampler
@@ -178,8 +199,8 @@ class TestLowdepthPhaseEstimate:
     def test_zero_noise_sampler_recovers_truth_exactly(self):
         truth = 1.234
 
-        def exact(contract, seed, ledger):
-            return truth
+        def exact(contract, seed, ledger, size):
+            return np.full(size, truth)
 
         estimate = lowdepth_phase_estimate(
             exact, TargetSpec(0.01, 0.1, 0.5), seed=SeedSpec(80, 0), ledger=ResourceLedger()
@@ -189,9 +210,9 @@ class TestLowdepthPhaseEstimate:
     def test_arc_escape_outputs_zero_angle(self):
         truth = 1.0
 
-        def escaping(contract, seed, ledger):
+        def escaping(contract, seed, ledger, size):
             # reference lands on the truth, main runs land opposite
-            return truth if contract.precision == PI / 4 else truth + PI
+            return np.full(size, truth if contract.precision == PI / 4 else truth + PI)
 
         estimate = lowdepth_phase_estimate(
             escaping, TargetSpec(0.01, 0.1, 0.5), seed=SeedSpec(81, 0), ledger=ResourceLedger()
@@ -239,7 +260,8 @@ class TestLowdepthPhaseEstimate:
                 SeedSpec(84, index),
                 ResourceLedger(),
                 good_spread=PI / 10,
-            )
+                size=1,
+            )[0]
             arc = Arc(Angle(ref - PI / 8), Angle(ref + PI / 8))
             hits += arc.contains(Angle(truth))
         sigma = math.sqrt(plan.run_fail_prob * (1 - plan.run_fail_prob) / trials) or 1e-3
@@ -271,7 +293,26 @@ class TestLowdepthPhaseEstimate:
         )
         plan = PhasePlan.from_target(target)
         assert ledger.max_depth == math.ceil(1 / plan.run_precision * (1 - 1e-9))
-        assert ledger.total_queries > plan.runs
+
+        def per_run(contract):
+            return max(UQPE2_COST.depth_fn(contract), UQPE2_COST.queries_fn(contract))
+
+        # one reference run plus ``runs`` main runs, each charged once
+        assert ledger.total_queries == (
+            per_run(plan.ref_contract(target)) + plan.runs * per_run(plan.main_contract(target))
+        )
+
+    @pytest.mark.parametrize("stage", ["reference", "main"])
+    def test_rejects_sampler_returning_wrong_run_count(self, stage):
+        def sampler(contract, seed, ledger, size):
+            # one run too many from the chosen stage only
+            extra = (contract.precision == PI / 4) == (stage == "reference")
+            return np.full(size + extra, 1.0)
+
+        with pytest.raises(ValueError, match="shape"):
+            lowdepth_phase_estimate(
+                sampler, TargetSpec(0.05, 0.1, 0.5), seed=SeedSpec(88, 0), ledger=ResourceLedger()
+            )
 
     def test_rejects_coarse_target(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -215,6 +216,18 @@ class TestScalingStudy:
         study = scaling_study(base, [0.1, 0.05], [0.0])
         assert study.partial
         assert study.rows == []
+
+    def test_zero_ledgers_reported_instead_of_fitted(self):
+        # monkey-demo charges nothing, so no log-log slope exists to fit
+        base = ExperimentConfig(
+            "monkey-demo", 0.3, TargetSpec(0.05, 0.1, 0.5), trials=1, master_seed=5
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            study = scaling_study(base, [0.1, 0.05, 0.02, 0.01], [0.0, 1.0])
+        assert len(study.rows) == 8
+        assert study.slopes == {}
+        assert [error["beta"] for error in study.errors] == [0.0, 1.0]
 
     def test_exports(self, study, tmp_path):
         csv_path = export_report(study, "csv", tmp_path / "s.csv")
