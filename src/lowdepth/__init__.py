@@ -16,12 +16,9 @@ from .core import (
     SeedSpec,
     SimulationError,
     TargetSpec,
-    beta_from_hardware,
     derive_stream,
-    hardware_precision,
-    merge_ledgers,
 )
-from .oracle import GroverOracle, PolyOracle, grover_sample, poly_sample
+from .oracle import PolyOracle, poly_sample
 from .blackbox import (
     Uqae1Contract,
     Uqae2Contract,
@@ -65,7 +62,6 @@ __all__ = [
     "Arc",
     "ConfidenceInterval",
     "ExperimentConfig",
-    "GroverOracle",
     "PolyOracle",
     "ResourceLedger",
     "SeedSpec",
@@ -83,7 +79,6 @@ __all__ = [
     "apeldoorn_phase_params",
     "arc_map",
     "arc_unmap",
-    "beta_from_hardware",
     "bias_variance_floor",
     "boost_repetitions",
     "circ_diff",
@@ -93,12 +88,9 @@ __all__ = [
     "derive_stream",
     "erf_poly",
     "export_report",
-    "grover_sample",
-    "hardware_precision",
     "kappa",
     "lowdepth_phase_estimate",
     "median_boost",
-    "merge_ledgers",
     "monkey_sample",
     "phase_threshold",
     "poly_sample",

@@ -112,8 +112,13 @@ def arc_map(arc: Arc, theta):
     outside = np.extract(np.logical_not(arc.contains(values)), values)
     if outside.size:
         raise ValueError(f"angle {outside[0]} lies outside the arc")
-    fraction = np.clip(circ_diff(values, arc.start) / arc.length, 0.0, 1.0)
-    return fraction if isinstance(values, np.ndarray) else float(fraction)
+    return _arc_fraction(arc, values)
+
+
+def _arc_fraction(arc: Arc, theta):
+    """:func:`arc_map` for angle(s) already known to lie on the arc."""
+    fraction = np.clip(circ_diff(theta, arc.start) / arc.length, 0.0, 1.0)
+    return fraction if isinstance(theta, np.ndarray) else float(fraction)
 
 
 def arc_unmap(arc: Arc, fraction: float) -> Angle:
@@ -216,7 +221,7 @@ def lowdepth_phase_estimate(
         if diagnostics is not None:
             diagnostics["escaped"] = True
         return Angle(0.0)
-    mapped = arc_map(widened, estimates)
+    mapped = _arc_fraction(widened, estimates)
     mean_fraction = math.fsum(mapped.tolist()) / plan.runs
     result = arc_unmap(widened, mean_fraction)
     if diagnostics is not None:

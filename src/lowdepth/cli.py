@@ -4,6 +4,11 @@ Subcommands: ``run`` (one experiment), ``scale`` (depth/query sweep over an
 epsilon-beta grid), ``params`` (print computed plans and estimator knobs
 without running anything) and ``selfcheck`` (fast invariant suite).
 
+``run``, ``scale`` and ``params`` read each setting the same way: the flag,
+else (``run`` only) the ``--config`` file entry, else one shared default
+(epsilon 0.05, delta 0.05, beta 0.5, 100 trials, seed 0, json format).
+``scale`` without ``--algorithm`` or ``--truth`` sweeps type1 at truth 0.3.
+
 Exit codes: 0 success, 2 configuration error, 3 inner algorithm error.
 """
 
@@ -16,18 +21,17 @@ from pathlib import Path
 
 from . import aggregate, blackbox, circphase, rallfuller
 from .core import (
-    ResourceLedger,
     SeedSpec,
     SimulationError,
     TargetSpec,
     derive_stream,
-    merge_ledgers,
 )
 from .harness import (
     ALGORITHM_CHOICES,
     EXPORT_FORMATS,
     ConfigError,
     ExperimentConfig,
+    _default_constants,
     export_report,
     run_experiment,
     scaling_study,
@@ -102,71 +106,86 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FILE_TYPES = {
-    "algorithm": str,
-    "truth": float,
-    "epsilon": float,
-    "delta": float,
-    "beta": float,
-    "trials": int,
-    "seed": int,
-    "out": str,
-    "format": str,
-    "parallel": lambda text: text.strip().lower() in ("1", "true", "yes", "on"),
-    "r": float,
-    "s": float,
-    "cap_c": float,
-    "bias_scale": float,
-    "tail_magnitude": float,
+# Every setting a subcommand reads: its type (to parse config-file text) and
+# the default used when neither a flag nor the config file gives it.  One
+# table for all subcommands, so they share the same defaults.
+_SETTINGS = {
+    "algorithm": (str, None),
+    "truth": (float, None),
+    "epsilon": (float, 0.05),
+    "delta": (float, 0.05),
+    "beta": (float, 0.5),
+    "trials": (int, 100),
+    "seed": (int, 0),
+    "out": (str, None),
+    "format": (str, "json"),
+    "parallel": (lambda text: text.strip().lower() in ("1", "true", "yes", "on"), False),
+    "r": (float, None),
+    "s": (float, None),
+    "cap_c": (float, None),
+    "bias_scale": (float, None),
+    "tail_magnitude": (float, None),
 }
 
-
-def _setting(args, file_values: dict, key: str, default=None):
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        caster = _CONFIG_FILE_TYPES.get(key, str)
-        try:
-            return caster(file_values[key])
-        except ValueError as err:
-            raise ConfigError(f"config file value for {key!r}: {err}") from err
-    return default
+# Settings passed to the harness as estimator constants, by constant name.
+_CONSTANT_KEYS = {"r": "r", "s": "s", "cap_c": "C", "bias_scale": "bias_scale",
+                  "tail_magnitude": "tail_magnitude"}
 
 
-def _build_run_config(args) -> ExperimentConfig:
-    file_values = load_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - set(_CONFIG_FILE_TYPES)
+def _settings(args):
+    """Lookup of one setting: its flag, else its ``--config`` file entry,
+    else its default in ``_SETTINGS`` (``default`` where the table has none)."""
+    config = getattr(args, "config", None)
+    file_values = load_config_file(config) if config else {}
+    unknown = set(file_values) - set(_SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
-    algorithm = _setting(args, file_values, "algorithm")
-    truth = _setting(args, file_values, "truth")
-    if algorithm is None or truth is None:
-        raise ConfigError("--algorithm and --truth are required (flag or config file)")
+
+    def setting(key: str, default=None):
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            return flag_value
+        caster, shared_default = _SETTINGS[key]
+        if key in file_values:
+            try:
+                return caster(file_values[key])
+            except ValueError as err:
+                raise ConfigError(f"config file value for {key!r}: {err}") from err
+        return default if shared_default is None else shared_default
+
+    return setting
+
+
+def _target_and_constants(setting) -> tuple[TargetSpec, dict]:
     try:
-        target = TargetSpec(
-            _setting(args, file_values, "epsilon", 0.05),
-            _setting(args, file_values, "delta", 0.05),
-            _setting(args, file_values, "beta", 0.5),
-        )
+        target = TargetSpec(setting("epsilon"), setting("delta"), setting("beta"))
     except ValueError as err:
         raise ConfigError(str(err)) from err
     constants = {}
-    for key, name in (("r", "r"), ("s", "s"), ("cap_c", "C"), ("bias_scale", "bias_scale"),
-                      ("tail_magnitude", "tail_magnitude")):
-        value = _setting(args, file_values, key)
+    for key, name in _CONSTANT_KEYS.items():
+        value = setting(key)
         if value is not None:
             constants[name] = value
+    return target, constants
+
+
+def _build_run_config(args) -> ExperimentConfig:
+    setting = _settings(args)
+    algorithm = setting("algorithm")
+    truth = setting("truth")
+    if algorithm is None or truth is None:
+        raise ConfigError("--algorithm and --truth are required (flag or config file)")
+    target, constants = _target_and_constants(setting)
     return ExperimentConfig(
         algorithm=algorithm,
         truth=truth,
         target=target,
         constants=constants,
-        trials=_setting(args, file_values, "trials", 100),
-        master_seed=_setting(args, file_values, "seed", 0),
-        output_path=_setting(args, file_values, "out"),
-        output_format=_setting(args, file_values, "format", "json"),
-        parallel=bool(_setting(args, file_values, "parallel", False)),
+        trials=setting("trials"),
+        master_seed=setting("seed"),
+        output_path=setting("out"),
+        output_format=setting("format"),
+        parallel=bool(setting("parallel")),
     )
 
 
@@ -185,24 +204,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scale(args) -> int:
-    try:
-        target = TargetSpec(args.epsilon or 0.05, args.delta or 0.1, args.beta or 0.5)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    constants = {}
-    if args.r is not None:
-        constants["r"] = args.r
-    if args.s is not None:
-        constants["s"] = args.s
-    if args.cap_c is not None:
-        constants["C"] = args.cap_c
+    setting = _settings(args)
+    target, constants = _target_and_constants(setting)
     base = ExperimentConfig(
-        algorithm=args.algorithm or "type1",
-        truth=args.truth if args.truth is not None else 0.3,
+        algorithm=setting("algorithm", "type1"),
+        truth=setting("truth", 0.3),
         target=target,
         constants=constants,
         trials=1,
-        master_seed=args.seed or 0,
+        master_seed=setting("seed"),
     )
     study = scaling_study(base, args.epsilon_grid, args.beta_grid)
     for beta in sorted(study.slopes):
@@ -213,22 +223,19 @@ def _cmd_scale(args) -> int:
         )
     if study.partial:
         print(f"partial table: {len(study.errors)} cell(s) failed", file=sys.stderr)
-    if args.out:
-        export_report(study, args.format or "json", args.out)
-        print(f"study written to {args.out}")
+    out = setting("out")
+    if out:
+        export_report(study, setting("format"), out)
+        print(f"study written to {out}")
     return 0
 
 
 def _cmd_params(args) -> int:
-    try:
-        target = TargetSpec(args.epsilon or 0.01, args.delta or 0.1, args.beta or 0.5)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    r_bv = args.r if args.r is not None else aggregate.DEFAULT_BIAS_FRACTION_BV
-    s_bv = args.s if args.s is not None else aggregate.DEFAULT_VARIANCE_FRACTION_BV
-    r_pf = args.r if args.r is not None else aggregate.DEFAULT_BIAS_FRACTION_PF
-    s_pf = args.s if args.s is not None else aggregate.DEFAULT_TAIL_FRACTION_PF
-    cap = args.cap_c if args.cap_c is not None else 1.0
+    target, constants = _target_and_constants(_settings(args))
+    bias_variance = {**_default_constants("type1"), **constants}
+    precision_failure = {**_default_constants("type2"), **constants}
+    r_bv, s_bv = bias_variance["r"], bias_variance["s"]
+    r_pf, s_pf = precision_failure["r"], precision_failure["s"]
 
     print(f"target: epsilon={target.epsilon:g} delta={target.delta:g} beta={target.beta:g}")
     plan1 = aggregate.Type1Plan.from_target(target, r_bv, s_bv)
@@ -238,7 +245,7 @@ def _cmd_params(args) -> int:
         f"variance_bound={plan1.variance_bound:.6g} runs={plan1.runs} "
         f"success_floor={floor.success_floor:.6g}"
     )
-    plan2 = aggregate.Type2Plan.from_target(target, r_pf, s_pf, cap)
+    plan2 = aggregate.Type2Plan.from_target(target, r_pf, s_pf, precision_failure["C"])
     print(
         f"precision/failure plan: bias_bound={plan2.bias_bound:.6g} "
         f"run_precision={plan2.run_precision:.6g} run_fail_prob={plan2.run_fail_prob:.6g} "
@@ -271,7 +278,6 @@ def _cmd_params(args) -> int:
 
 
 def _selfcheck_steps(seed: int):
-    yield "ledger merge is max/sum and commutes", _check_ledger
     yield "derived streams are deterministic and distinct", lambda: _check_streams(seed)
     yield "circular difference is minimal on a 5-degree grid", _check_circ_grid
     yield "arc map round-trips", lambda: _check_arc_roundtrip(seed)
@@ -279,14 +285,6 @@ def _selfcheck_steps(seed: int):
     yield "erf placement constants in range", _check_kappa
     yield "full-depth gap envelope brackets 1/2", _check_envelope
     yield "coin test calibrated at gamma=0.1", lambda: _check_coin(seed)
-
-
-def _check_ledger() -> None:
-    a, b = ResourceLedger(3, 10), ResourceLedger(5, 7)
-    merged = merge_ledgers(a, b)
-    assert (merged.max_depth, merged.total_queries) == (5, 17)
-    swapped = merge_ledgers(b, a)
-    assert merged == swapped
 
 
 def _check_streams(seed: int) -> None:

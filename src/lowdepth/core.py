@@ -101,21 +101,6 @@ class ResourceLedger:
         self.max_depth = max(self.max_depth, int(depth))
         self.total_queries += int(queries)
 
-    def absorb(self, other: "ResourceLedger") -> None:
-        """Fold another ledger into this one (max of depths, sum of queries)."""
-        self.charge(other.max_depth, other.total_queries)
-
-    def snapshot(self) -> tuple[int, int]:
-        return (self.max_depth, self.total_queries)
-
-
-def merge_ledgers(*ledgers: ResourceLedger) -> ResourceLedger:
-    """Combine per-run ledgers: max of max_depths, sum of total_queries."""
-    merged = ResourceLedger()
-    for ledger in ledgers:
-        merged.absorb(ledger)
-    return merged
-
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -152,27 +137,3 @@ def derive_stream(seed: SeedSpec, child_index: int) -> SeedSpec:
         raise ValueError("child_index must be nonnegative")
     s, c = seed.stream_index, child_index
     return SeedSpec(seed.master_seed, (s + c) * (s + c + 1) // 2 + c + 1)
-
-
-def hardware_precision(hardware_depth: int, depth_constant: float) -> float:
-    """Best precision reachable on hardware allowing ``hardware_depth``
-    sequential oracle calls, under the rough depth model depth = c / eps."""
-    if hardware_depth < 1:
-        raise ValueError("hardware_depth must be at least 1")
-    if depth_constant <= 0:
-        raise ValueError("depth_constant must be positive")
-    return depth_constant / hardware_depth
-
-def beta_from_hardware(hardware_depth: int, depth_constant: float, epsilon: float) -> float:
-    """Depth knob implied by a hardware depth cap.
-
-    Solves eps_hw = epsilon ** (1 - beta) for beta, where eps_hw is the
-    hardware-limited precision ``depth_constant / hardware_depth``, then
-    clamps to [0, 1].  Rejects epsilon outside (0, 1) where the logarithm
-    degenerates.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    eps_hw = hardware_precision(hardware_depth, depth_constant)
-    beta = 1.0 - math.log(eps_hw) / math.log(epsilon)
-    return min(1.0, max(0.0, beta))

@@ -133,7 +133,7 @@ class ExperimentConfig:
         }
 
 
-@dataclass(eq=False)
+@dataclass
 class TrialReport:
     """Estimates and resource accounting for one experiment.
 
@@ -150,25 +150,7 @@ class TrialReport:
     total_queries: int
     trial_depths: list[int]
     trial_queries: list[int]
-    wall_time: float | None = None
-
-    def _key(self):
-        return (
-            self.config,
-            self.estimates,
-            self.empirical_success,
-            self.empirical_bias,
-            self.empirical_variance,
-            self.max_depth,
-            self.total_queries,
-            self.trial_depths,
-            self.trial_queries,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrialReport):
-            return NotImplemented
-        return self._key() == other._key()
+    wall_time: float | None = field(default=None, compare=False)
 
 
 def _trial_estimate(

@@ -7,9 +7,6 @@ with the depth and query budget that device would have spent.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -20,47 +17,6 @@ GRID_POINTS_PER_UNIT = 10_000
 
 # Slack beyond which a polynomial is considered unbounded on [-1, 1].
 BOUND_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GroverOracle:
-    """Amplitude-amplification measurement with hidden truth.
-
-    ``power`` applications of the amplified iterate rotate the head
-    probability to sin^2((2 power + 1) * asin(a)).
-    """
-
-    amplitude: Amplitude
-
-    @property
-    def rotation_angle(self) -> float:
-        return math.asin(self.amplitude.value)
-
-    def head_probability(self, power: int) -> float:
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        p = math.sin((2 * power + 1) * self.rotation_angle) ** 2
-        return min(1.0, max(0.0, p))
-
-
-def grover_sample(
-    oracle: GroverOracle,
-    power: int,
-    shots: int,
-    seed: SeedSpec,
-    ledger: ResourceLedger,
-) -> int:
-    """Head count of ``shots`` amplified measurements at the given power.
-
-    The ledger is charged depth ``power`` and ``shots * max(power, 1)``
-    queries; a power-0 call is a direct measurement costing one state
-    preparation per shot.
-    """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    heads = int(seed.rng().binomial(shots, oracle.head_probability(power)))
-    ledger.charge(power, shots * max(power, 1))
-    return heads
 
 
 def _coefficient_evaluator(coefficients):

@@ -124,7 +124,7 @@ class TestSynthUqpe2:
         contract = Uqpe2Contract(bias_bound=0.05, precision=0.2, fail_prob=0.0)
         values = synth_uqpe2_sample(0.02, contract, 0.0, 0.0, SeedSpec(3, 0), ResourceLedger(), size=2000)
         assert np.all((0.0 <= values) & (values < 2 * math.pi))
-        deviations = np.array([circ_diff(v, 0.02) for v in values])
+        deviations = circ_diff(values, 0.02)
         assert np.all(np.abs(deviations) <= 0.2 + 1e-12)
 
     def test_circular_bias_matches_setting(self):
@@ -133,7 +133,7 @@ class TestSynthUqpe2:
         values = synth_uqpe2_sample(
             6.27, contract, 0.05, 0.0, SeedSpec(3, 1), ResourceLedger(), size=n
         )
-        deviations = np.array([circ_diff(v, 6.27) for v in values])
+        deviations = circ_diff(values, 6.27)
         assert abs(deviations.mean() - 0.05) < 4 * deviations.std() / math.sqrt(n)
 
     def test_good_spread_narrowing(self):
@@ -141,7 +141,7 @@ class TestSynthUqpe2:
         values = synth_uqpe2_sample(
             1.0, contract, 0.0, 0.0, SeedSpec(3, 2), ResourceLedger(), good_spread=0.1, size=500
         )
-        deviations = np.array([circ_diff(v, 1.0) for v in values])
+        deviations = circ_diff(values, 1.0)
         assert np.all(np.abs(np.abs(deviations) - 0.1) < 1e-12)
 
     def test_rejects_oversized_offsets(self):

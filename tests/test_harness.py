@@ -113,22 +113,6 @@ class TestRunExperiment:
 
 
 class TestHardwareWorkflow:
-    def test_depth_cap_to_knob_to_estimate(self):
-        # the motivating pipeline: a device depth cap fixes the knob, the
-        # aggregate then reaches the target precision anyway
-        from lowdepth.core import beta_from_hardware
-
-        epsilon = 0.05
-        beta = beta_from_hardware(hardware_depth=10, depth_constant=1.0, epsilon=epsilon)
-        assert 0.0 < beta < 1.0  # device shallower than the target wants
-        report = run_experiment(
-            quick_config(target=TargetSpec(epsilon, 0.1, beta), trials=200)
-        )
-        assert report.empirical_success >= 0.5
-        # per-run depth stays near the hardware budget (cost-model constants
-        # and ceilings allowed for)
-        assert report.max_depth <= 2 * 10
-
     def test_output_cap_above_one(self):
         config = quick_config(
             algorithm="type2",
@@ -292,6 +276,9 @@ class TestCli:
 
     def test_bad_flag_value_exits_two(self, capsys):
         assert main(["run", "--algorithm", "bogus", "--truth", "0.3"]) == 2
+        # a 0 is rejected, never replaced by a default
+        assert main(["params", "--epsilon", "0"]) == 2
+        assert main(["scale", "--delta", "0", "--epsilon-grid", "0.1", "--beta-grid", "0"]) == 2
 
     def test_inner_algorithm_error_exits_three(self, capsys):
         code = main(
@@ -312,6 +299,8 @@ class TestCli:
         assert "bias/variance plan" in output
         assert "runs=2952" in output
         assert "register phase estimator" in output
+        assert main(["params", "--beta", "0"]) == 0
+        assert "beta=0\n" in capsys.readouterr().out
 
     def test_scale_writes_svg(self, tmp_path, capsys):
         out = tmp_path / "scale.svg"

@@ -3,77 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec, derive_stream
-from lowdepth.oracle import GroverOracle, PolyOracle, grover_sample, poly_sample
+from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec
+from lowdepth.oracle import PolyOracle, poly_sample
 from lowdepth.rallfuller import ConfidenceInterval, rf_params, semi_pellian
-
-
-class TestGroverOracle:
-    def test_head_probability_formula(self):
-        oracle = GroverOracle(Amplitude(0.3))
-        for power in range(6):
-            expected = math.sin((2 * power + 1) * math.asin(0.3)) ** 2
-            assert oracle.head_probability(power) == pytest.approx(expected, abs=1e-15)
-
-    def test_certain_heads(self):
-        ledger = ResourceLedger()
-        heads = grover_sample(GroverOracle(Amplitude(1.0)), 0, 100, SeedSpec(1, 0), ledger)
-        assert heads == 100
-
-    def test_certain_tails(self):
-        ledger = ResourceLedger()
-        for power in (0, 1, 5):
-            assert grover_sample(GroverOracle(Amplitude(0.0)), power, 100, SeedSpec(1, 0), ledger) == 0
-
-    def test_half_amplitude_single_power_is_certain(self):
-        # asin(0.5) = pi/6, so one amplification lands on sin^2(pi/2) = 1
-        oracle = GroverOracle(Amplitude(0.5))
-        assert oracle.head_probability(1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        oracle = GroverOracle(Amplitude(0.5))
-        with pytest.raises(ValueError):
-            oracle.head_probability(-1)
-        with pytest.raises(ValueError):
-            grover_sample(oracle, 1, 0, SeedSpec(1, 0), ResourceLedger())
-
-
-class TestGroverLedger:
-    def test_depth_and_queries_over_call_sequence(self):
-        oracle = GroverOracle(Amplitude(0.4))
-        ledger = ResourceLedger()
-        seed = SeedSpec(3, 0)
-        calls = [(0, 10), (4, 7), (2, 5), (9, 3), (0, 100)]
-        for index, (power, shots) in enumerate(calls):
-            grover_sample(oracle, power, shots, derive_stream(seed, index), ledger)
-        assert ledger.max_depth == max(power for power, _ in calls)
-        assert ledger.total_queries == sum(shots * max(power, 1) for power, shots in calls)
-
-    def test_power_zero_costs_one_query_per_shot(self):
-        ledger = ResourceLedger()
-        grover_sample(GroverOracle(Amplitude(0.4)), 0, 25, SeedSpec(3, 1), ledger)
-        assert ledger.total_queries == 25
-        assert ledger.max_depth == 0
-
-
-class TestGroverStatistics:
-    def test_empirical_fraction_tracks_analytic_probability(self):
-        # 5-sigma band over 1e5 shots should hold in at least 99% of seeded
-        # repetitions; with 300 repetitions the expected miss count is ~0.2.
-        oracle = GroverOracle(Amplitude(0.3))
-        power = 2
-        p = oracle.head_probability(power)
-        shots = 100_000
-        band = 5 * math.sqrt(p * (1 - p) / shots)
-        seed = SeedSpec(2024, 0)
-        within = 0
-        repetitions = 300
-        for index in range(repetitions):
-            heads = grover_sample(
-                oracle, power, shots, derive_stream(seed, index), ResourceLedger()
-            )
-            within += abs(heads / shots - p) < band
-        assert within / repetitions >= 0.99
 
 
 class TestPolyOracle:
@@ -144,9 +76,9 @@ class TestPolyOracle:
 
 class TestTargetSpecIntegration:
     def test_oracle_calls_are_pure_given_seed(self):
-        oracle = GroverOracle(Amplitude(0.37))
+        oracle = PolyOracle([0.0, 0.0, 1.0], Amplitude(0.37))
         seed = SeedSpec(11, 5)
-        first = grover_sample(oracle, 3, 1000, seed, ResourceLedger())
-        second = grover_sample(oracle, 3, 1000, seed, ResourceLedger())
+        first = poly_sample(oracle, 1000, seed, ResourceLedger())
+        second = poly_sample(oracle, 1000, seed, ResourceLedger())
         assert first == second
         TargetSpec(0.1, 0.1, 0.5)  # smoke: shared types interoperate
