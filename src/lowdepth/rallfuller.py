@@ -78,10 +78,6 @@ class ConfidenceInterval:
         if self.a_min + self.width > 1.0 + _DRIFT_TOL:
             raise ValueError("interval must stay inside [0, 1]")
 
-    @classmethod
-    def from_bounds(cls, a_min: float, a_max: float) -> "ConfidenceInterval":
-        return cls(a_min, a_max - a_min)
-
     @property
     def a_max(self) -> float:
         return min(1.0, self.a_min + self.width)
@@ -158,6 +154,9 @@ class ErfApproximant:
     coefficients: tuple[float, ...]
     scale: float
     accuracy: float
+    # Bound on |e - erf(scale x)| over [-2, 2]: the full interpolant's error,
+    # measured on the dense grid, plus the absolute sum of the dropped
+    # Chebyshev terms, which bounds what dropping them costs.
     sup_error: float
 
     @property
@@ -171,9 +170,12 @@ class ErfApproximant:
 def erf_poly(scale: float, accuracy: float, degree_cap: int = 4096) -> ErfApproximant:
     """Odd polynomial within ``accuracy`` of erf(scale x) on [-2, 2].
 
-    Chebyshev interpolation with the even coefficients projected out, then
-    truncated to the smallest odd degree whose sup error over the dense
-    certification grid stays within the accuracy.  Raises
+    Chebyshev interpolation with the even coefficients projected out, whose
+    error ``full_error`` is measured once on the dense certification grid.
+    Since |T_j| <= 1 on [-1, 1], dropping the terms above degree n moves the
+    series by at most sum_{j>n} |c_j|, so the result is truncated to the
+    smallest odd n with full_error + sum_{j>n} |c_j| <= accuracy, and that
+    sum is its ``sup_error`` (Trefethen, ATAP, ch. 4 and 8).  Raises
     :class:`PolynomialConstructionError`, reporting the best error reached,
     if the degree cap is insufficient.
     """
@@ -185,11 +187,6 @@ def erf_poly(scale: float, accuracy: float, degree_cap: int = 4096) -> ErfApprox
     # expressed in the scaled variable t = x / 2.
     grid = np.linspace(-1.0, 1.0, 4 * GRID_POINTS_PER_UNIT + 1)
     target = _erf(scale * _ERF_DOMAIN_HALF * grid)
-    search_grid, search_target = grid[::10], target[::10]
-
-    def sup_error(coefficients, dense: bool = True) -> float:
-        points, reference = (grid, target) if dense else (search_grid, search_target)
-        return float(np.max(np.abs(ncheb.chebval(points, coefficients) - reference)))
 
     fit_degree = 64
     while fit_degree < 4 * scale + 32:
@@ -198,27 +195,15 @@ def erf_poly(scale: float, accuracy: float, degree_cap: int = 4096) -> ErfApprox
     while fit_degree <= degree_cap:
         coef = ncheb.chebinterpolate(lambda t: _erf(scale * _ERF_DOMAIN_HALF * t), fit_degree)
         coef[0::2] = 0.0
-        full_error = sup_error(coef)
+        full_error = float(np.max(np.abs(ncheb.chebval(grid, coef) - target)))
         best_error = min(best_error, full_error)
-        if full_error <= 0.9 * accuracy:
-            # Smallest odd truncation meeting the accuracy: bisect on the
-            # coarse grid, then certify (and repair upward) on the dense one.
-            low, high = 1, fit_degree - 1 + fit_degree % 2
-            while low < high:
-                mid = (low + high) // 2
-                if mid % 2 == 0:
-                    mid += 1
-                if mid >= high:
-                    mid = high - 2
-                if sup_error(coef[: mid + 1], dense=False) <= 0.95 * accuracy:
-                    high = mid
-                else:
-                    low = mid + 2
-            degree = low
-            while degree < fit_degree and sup_error(coef[: degree + 1]) > accuracy:
-                degree += 2
+        # bound[n] = full_error + sum_{j>n} |c_j|, nonincreasing in n.
+        bound = full_error + np.append(np.cumsum(np.abs(coef[:0:-1]))[::-1], 0.0)
+        (fits,) = np.nonzero(bound[1::2] <= accuracy)
+        if fits.size:
+            degree = 2 * int(fits[0]) + 1
             truncated = tuple(float(c) for c in coef[: degree + 1])
-            return ErfApproximant(truncated, scale, accuracy, sup_error(truncated))
+            return ErfApproximant(truncated, scale, accuracy, float(bound[degree]))
         fit_degree *= 2
     raise PolynomialConstructionError(
         f"no odd polynomial of degree <= {degree_cap} reached accuracy {accuracy} "
@@ -242,17 +227,17 @@ class GapCertificate:
 
 @dataclass(frozen=True)
 class SemiPellianPoly:
-    """Even polynomial certified unit-bounded on [-1, 1] with a decision gap.
+    """Even polynomial with |P| <= 1 on [-1, 1] and a decision gap.
 
     Coefficients are a Chebyshev series on [-1, 1]; parity is structural
-    (odd-index entries are identically zero).  ``bounded_certified`` lets
-    :class:`~lowdepth.oracle.PolyOracle` skip re-certifying the bound.
+    (odd-index entries are identically zero).  The unit bound is proved at
+    construction by :func:`semi_pellian`, so :class:`~lowdepth.oracle.PolyOracle`
+    does not re-check it.
     """
 
     coefficients: tuple[float, ...]
     degree: int
     gap_certificate: GapCertificate
-    bounded_certified: bool = True
 
     def evaluate(self, x):
         return ncheb.chebval(np.asarray(x, dtype=float), self.coefficients)
@@ -285,10 +270,14 @@ def semi_pellian(
     """Even unit-bounded polynomial separating the interval's end segments.
 
     Assembles f0(a - mid) + f0(-a - mid) with
-    f0(x) = (1 + eta + erf_poly(x)) / (4 eta + tau + 2), certifies
-    |P| <= 1 on a dense grid over [-1, 1], and certifies
-    P <= 1/2 - gamma on [a_min, a_min + width/10] and
-    P >= 1/2 + gamma on [a_max - width/10, a_max].
+    f0(x) = (1 + eta + erf_poly(x)) / D, D = 4 eta + tau + 2.  The erf
+    approximant e is odd and within eta of erf, and erf is increasing, so
+    P(a) = (2 + 2 eta + e(a - mid) - e(a + mid)) / D lies in
+    [0, (2 + 4 eta) / D] for |a| <= 1; trimming negligible coefficients
+    moves P by at most their absolute sum, which the unit bound must absorb.
+    The decision gap, P <= 1/2 - gamma on [a_min, a_min + width/10] and
+    P >= 1/2 + gamma on [a_max - width/10, a_max], is certified on grids
+    over the two segments.
     """
     return _semi_pellian_cached(tau, eta, k, gamma, interval.a_min, interval.width)
 
@@ -318,14 +307,13 @@ def _semi_pellian_cached(
     coef = ncheb.chebinterpolate(assembled, erf_part.degree)
     coef[1::2] = 0.0
     keep = np.nonzero(np.abs(coef) > _TRIM_TOL * np.max(np.abs(coef)))[0]
-    coef = coef[: (keep[-1] + 1)] if keep.size else coef[:1]
-
-    bound_grid = np.linspace(-1.0, 1.0, 2 * GRID_POINTS_PER_UNIT + 1)
-    worst = float(np.max(np.abs(ncheb.chebval(bound_grid, coef))))
-    if worst > 1.0 + CERT_TOL:
+    cut = keep[-1] + 1 if keep.size else 1
+    bound = (2.0 + 4.0 * eta) / denominator + float(np.sum(np.abs(coef[cut:])))
+    if bound > 1.0 + CERT_TOL:
         raise PolynomialConstructionError(
-            f"assembled polynomial exceeds the unit bound: max |P| = {worst}"
+            f"assembled polynomial may exceed the unit bound: |P| <= {bound}"
         )
+    coef = coef[:cut]
 
     segment = DISCARD_FRACTION * width
     left_max = float(np.max(ncheb.chebval(_segment_grid(a_min, segment), coef)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdepth.blackbox import UQPE2_COST, Uqpe2Contract, synth_uqpe2_sample
 from lowdepth.circphase import (
@@ -20,6 +22,17 @@ PI = math.pi
 # One-degree-multiple grid plus inputs that need reducing, for comparing the
 # array path with the scalar one.
 GRID = np.append(np.radians(np.arange(0, 360, 3)), [-1e-18, -0.5, TWO_PI, 7 * PI])
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+# Finite angles, most of them needing reduction into [0, 2 pi).
+angles = st.floats(-8 * PI, 8 * PI)
+# Counter-clockwise arcs of every length the arc construction admits.
+arcs = st.builds(
+    lambda start, length: Arc(Angle(start), Angle(start + length)),
+    st.floats(0.0, TWO_PI),
+    st.floats(1e-3, PI - 1e-6),
+)
 
 
 class TestAngle:
@@ -66,6 +79,16 @@ class TestCircDiff:
         ]
         assert type(scalar[0][1]) is float
         np.testing.assert_array_equal(circ_diff(thetas, phis), scalar)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(angles, angles), min_size=1, max_size=16))
+    def test_range_and_congruence_property(self, pairs):
+        thetas, phis = (np.array(column) for column in zip(*pairs))
+        r = circ_diff(thetas, phis)
+        assert np.all((-PI <= r) & (r < PI))
+        residue = (thetas - phis - r) % TWO_PI
+        assert np.all(np.minimum(residue, TWO_PI - residue) <= 1e-9)
+        assert r.tolist() == [circ_diff(theta, phi) for theta, phi in pairs]
 
     def test_minimality_on_grid(self):
         # |circular difference| equals the distance to the nearest 2 pi shift
@@ -139,6 +162,13 @@ class TestArcMapping:
             theta = Angle(start + float(rng.uniform(0, length)))
             back = arc_unmap(arc, arc_map(arc, theta))
             assert abs(circ_diff(back, theta)) <= 1e-12
+
+    @PROPERTY
+    @given(arcs, st.floats(0.0, 1.0))
+    def test_round_trip_property(self, arc, fraction):
+        theta = arc_unmap(arc, fraction)
+        assert arc_map(arc, theta) == pytest.approx(fraction, abs=1e-9)
+        assert abs(circ_diff(arc_unmap(arc, arc_map(arc, theta)), theta)) <= 1e-12
 
     def test_difference_preserving_up_to_normalisation(self):
         rng = SeedSpec(78, 0).rng()

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lowdepth.core import (
     Amplitude,
@@ -110,6 +112,23 @@ class TestSeeding:
                     indices.add(derived.stream_index)
                     next_frontier.append(derived)
             frontier = next_frontier
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.integers(0, 10_000), min_size=1, max_size=5),
+        st.lists(st.integers(0, 10_000), min_size=1, max_size=5),
+    )
+    def test_injective_over_nested_indices(self, first, second):
+        # Distinct child-index paths from stream 0 reach distinct streams.
+        assume(first != second)
+
+        def walk(path):
+            node = SeedSpec(5, 0)
+            for child in path:
+                node = derive_stream(node, child)
+            return node.stream_index
+
+        assert walk(first) != walk(second)
 
     def test_distinct_children_distinct_streams(self):
         root = SeedSpec(42, 0)

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
-from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec
+from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, SimulationError, TargetSpec
 from lowdepth.oracle import PolyOracle
 from lowdepth.rallfuller import (
     BRANCH_FULL_DEPTH,
     BRANCH_LOW_DEPTH,
+    CERT_TOL,
     ConfidenceInterval,
     GapCertificateError,
     PolynomialConstructionError,
+    SHRINK_FACTOR,
     StepRecord,
     coin_test,
     coin_tosses,
@@ -22,6 +26,16 @@ from lowdepth.rallfuller import (
     rall_fuller_estimate,
     rf_params,
     semi_pellian,
+)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+# Interval widths the shrinking loop reaches down to epsilon = 0.01, placed
+# anywhere inside [0, 1].
+intervals = st.builds(
+    lambda steps, position: ConfidenceInterval(position * (1.0 - 0.9**steps), 0.9**steps),
+    st.integers(0, 44),
+    st.floats(0.0, 1.0),
 )
 
 
@@ -48,7 +62,7 @@ class TestKappa:
 
 class TestConfidenceInterval:
     def test_properties(self):
-        interval = ConfidenceInterval.from_bounds(0.2, 0.6)
+        interval = ConfidenceInterval(0.2, 0.4)
         assert interval.width == pytest.approx(0.4)
         assert interval.a_mid == pytest.approx(0.4)
         assert interval.a_max == pytest.approx(0.6)
@@ -71,6 +85,17 @@ class TestConfidenceInterval:
         right = interval.discard_right()
         assert left.a_min >= interval.a_min and left.a_max <= interval.a_max + 1e-12
         assert right.a_min >= interval.a_min and right.a_max <= interval.a_max
+
+    @PROPERTY
+    @given(st.floats(1e-6, 1.0), st.floats(0.0, 1.0), st.lists(st.booleans(), max_size=60))
+    def test_nesting_property(self, width, position, discards):
+        interval = ConfidenceInterval(position * (1.0 - width), width)
+        for left in discards:
+            inner = interval.discard_left() if left else interval.discard_right()
+            assert inner.width == SHRINK_FACTOR * interval.width
+            assert inner.a_min >= interval.a_min
+            assert inner.a_min + inner.width <= interval.a_min + interval.width + 1e-12
+            interval = inner
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -148,6 +173,26 @@ class TestErfPoly:
         bound = 10.0 * math.sqrt((25 + math.log(100)) * math.log(100))
         assert approx.degree <= bound
 
+    @pytest.mark.parametrize(
+        "interval, beta",
+        [
+            (ConfidenceInterval(0.0, 1.0), 0.5),
+            (ConfidenceInterval(0.3 - 0.9**20 / 2, 0.9**20), 0.5),
+            (ConfidenceInterval(0.3 - 0.9**40 / 2, 0.9**40), 0.5),
+        ],
+        ids=["full_depth", "low_depth_20", "low_depth_40"],
+    )
+    def test_sup_error_bounds_error_between_grid_points(self, interval, beta):
+        # sup_error must hold off the 40 001-point certification grid: on its
+        # midpoints and on a grid ten times finer.
+        params = rf_params(interval, beta)
+        approx = erf_poly(params.k, params.eta)
+        certification = np.linspace(-2.0, 2.0, 40_001)
+        for points in (0.5 * (certification[1:] + certification[:-1]), np.linspace(-2, 2, 400_001)):
+            error = np.max(np.abs(approx.evaluate(points) - erf(params.k * points)))
+            assert error <= approx.sup_error
+        assert approx.sup_error <= params.eta
+
     def test_construction_failure_reports_error(self):
         with pytest.raises(PolynomialConstructionError) as info:
             erf_poly(50.0, 0.001, degree_cap=64)
@@ -197,6 +242,28 @@ class TestSemiPellian:
         interval = ConfidenceInterval(0.0, 1.0)
         with pytest.raises((GapCertificateError, PolynomialConstructionError)):
             semi_pellian(0.01, 0.01, 1e-3, interval, 0.01)
+
+
+class TestGridReference:
+    """The dense grids the constructions no longer sample, kept as checks."""
+
+    @settings(PROPERTY, max_examples=25)
+    @given(intervals, st.floats(0.0, 1.0))
+    @example(ConfidenceInterval(0.3 - 0.9**40 / 2, 0.9**40), 0.5)
+    @example(ConfidenceInterval(0.7 - 0.9**44 / 2, 0.9**44), 0.75)
+    def test_unit_bound_and_erf_error_on_dense_grids(self, interval, beta):
+        try:
+            params = rf_params(interval, beta)
+        except SimulationError:
+            assume(False)
+        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        values = poly.evaluate(np.linspace(-1.0, 1.0, 20_001))
+        upper = (2.0 + 4.0 * params.eta) / (4.0 * params.eta + params.tau + 2.0)
+        assert np.min(values) >= -CERT_TOL
+        assert np.max(values) <= upper + CERT_TOL
+        approx = erf_poly(params.k, params.eta)
+        grid = np.linspace(-2.0, 2.0, 40_001)
+        assert np.max(np.abs(approx.evaluate(grid) - erf(params.k * grid))) <= approx.sup_error
 
 
 class TestGapEnvelope:
