@@ -77,7 +77,6 @@ _TOLERANCE_PROVENANCE = {
     "bound_tol": oracle.BOUND_TOL,
     "cert_tol": rallfuller.CERT_TOL,
     "arc_tol": circphase.ARC_TOL,
-    "grid_points_per_unit": rallfuller.GRID_POINTS_PER_UNIT,
     "shrink_factor": rallfuller.SHRINK_FACTOR,
     "discard_fraction": rallfuller.DISCARD_FRACTION,
 }

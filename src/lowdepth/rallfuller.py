@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
-from scipy.special import erf as _erf
 
 from .core import ResourceLedger, SeedSpec, SimulationError, TargetSpec, ceil_int, derive_stream
 from .oracle import PolyOracle, poly_sample
@@ -40,7 +39,6 @@ BRANCH_FULL_DEPTH = "full_depth"
 # evaluated at a - mid and -a - mid for a in [-1, 1], mid in [0, 1].
 _ERF_DOMAIN_HALF = 2.0
 
-GRID_POINTS_PER_UNIT = 10_000
 CERT_TOL = 1e-9
 _DRIFT_TOL = 1e-12
 _TRIM_TOL = 1e-13
@@ -154,9 +152,10 @@ class ErfApproximant:
     coefficients: tuple[float, ...]
     scale: float
     accuracy: float
-    # Bound on |e - erf(scale x)| over [-2, 2]: the full interpolant's error,
-    # measured on the dense grid, plus the absolute sum of the dropped
-    # Chebyshev terms, which bounds what dropping them costs.
+    # Proved bound on |e - erf(scale x)| over [-2, 2]: the absolute sum of
+    # the exact series' terms above the degree (the computed ones summed, the
+    # rest bounded geometrically) plus a rounding allowance for the computed
+    # coefficients.
     sup_error: float
 
     @property
@@ -167,48 +166,95 @@ class ErfApproximant:
         return ncheb.chebval(np.asarray(x, dtype=float) / _ERF_DOMAIN_HALF, self.coefficients)
 
 
+def _amos_ratio(nu: float, z: float) -> float:
+    """Upper bound z / (nu + 1/2 + sqrt((nu + 1/2)^2 + z^2)) on
+    I_{nu+1}(z) / I_nu(z) (Amos 1974); it decreases in nu."""
+    a = nu + 0.5
+    return z / (a + math.sqrt(a * a + z * z))
+
+
+def _scaled_bessel(z: float, top: int) -> np.ndarray:
+    """e^-z I_j(z) for j = 0..top by Miller's backward recurrence (DLMF 3.6).
+
+    The recurrence I_{j-1} = I_{j+1} + (2j / z) I_j runs on the ratios
+    rho_j = I_j / I_{j-1} = z / (2j + z rho_{j+1}), which lie in (0, 1), so
+    nothing overflows.  It starts from rho = 0 where Amos's bound has shrunk
+    I_j by e^-45 beyond index ``top``; the start's error is damped by the
+    square of that factor on the way down.  The products of ratios are then
+    normalised by I_0 + 2 sum_{j>=1} I_j = e^z (DLMF 10.35.5).
+    """
+    start, log_shrink = top, 0.0
+    while log_shrink > -45.0:
+        log_shrink += math.log(_amos_ratio(start, z))
+        start += 1
+    ratio, ratios = 0.0, np.empty(start)
+    for j in range(start, 0, -1):
+        ratio = z / (2.0 * j + z * ratio)
+        ratios[j - 1] = ratio
+    products = np.cumprod(ratios)
+    scaled_i0 = 1.0 / (1.0 + 2.0 * float(np.sum(products)))
+    return scaled_i0 * np.concatenate(([1.0], products[:top]))
+
+
+def _erf_series(scale: float, terms: int) -> tuple[np.ndarray, float]:
+    """Odd Chebyshev coefficients c_1, c_3, ..., c_{2 terms - 1} of
+    erf(K t) on t in [-1, 1], K = 2 scale, and a bound on the absolute sum of
+    what they leave out: the terms past them and their own rounding.
+
+    Integrating the generating function e^{-z cos 2theta} =
+    I_0(z) + 2 sum_j (-1)^j I_j(z) T_{2j} (DLMF 10.35.1, z = K^2 / 2) term
+    by term gives the exact series, with
+    c_{2j+1} = (2K / sqrt(pi)) (-1)^j e^-z (I_j(z) + I_{j+1}(z)) / (2j + 1).
+    """
+    big_k = _ERF_DOMAIN_HALF * scale
+    z = 0.5 * big_k * big_k
+    bessel = _scaled_bessel(z, terms)
+    prefactor = 2.0 * big_k / math.sqrt(math.pi)
+    j = np.arange(terms)
+    odd = prefactor * np.where(j % 2, -1.0, 1.0) * (bessel[:-1] + bessel[1:]) / (2 * j + 1)
+    # Past the computed terms, sum_{j>=terms} (I_j + I_{j+1}) is at most
+    # I_terms (1 + r) / (1 - r), Amos's ratio bound r decreasing in j.
+    r = _amos_ratio(terms, z)
+    remainder = prefactor * bessel[terms] * (1.0 + r) / ((1.0 - r) * (2 * terms + 1))
+    # Rounding: an error in rho_{j+1} reaches rho_j scaled by -rho_j^2, so
+    # the ratios' errors alternate in sign and stay at a few units in the
+    # last place; each scaled Bessel value multiplies at most ``terms`` of
+    # them and one normalisation, so each computed coefficient is within
+    # 4 (terms + 1) eps of its exact value, relative.
+    rounding = 4.0 * (terms + 1) * np.finfo(float).eps * float(np.sum(np.abs(odd)))
+    return odd, remainder + rounding
+
+
 def erf_poly(scale: float, accuracy: float, degree_cap: int = 4096) -> ErfApproximant:
     """Odd polynomial within ``accuracy`` of erf(scale x) on [-2, 2].
 
-    Chebyshev interpolation with the even coefficients projected out, whose
-    error ``full_error`` is measured once on the dense certification grid.
-    Since |T_j| <= 1 on [-1, 1], dropping the terms above degree n moves the
-    series by at most sum_{j>n} |c_j|, so the result is truncated to the
-    smallest odd n with full_error + sum_{j>n} |c_j| <= accuracy, and that
-    sum is its ``sup_error`` (Trefethen, ATAP, ch. 4 and 8).  Raises
-    :class:`PolynomialConstructionError`, reporting the best error reached,
+    The exact Chebyshev series of erf (see :func:`_erf_series`) truncated:
+    since |T_j| <= 1 on [-1, 1], dropping the terms above degree n costs at
+    most sum_{j>n} |c_j|, so the result is the smallest odd n whose tail
+    bound fits ``accuracy``, and that bound is its ``sup_error``.  Raises
+    :class:`PolynomialConstructionError`, reporting the best bound reached,
     if the degree cap is insufficient.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if not 0.0 < accuracy < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
-    # Certification grid at GRID_POINTS_PER_UNIT over the 4-unit domain,
-    # expressed in the scaled variable t = x / 2.
-    grid = np.linspace(-1.0, 1.0, 4 * GRID_POINTS_PER_UNIT + 1)
-    target = _erf(scale * _ERF_DOMAIN_HALF * grid)
-
-    fit_degree = 64
-    while fit_degree < 4 * scale + 32:
-        fit_degree *= 2
-    best_error = math.inf
-    while fit_degree <= degree_cap:
-        coef = ncheb.chebinterpolate(lambda t: _erf(scale * _ERF_DOMAIN_HALF * t), fit_degree)
-        coef[0::2] = 0.0
-        full_error = float(np.max(np.abs(ncheb.chebval(grid, coef) - target)))
-        best_error = min(best_error, full_error)
-        # bound[n] = full_error + sum_{j>n} |c_j|, nonincreasing in n.
-        bound = full_error + np.append(np.cumsum(np.abs(coef[:0:-1]))[::-1], 0.0)
-        (fits,) = np.nonzero(bound[1::2] <= accuracy)
-        if fits.size:
-            degree = 2 * int(fits[0]) + 1
-            truncated = tuple(float(c) for c in coef[: degree + 1])
-            return ErfApproximant(truncated, scale, accuracy, float(bound[degree]))
-        fit_degree *= 2
-    raise PolynomialConstructionError(
-        f"no odd polynomial of degree <= {degree_cap} reached accuracy {accuracy} "
-        f"for erf({scale} x); best sup error {best_error}"
-    )
+    if degree_cap < 1:
+        raise ValueError("degree_cap must be at least 1")
+    odd, left_out = _erf_series(scale, degree_cap // 2 + 1)
+    # bound[i]: error after truncating at degree 2i + 1; nonincreasing in i.
+    tail = np.cumsum(np.abs(odd[::-1]))[::-1]
+    bound = np.append(tail[1:], 0.0)[: (degree_cap + 1) // 2] + left_out
+    (fits,) = np.nonzero(bound <= accuracy)
+    if not fits.size:
+        raise PolynomialConstructionError(
+            f"no odd polynomial of degree <= {degree_cap} reached accuracy {accuracy} "
+            f"for erf({scale} x); best sup error {float(bound[-1])}"
+        )
+    cut = int(fits[0])
+    coefficients = [0.0] * (2 * cut + 2)
+    coefficients[1::2] = (float(c) for c in odd[: cut + 1])
+    return ErfApproximant(tuple(coefficients), scale, accuracy, float(bound[cut]))
 
 
 @lru_cache(maxsize=256)
@@ -218,7 +264,9 @@ def _erf_poly_cached(scale: float, accuracy: float) -> ErfApproximant:
 
 @dataclass(frozen=True)
 class GapCertificate:
-    """Dense-grid extrema of the polynomial on the two decision segments."""
+    """Proved bounds on the polynomial over the two decision segments: its
+    maximum on the left segment is at most ``left_max`` and its minimum on
+    the right segment at least ``right_min``."""
 
     left_max: float
     right_min: float
@@ -255,7 +303,7 @@ def full_depth_gap_envelope(tau: float, eta: float) -> GapEnvelope:
     assembled polynomial is largest on the left segment at its right edge
     with the interval flush against zero, and smallest on the right segment
     when the mirrored erf term is floored at -1.  These two constants bound
-    the grid-measured gap certificate of every full-depth polynomial.
+    the closed-form gap certificate of every full-depth polynomial.
     """
     kap = kappa(tau)
     denominator = 4.0 * eta + tau + 2.0
@@ -276,15 +324,14 @@ def semi_pellian(
     [0, (2 + 4 eta) / D] for |a| <= 1; trimming negligible coefficients
     moves P by at most their absolute sum, which the unit bound must absorb.
     The decision gap, P <= 1/2 - gamma on [a_min, a_min + width/10] and
-    P >= 1/2 + gamma on [a_max - width/10, a_max], is certified on grids
-    over the two segments.
+    P >= 1/2 + gamma on [a_max - width/10, a_max], is certified in closed
+    form: e is within the approximant's ``sup_error`` s of erf, and
+    f(a) = erf(k (a - mid)) - erf(k (a + mid)) is nondecreasing for a >= 0,
+    so (2 + 2 eta + 2 s + f(a_min + width/10)) / D bounds P on the left
+    segment from above and (2 + 2 eta - 2 s + f(a_max - width/10)) / D
+    bounds it on the right from below, each widened by the trimmed sum.
     """
     return _semi_pellian_cached(tau, eta, k, gamma, interval.a_min, interval.width)
-
-
-def _segment_grid(start: float, span: float) -> np.ndarray:
-    points = max(33, ceil_int(span * GRID_POINTS_PER_UNIT) + 1)
-    return np.linspace(start, start + span, points)
 
 
 @lru_cache(maxsize=4096)
@@ -308,16 +355,25 @@ def _semi_pellian_cached(
     coef[1::2] = 0.0
     keep = np.nonzero(np.abs(coef) > _TRIM_TOL * np.max(np.abs(coef)))[0]
     cut = keep[-1] + 1 if keep.size else 1
-    bound = (2.0 + 4.0 * eta) / denominator + float(np.sum(np.abs(coef[cut:])))
+    trimmed = float(np.sum(np.abs(coef[cut:])))
+    bound = (2.0 + 4.0 * eta) / denominator + trimmed
     if bound > 1.0 + CERT_TOL:
         raise PolynomialConstructionError(
             f"assembled polynomial may exceed the unit bound: |P| <= {bound}"
         )
     coef = coef[:cut]
 
+    # P(a) lies within 2 s / D + trimmed of (2 + 2 eta + f(a)) / D, with
+    # f(a) = erf(k (a - mid)) - erf(k (a + mid)) nondecreasing for a, mid >= 0,
+    # so each segment's extreme sits at its inner edge.
+    def erf_gap(a: float) -> float:
+        return math.erf(k * (a - a_mid)) - math.erf(k * (a + a_mid))
+
     segment = DISCARD_FRACTION * width
-    left_max = float(np.max(ncheb.chebval(_segment_grid(a_min, segment), coef)))
-    right_min = float(np.min(ncheb.chebval(_segment_grid(a_min + width - segment, segment), coef)))
+    centre = 2.0 + 2.0 * eta
+    slack = 2.0 * erf_part.sup_error
+    left_max = (centre + slack + erf_gap(a_min + segment)) / denominator + trimmed
+    right_min = (centre - slack + erf_gap(a_min + width - segment)) / denominator - trimmed
     if left_max > 0.5 - gamma + CERT_TOL or right_min < 0.5 + gamma - CERT_TOL:
         raise GapCertificateError(
             f"decision gap violated: left max {left_max}, right min {right_min}, "

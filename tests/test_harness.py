@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +58,7 @@ class TestConfigValidation:
         provenance = quick_config().provenance()
         assert provenance["constants"]["r"] == 0.05
         assert provenance["constants"]["s"] == pytest.approx(100 / 225)
-        assert provenance["tolerances"]["grid_points_per_unit"] == 10_000
+        assert "grid_points_per_unit" not in provenance["tolerances"]
 
 
 class TestRunExperiment:
@@ -265,6 +269,12 @@ class TestCli:
             "delta = 0.1\nbeta = 0.5\ntrials = 10\nseed = 4\n"
         )
         assert main(["run", "--config", str(config_file)]) == 0
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        root = Path(__file__).resolve().parents[1]
+        code = "import lowdepth.cli, sys; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        assert subprocess.run([sys.executable, "-c", code], env=env, cwd=root).returncode == 0
 
     def test_missing_required_flags_is_config_error(self, capsys):
         assert main(["run", "--epsilon", "0.05"]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, ive
 
 from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, SimulationError, TargetSpec
 from lowdepth.oracle import PolyOracle
@@ -17,6 +17,9 @@ from lowdepth.rallfuller import (
     PolynomialConstructionError,
     SHRINK_FACTOR,
     StepRecord,
+    _amos_ratio,
+    _erf_series,
+    _scaled_bessel,
     coin_test,
     coin_tosses,
     erf_poly,
@@ -193,6 +196,34 @@ class TestErfPoly:
             assert error <= approx.sup_error
         assert approx.sup_error <= params.eta
 
+    @pytest.mark.parametrize("k", [1.0, 5.0, 14.2, 29.8])
+    def test_miller_recurrence_matches_ive(self, k):
+        z = 2.0 * k * k  # K = 2k on the [-2, 2] domain, z = K^2 / 2
+        values = _scaled_bessel(z, 2049)
+        reference = ive(np.arange(2050), z)
+        normal = reference > 1e-280
+        assert normal[:100].all()
+        np.testing.assert_allclose(values[normal], reference[normal], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k", [1.0, 5.0, 14.2, 29.8])
+    def test_full_series_matches_erf(self, k):
+        odd, left_out = _erf_series(k, 2049)
+        series = np.zeros(2 * odd.size)
+        series[1::2] = odd
+        grid = np.linspace(-1.0, 1.0, 40_001)
+        assert np.max(np.abs(np.polynomial.chebyshev.chebval(grid, series) - erf(2 * k * grid))) <= 1e-13
+        assert left_out <= 1e-9
+
+    def test_amos_ratio_bound(self):
+        # I_{nu+1}(z) / I_nu(z) <= _amos_ratio(nu, z), the remainder's premise.
+        nu = np.arange(3000)
+        for z in (0.5, 2.0, 50.0, 403.28, 1776.08, 7000.0):
+            values = ive(np.arange(3001), z)
+            normal = values[1:] > 1e-280
+            ratios = values[1:][normal] / values[:-1][normal]
+            bounds = np.array([_amos_ratio(float(n), z) for n in nu[normal]])
+            assert np.all(ratios <= bounds * (1.0 + 1e-13))
+
     def test_construction_failure_reports_error(self):
         with pytest.raises(PolynomialConstructionError) as info:
             erf_poly(50.0, 0.001, degree_cap=64)
@@ -264,6 +295,26 @@ class TestGridReference:
         approx = erf_poly(params.k, params.eta)
         grid = np.linspace(-2.0, 2.0, 40_001)
         assert np.max(np.abs(approx.evaluate(grid) - erf(params.k * grid))) <= approx.sup_error
+
+    @settings(PROPERTY, max_examples=25)
+    @given(intervals, st.floats(0.0, 1.0))
+    @example(ConfidenceInterval(0.3 - 0.9**40 / 2, 0.9**40), 0.5)
+    @example(ConfidenceInterval(0.7 - 0.9**44 / 2, 0.9**44), 0.75)
+    def test_gap_certificate_bounds_segment_grids(self, interval, beta):
+        try:
+            params = rf_params(interval, beta)
+        except SimulationError:
+            assume(False)
+        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        segment = 0.1 * interval.width
+
+        def segment_grid(start):
+            return np.linspace(start, start + segment, max(33, math.ceil(segment * 10_000) + 1))
+
+        cert = poly.gap_certificate
+        assert cert.left_max >= np.max(poly.evaluate(segment_grid(interval.a_min)))
+        right = segment_grid(interval.a_min + interval.width - segment)
+        assert cert.right_min <= np.min(poly.evaluate(right))
 
 
 class TestGapEnvelope:
