@@ -41,7 +41,10 @@ _ERF_DOMAIN_HALF = 2.0
 
 CERT_TOL = 1e-9
 _DRIFT_TOL = 1e-12
-_TRIM_TOL = 1e-13
+# Largest absolute coefficient sum a semi-Pellian may drop.  It sits far
+# above the interpolation's rounding floor (a few 1e-14 per coefficient at
+# degree 500), so the kept degree follows the series' true decay.
+_TRIM_BUDGET = 0.1 * CERT_TOL
 
 
 class PolynomialConstructionError(SimulationError):
@@ -154,8 +157,8 @@ class ErfApproximant:
     accuracy: float
     # Proved bound on |e - erf(scale x)| over [-2, 2]: the absolute sum of
     # the exact series' terms above the degree (the computed ones summed, the
-    # rest bounded geometrically) plus a rounding allowance for the computed
-    # coefficients.
+    # rest bounded geometrically) plus a worst-case bound, first order in
+    # eps, on the computed coefficients' rounding.
     sup_error: float
 
     @property
@@ -173,8 +176,9 @@ def _amos_ratio(nu: float, z: float) -> float:
     return z / (a + math.sqrt(a * a + z * z))
 
 
-def _scaled_bessel(z: float, top: int) -> np.ndarray:
-    """e^-z I_j(z) for j = 0..top by Miller's backward recurrence (DLMF 3.6).
+def _scaled_bessel(z: float, top: int) -> tuple[np.ndarray, float]:
+    """e^-z I_j(z) for j = 0..top by Miller's backward recurrence (DLMF 3.6),
+    and a bound on their relative rounding error.
 
     The recurrence I_{j-1} = I_{j+1} + (2j / z) I_j runs on the ratios
     rho_j = I_j / I_{j-1} = z / (2j + z rho_{j+1}), which lie in (0, 1), so
@@ -182,6 +186,14 @@ def _scaled_bessel(z: float, top: int) -> np.ndarray:
     I_j by e^-45 beyond index ``top``; the start's error is damped by the
     square of that factor on the way down.  The products of ratios are then
     normalised by I_0 + 2 sum_{j>=1} I_j = e^z (DLMF 10.35.5).
+
+    Rounding, to first order in eps: a relative error in rho_{j+1} reaches
+    rho_j multiplied by rho_j rho_{j+1}, and each step adds at most 1.5 eps
+    of its own, so rho_j is within 1.5 eps / (1 - w_j) of exact, w_j being
+    the largest rho_i rho_{i+1} over i >= j.  Near j = 0 that is about
+    z eps / 2 when z is large.  Each value is a product of at most all the
+    ratios divided by a sum of as many such products, which doubles their
+    summed error and adds one rounding per factor and term.
     """
     start, log_shrink = top, 0.0
     while log_shrink > -45.0:
@@ -193,7 +205,11 @@ def _scaled_bessel(z: float, top: int) -> np.ndarray:
         ratios[j - 1] = ratio
     products = np.cumprod(ratios)
     scaled_i0 = 1.0 / (1.0 + 2.0 * float(np.sum(products)))
-    return scaled_i0 * np.concatenate(([1.0], products[:top]))
+    eps = np.finfo(float).eps
+    damping = np.maximum.accumulate((ratios * np.append(ratios[1:], 0.0))[::-1])[::-1]
+    ratio_error = float(np.sum(1.5 * eps / (1.0 - damping)))
+    rel_error = 2.0 * (ratio_error + start * eps) + 4.0 * eps
+    return scaled_i0 * np.concatenate(([1.0], products[:top])), rel_error
 
 
 def _erf_series(scale: float, terms: int) -> tuple[np.ndarray, float]:
@@ -208,7 +224,7 @@ def _erf_series(scale: float, terms: int) -> tuple[np.ndarray, float]:
     """
     big_k = _ERF_DOMAIN_HALF * scale
     z = 0.5 * big_k * big_k
-    bessel = _scaled_bessel(z, terms)
+    bessel, bessel_error = _scaled_bessel(z, terms)
     prefactor = 2.0 * big_k / math.sqrt(math.pi)
     j = np.arange(terms)
     odd = prefactor * np.where(j % 2, -1.0, 1.0) * (bessel[:-1] + bessel[1:]) / (2 * j + 1)
@@ -216,12 +232,11 @@ def _erf_series(scale: float, terms: int) -> tuple[np.ndarray, float]:
     # I_terms (1 + r) / (1 - r), Amos's ratio bound r decreasing in j.
     r = _amos_ratio(terms, z)
     remainder = prefactor * bessel[terms] * (1.0 + r) / ((1.0 - r) * (2 * terms + 1))
-    # Rounding: an error in rho_{j+1} reaches rho_j scaled by -rho_j^2, so
-    # the ratios' errors alternate in sign and stay at a few units in the
-    # last place; each scaled Bessel value multiplies at most ``terms`` of
-    # them and one normalisation, so each computed coefficient is within
-    # 4 (terms + 1) eps of its exact value, relative.
-    rounding = 4.0 * (terms + 1) * np.finfo(float).eps * float(np.sum(np.abs(odd)))
+    # Rounding: each coefficient carries the Bessel values' relative error
+    # plus a few roundings of its own, and the tail sums over them add at
+    # most ``terms`` more.
+    eps = np.finfo(float).eps
+    rounding = (bessel_error + (terms + 8) * eps) * float(np.sum(np.abs(odd)))
     return odd, remainder + rounding
 
 
@@ -353,9 +368,11 @@ def _semi_pellian_cached(
     # degree, so interpolation at the erf approximant's degree is exact.
     coef = ncheb.chebinterpolate(assembled, erf_part.degree)
     coef[1::2] = 0.0
-    keep = np.nonzero(np.abs(coef) > _TRIM_TOL * np.max(np.abs(coef)))[0]
-    cut = keep[-1] + 1 if keep.size else 1
-    trimmed = float(np.sum(np.abs(coef[cut:])))
+    # tail[i] is the absolute sum of coef[i:]; drop the longest tail within
+    # the budget, keeping at least the constant term.
+    tail = np.append(np.cumsum(np.abs(coef[::-1]))[::-1], 0.0)
+    cut = max(1, int(np.argmax(tail <= _TRIM_BUDGET)))
+    trimmed = float(tail[cut])
     bound = (2.0 + 4.0 * eta) / denominator + trimmed
     if bound > 1.0 + CERT_TOL:
         raise PolynomialConstructionError(

@@ -196,16 +196,17 @@ class TestErfPoly:
             assert error <= approx.sup_error
         assert approx.sup_error <= params.eta
 
-    @pytest.mark.parametrize("k", [1.0, 5.0, 14.2, 29.8])
+    @pytest.mark.parametrize("k", [1.0, 5.0, 14.2, 29.8, 37.6, 70.8])
     def test_miller_recurrence_matches_ive(self, k):
         z = 2.0 * k * k  # K = 2k on the [-2, 2] domain, z = K^2 / 2
-        values = _scaled_bessel(z, 2049)
+        values, rel_error = _scaled_bessel(z, 2049)
+        assert rel_error <= 1e-10
         reference = ive(np.arange(2050), z)
         normal = reference > 1e-280
         assert normal[:100].all()
         np.testing.assert_allclose(values[normal], reference[normal], rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("k", [1.0, 5.0, 14.2, 29.8])
+    @pytest.mark.parametrize("k", [1.0, 5.0, 14.2, 29.8, 37.6, 70.8])
     def test_full_series_matches_erf(self, k):
         odd, left_out = _erf_series(k, 2049)
         series = np.zeros(2 * odd.size)
@@ -267,6 +268,16 @@ class TestSemiPellian:
         cert = poly.gap_certificate
         assert cert.left_max <= 0.5 - params.gamma + 1e-9
         assert cert.right_min >= 0.5 + params.gamma - 1e-9
+
+    def test_charged_degree_stops_where_series_decays(self):
+        # Past the series' decay the assembled coefficients sit on a rounding
+        # floor of a few 1e-14 that runs up to the erf degree; the charged
+        # degree must not follow it there.
+        width = 0.9**42
+        interval = ConfidenceInterval(0.95 - width / 2, width)
+        params = rf_params(interval, 0.0)
+        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        assert poly.degree <= 0.8 * erf_poly(params.k, params.eta).degree
 
     def test_gap_failure_raises(self):
         # a deliberately tiny erf scale cannot separate the segments
