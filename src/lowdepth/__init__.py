@@ -40,7 +40,7 @@ from .aggregate import (
     boost_repetitions,
     median_boost,
 )
-from .circphase import Angle, Arc, arc_map, arc_unmap, circ_diff, lowdepth_phase_estimate
+from .circphase import Angle, circ_diff, lowdepth_phase_estimate
 from .rallfuller import (
     ConfidenceInterval,
     SemiPellianPoly,
@@ -59,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Amplitude",
     "Angle",
-    "Arc",
     "ConfidenceInterval",
     "ExperimentConfig",
     "PolyOracle",
@@ -77,8 +76,6 @@ __all__ = [
     "aggregate_type1",
     "aggregate_type2",
     "apeldoorn_phase_params",
-    "arc_map",
-    "arc_unmap",
     "bias_variance_floor",
     "boost_repetitions",
     "circ_diff",

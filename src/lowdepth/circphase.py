@@ -1,14 +1,15 @@
-"""Circular arithmetic on [0, 2 pi) and arc-based low-depth phase estimation.
+"""Circular arithmetic on [0, 2 pi) and centred low-depth phase estimation.
 
 Angles cannot be averaged directly (the circle has no global mean), so the
-estimator first pins down a short arc that contains the truth with high
-probability, maps that arc isometrically onto [0, 1], averages there, and
-maps back.
+estimator first pins down a short arc around a shallow reference estimate
+that contains the truth with high probability, and averages only there.
+Mapping that arc onto [0, 1], averaging and mapping back is an affine map
+of the circular offsets from the arc's centre, so the estimator works with
+those offsets directly: the estimate is the reference plus the mean offset.
 
-:func:`circ_diff`, :meth:`Arc.contains` and :func:`arc_map` take plain
-floats, :class:`Angle` objects or numpy arrays of angles through one code
-path; scalar inputs give a Python ``float`` or ``bool``, array inputs an
-array of the same shape.
+:func:`circ_diff` takes plain floats, :class:`Angle` objects or numpy arrays
+of angles through one code path; scalar inputs give a Python ``float``,
+array inputs an array of the same shape.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from .blackbox import Uqpe2Contract, draw_runs
 from .core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
 
-# Tolerance on the distance-additivity identity defining arc membership;
-# the identity involves one cancellation of magnitude at most 2 pi.
+# Tolerance on the escape test |offset| <= half-width; an offset is one
+# circular difference, a cancellation of magnitude at most 2 pi.
 ARC_TOL = 1e-9
 
 # Half-width of the reference arc built around the preprocessing estimate.
@@ -69,63 +70,6 @@ def circ_diff(theta, phi):
     r = (_reduce(theta) - _reduce(phi) + math.pi) % TWO_PI - math.pi
     # float modulo rounding at the wrap point can give exactly pi; that is -pi
     return r - TWO_PI * (r >= math.pi)
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Counter-clockwise arc from ``start`` to ``end``.
-
-    Arcs span at most half the circle, so membership is equivalent to the
-    circular distances to both endpoints summing to the endpoint distance.
-    """
-
-    start: Angle
-    end: Angle
-
-    def __post_init__(self) -> None:
-        if circ_diff(self.start, self.end) >= 0:
-            raise ValueError(
-                "arc endpoints must satisfy start (-) end < 0 "
-                "(counter-clockwise span of at most half the circle)"
-            )
-
-    @property
-    def length(self) -> float:
-        # Equals end (-) start for arcs shorter than pi; written this way it
-        # is also correct (+pi) at the half-circle boundary.
-        return (self.end.value - self.start.value) % TWO_PI
-
-    def contains(self, theta, tol: float = ARC_TOL):
-        to_start = abs(circ_diff(theta, self.start))
-        to_end = abs(circ_diff(theta, self.end))
-        return abs(to_start + to_end - abs(circ_diff(self.start, self.end))) <= tol
-
-
-def arc_map(arc: Arc, theta):
-    """Map an angle on the arc to its fraction of arc length in [0, 1].
-
-    The map is bijective and difference-preserving up to the arc-length
-    normalisation: differences of mapped values are circular differences
-    divided by ``arc.length``.
-    """
-    values = _reduce(theta)
-    outside = np.extract(np.logical_not(arc.contains(values)), values)
-    if outside.size:
-        raise ValueError(f"angle {outside[0]} lies outside the arc")
-    return _arc_fraction(arc, values)
-
-
-def _arc_fraction(arc: Arc, theta):
-    """:func:`arc_map` for angle(s) already known to lie on the arc."""
-    fraction = np.clip(circ_diff(theta, arc.start) / arc.length, 0.0, 1.0)
-    return fraction if isinstance(theta, np.ndarray) else float(fraction)
-
-
-def arc_unmap(arc: Arc, fraction: float) -> Angle:
-    """Inverse of :func:`arc_map`: the angle at the given length fraction."""
-    if not -ARC_TOL <= fraction <= 1.0 + ARC_TOL:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    return Angle(arc.start.value + fraction * arc.length)
 
 
 @dataclass(frozen=True)
@@ -186,22 +130,27 @@ def lowdepth_phase_estimate(
 ) -> Angle:
     """Three-stage circular aggregation of a phase black box.
 
-    Preprocessing runs the sampler once at quarter-circle precision and
-    centres a quarter-circle arc on the result.  The main stage runs it
-    ``runs`` times at hardware precision; postprocessing widens the arc by
-    one run-precision on each side, maps all estimates into [0, 1], averages
-    and maps back.  Any estimate escaping the widened arc aborts to the
-    zero angle, which the harness counts as a failure.
+    Preprocessing runs the sampler once at quarter-circle precision; its
+    estimate is the reference.  The main stage runs it ``runs`` times at
+    hardware precision.  Postprocessing takes each estimate's circular
+    offset from the reference once and returns the reference plus the mean
+    offset.  That is the arc construction of the paper: the arc centred on
+    the reference with half-width H = pi/8 + run precision, mapped onto
+    [0, 1] by theta -> (offset + H) / (2H), averaged and mapped back.  The
+    map is affine, so averaging the fractions and unmapping gives the
+    reference plus the mean offset up to rounding.  Any estimate whose
+    offset exceeds H (by more than ``ARC_TOL``) escapes the arc and aborts
+    to the zero angle, which the harness counts as a failure.
 
     Each stage calls the sampler once on its own stream: the reference
     stage with ``derive_stream(seed, 0)`` and ``size=1``, the main stage
     with ``derive_stream(seed, 1)`` and ``size=plan.runs``.  Main run i is
     element i of each draw, so the result does not depend on the schedule.
 
-    When a ``diagnostics`` dict is supplied it receives the arc length and
+    When a ``diagnostics`` dict is supplied it receives the arc length 2H and
     both the mapped (normalised) and circular (radian) deviations of the
-    main-stage estimates, making the normalisation gap between the two
-    measurable.
+    main-stage estimates from their mean, making the normalisation gap
+    between the two measurable.
     """
     plan = PhasePlan.from_target(target, bias_fraction, tail_fraction)
     reference = Angle(
@@ -209,23 +158,19 @@ def lowdepth_phase_estimate(
     )
     main_contract = plan.main_contract(target)
     estimates = draw_runs(sampler, main_contract, derive_stream(seed, 1), ledger, plan.runs)
-    widened = Arc(
-        Angle(reference.value - _REF_ARC_HALF_WIDTH - plan.run_precision),
-        Angle(reference.value + _REF_ARC_HALF_WIDTH + plan.run_precision),
-    )
+    offsets = circ_diff(estimates, reference)
+    half_width = _REF_ARC_HALF_WIDTH + plan.run_precision
+    escaped = bool(np.abs(offsets).max() > half_width + ARC_TOL)
     if diagnostics is not None:
-        diagnostics["arc_length"] = widened.length
+        diagnostics["arc_length"] = 2.0 * half_width
         diagnostics["runs"] = plan.runs
-        diagnostics["escaped"] = False
-    if not widened.contains(estimates).all():
-        if diagnostics is not None:
-            diagnostics["escaped"] = True
+        diagnostics["escaped"] = escaped
+    if escaped:
         return Angle(0.0)
-    mapped = _arc_fraction(widened, estimates)
-    mean_fraction = math.fsum(mapped.tolist()) / plan.runs
-    result = arc_unmap(widened, mean_fraction)
+    mean_offset = math.fsum(offsets.tolist()) / plan.runs
     if diagnostics is not None:
-        diagnostics["mapped_mean"] = mean_fraction
-        diagnostics["mapped_deviations"] = (mapped - mean_fraction).tolist()
-        diagnostics["circular_deviations"] = circ_diff(estimates, result).tolist()
-    return result
+        deviations = offsets - mean_offset
+        diagnostics["mapped_mean"] = (mean_offset + half_width) / (2.0 * half_width)
+        diagnostics["mapped_deviations"] = (deviations / (2.0 * half_width)).tolist()
+        diagnostics["circular_deviations"] = deviations.tolist()
+    return Angle(reference.value + mean_offset)

@@ -389,14 +389,6 @@ def _trial_report_to_dict(report: TrialReport) -> dict:
     }
 
 
-def trial_report_from_json(text: str) -> TrialReport:
-    payload = json.loads(text)
-    if payload.get("kind") != "trial_report":
-        raise ConfigError("not a serialised trial report")
-    payload.pop("kind")
-    return TrialReport(**payload, wall_time=None)
-
-
 def _scaling_to_dict(study: ScalingStudy) -> dict:
     return {
         "kind": "scaling_study",

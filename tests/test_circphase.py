@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from lowdepth.blackbox import UQPE2_COST, Uqpe2Contract, synth_uqpe2_sample
 from lowdepth.circphase import (
+    ARC_TOL,
     Angle,
-    Arc,
     PhasePlan,
-    arc_map,
-    arc_unmap,
     circ_diff,
     lowdepth_phase_estimate,
 )
@@ -27,12 +25,6 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 # Finite angles, most of them needing reduction into [0, 2 pi).
 angles = st.floats(-8 * PI, 8 * PI)
-# Counter-clockwise arcs of every length the arc construction admits.
-arcs = st.builds(
-    lambda start, length: Arc(Angle(start), Angle(start + length)),
-    st.floats(0.0, TWO_PI),
-    st.floats(1e-3, PI - 1e-6),
-)
 
 
 class TestAngle:
@@ -113,84 +105,51 @@ class TestCircDiff:
                 assert abs(circ_diff(theta, phi)) <= abs(theta - phi) + 1e-12
 
 
-class TestArc:
-    def test_orientation_enforced(self):
-        Arc(Angle(0.0), Angle(1.0))
-        with pytest.raises(ValueError):
-            Arc(Angle(1.0), Angle(0.0))
-        with pytest.raises(ValueError):
-            Arc(Angle(0.5), Angle(0.5))
-
-    def test_membership_with_wrap(self):
-        arc = Arc(Angle(7 * PI / 4), Angle(PI / 4))
-        assert arc.contains(Angle(0.0))
-        assert arc.contains(Angle(7 * PI / 4))
-        assert arc.contains(Angle(PI / 4))
-        assert not arc.contains(Angle(PI))
-        assert not arc.contains(Angle(PI / 4 + 0.01))
-        # arrays go through the same code and give the scalar results exactly
-        inside = arc.contains(GRID)
-        assert type(arc.contains(0.0)) is bool
-        assert inside.tolist() == [arc.contains(theta) for theta in GRID.tolist()]
-        assert arc_map(arc, GRID[inside]).tolist() == [
-            arc_map(arc, theta) for theta in GRID[inside].tolist()
-        ]
-
-    def test_length(self):
-        assert Arc(Angle(7 * PI / 4), Angle(PI / 4)).length == pytest.approx(PI / 2, abs=1e-12)
-
-
 class TestArcMapping:
-    def test_endpoints(self):
-        arc = Arc(Angle(1.0), Angle(2.0))
-        assert arc_map(arc, Angle(1.0)) == 0.0
-        assert arc_map(arc, Angle(2.0)) == 1.0
-        assert arc_unmap(arc, 0.0).value == pytest.approx(1.0, abs=1e-12)
-        assert arc_unmap(arc, 1.0).value == pytest.approx(2.0, abs=1e-12)
+    """The arc map in centred form: an angle on the arc of half-width h
+    around c is c plus its offset circ_diff(theta, c), and maps to the
+    fraction (offset + h) / (2h)."""
 
     def test_wrap_midpoint_example(self):
-        arc = Arc(Angle(7 * PI / 4), Angle(PI / 4))
-        assert arc_map(arc, Angle(0.0)) == pytest.approx(0.5, abs=1e-12)
-        assert arc_unmap(arc, 0.5).value == pytest.approx(0.0, abs=1e-12)
+        # the arc from 7 pi/4 to pi/4 is centred on 0, across the wrap
+        centre = Angle(0.0)
+        assert circ_diff(Angle(0.0), centre) == 0.0
+        assert circ_diff(Angle(7 * PI / 4), centre) == pytest.approx(-PI / 4, abs=1e-12)
+        assert circ_diff(Angle(PI / 4), centre) == pytest.approx(PI / 4, abs=1e-12)
+        back = Angle(centre.value + circ_diff(Angle(7 * PI / 4), centre))
+        assert back.value == pytest.approx(7 * PI / 4, abs=1e-12)
 
     def test_round_trip_on_random_arcs(self):
         rng = SeedSpec(77, 0).rng()
         for _ in range(1000):
             start = float(rng.uniform(0, TWO_PI))
             length = float(rng.uniform(1e-3, PI - 1e-6))
-            arc = Arc(Angle(start), Angle(start + length))
+            centre = start + length / 2
             theta = Angle(start + float(rng.uniform(0, length)))
-            back = arc_unmap(arc, arc_map(arc, theta))
+            back = Angle(centre + circ_diff(theta, centre))
             assert abs(circ_diff(back, theta)) <= 1e-12
 
     @PROPERTY
-    @given(arcs, st.floats(0.0, 1.0))
-    def test_round_trip_property(self, arc, fraction):
-        theta = arc_unmap(arc, fraction)
-        assert arc_map(arc, theta) == pytest.approx(fraction, abs=1e-9)
-        assert abs(circ_diff(arc_unmap(arc, arc_map(arc, theta)), theta)) <= 1e-12
+    @given(angles, st.floats(-PI / 2, PI / 2))
+    def test_round_trip_property(self, centre, offset):
+        theta = Angle(centre + offset)
+        assert circ_diff(theta, centre) == pytest.approx(offset, abs=1e-9)
+        back = Angle(centre + circ_diff(theta, centre))
+        assert abs(circ_diff(back, theta)) <= 1e-12
 
     def test_difference_preserving_up_to_normalisation(self):
         rng = SeedSpec(78, 0).rng()
         for _ in range(300):
             start = float(rng.uniform(0, TWO_PI))
             length = float(rng.uniform(0.1, PI - 1e-6))
-            arc = Arc(Angle(start), Angle(start + length))
+            centre = start + length / 2
             theta_1 = Angle(start + float(rng.uniform(0, length)))
             theta_2 = Angle(start + float(rng.uniform(0, length)))
-            mapped_gap = arc_map(arc, theta_1) - arc_map(arc, theta_2)
-            assert mapped_gap * arc.length == pytest.approx(
+            offsets = circ_diff(np.array([theta_1.value, theta_2.value]), centre)
+            fractions = (offsets + length / 2) / length
+            assert (fractions[0] - fractions[1]) * length == pytest.approx(
                 circ_diff(theta_1, theta_2), abs=1e-9
             )
-
-    def test_rejects_outside_inputs(self):
-        arc = Arc(Angle(0.0), Angle(1.0))
-        with pytest.raises(ValueError):
-            arc_map(arc, Angle(2.0))
-        with pytest.raises(ValueError):
-            arc_map(arc, np.array([0.5, 2.0]))
-        with pytest.raises(ValueError):
-            arc_unmap(arc, 1.5)
 
 
 class TestPhasePlan:
@@ -249,6 +208,30 @@ class TestLowdepthPhaseEstimate:
         )
         assert estimate == Angle(0.0)
 
+    @pytest.mark.parametrize("reference", [1.0, 0.01, TWO_PI - 0.01])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("margin, escapes", [(-1e-6, False), (10 * ARC_TOL, True)])
+    def test_escape_boundary(self, reference, side, margin, escapes):
+        # every main run sits at one offset from the reference, just inside
+        # or just outside the half-width pi/8 + run precision
+        target = TargetSpec(0.05, 0.1, 0.5)
+        plan = PhasePlan.from_target(target)
+        offset = side * (PI / 8 + plan.run_precision + margin)
+
+        def sampler(contract, seed, ledger, size):
+            at_reference = contract.precision == plan.ref_precision
+            return np.full(size, Angle(reference + (0.0 if at_reference else offset)).value)
+
+        diagnostics = {}
+        estimate = lowdepth_phase_estimate(
+            sampler, target, seed=SeedSpec(89, 0), ledger=ResourceLedger(), diagnostics=diagnostics
+        )
+        assert diagnostics["escaped"] is escapes
+        if escapes:
+            assert estimate == Angle(0.0)
+        else:
+            assert abs(circ_diff(estimate, reference + offset)) <= 1e-12
+
     def test_saturating_reference_defeats_arc_construction(self):
         # a reference draw at its full contracted quarter-circle precision
         # puts the truth outside the arc; some main estimate then escapes
@@ -292,8 +275,7 @@ class TestLowdepthPhaseEstimate:
                 good_spread=PI / 10,
                 size=1,
             )[0]
-            arc = Arc(Angle(ref - PI / 8), Angle(ref + PI / 8))
-            hits += arc.contains(Angle(truth))
+            hits += abs(circ_diff(truth, ref)) <= PI / 8
         sigma = math.sqrt(plan.run_fail_prob * (1 - plan.run_fail_prob) / trials) or 1e-3
         assert hits / trials >= 1 - plan.run_fail_prob - 3 * sigma
 
