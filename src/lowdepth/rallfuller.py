@@ -41,9 +41,10 @@ _ERF_DOMAIN_HALF = 2.0
 
 CERT_TOL = 1e-9
 _DRIFT_TOL = 1e-12
-# Largest absolute coefficient sum a semi-Pellian may drop.  It sits far
-# above the interpolation's rounding floor (a few 1e-14 per coefficient at
-# degree 500), so the kept degree follows the series' true decay.
+# Largest absolute coefficient sum a semi-Pellian may drop.  The FFT
+# interpolation's rounding floor is about 1e-17 per coefficient, so even a
+# tail of 500 floor-level entries stays far below it, and the kept degree
+# follows the series' true decay.
 _TRIM_BUDGET = 0.1 * CERT_TOL
 
 
@@ -336,8 +337,11 @@ def semi_pellian(
     f0(x) = (1 + eta + erf_poly(x)) / D, D = 4 eta + tau + 2.  The erf
     approximant e is odd and within eta of erf, and erf is increasing, so
     P(a) = (2 + 2 eta + e(a - mid) - e(a + mid)) / D lies in
-    [0, (2 + 4 eta) / D] for |a| <= 1; trimming negligible coefficients
-    moves P by at most their absolute sum, which the unit bound must absorb.
+    [0, (2 + 4 eta) / D] for |a| <= 1.  Its coefficients come from one
+    evaluation of e at antisymmetric Chebyshev nodes shifted by -mid, whose
+    reversal gives e(-a - mid), and a DCT of the assembled values; trimming
+    negligible coefficients moves P by at most their absolute sum, which
+    the unit bound must absorb.
     The decision gap, P <= 1/2 - gamma on [a_min, a_min + width/10] and
     P >= 1/2 + gamma on [a_max - width/10, a_max], is certified in closed
     form: e is within the approximant's ``sup_error`` s of erf, and
@@ -349,6 +353,31 @@ def semi_pellian(
     return _semi_pellian_cached(tau, eta, k, gamma, interval.a_min, interval.width)
 
 
+def _assembled_series(
+    erf_part: ErfApproximant, eta: float, a_mid: float, denominator: float
+) -> np.ndarray:
+    """Untrimmed Chebyshev coefficients of the assembled even polynomial
+    ((1 + eta + e(a - mid)) + (1 + eta + e(-a - mid))) / D.
+
+    The sum of the two mirrored odd parts is an even polynomial of at most
+    the erf approximant's degree n, so interpolating at the n + 1 nodes of
+    ``chebpts1`` is exact.  Those nodes are antisymmetric bit for bit, so
+    e(-x_i - mid) is the value already computed at x_{n-i}: one evaluation
+    of e gives both halves, and the assembled values are symmetric.  The
+    coefficients are a DCT-II of the values, computed as the FFT of their
+    even extension, which for symmetric values is two copies (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 3).
+    """
+    points = erf_part.degree + 1
+    shifted = 1.0 + eta + erf_part.evaluate(ncheb.chebpts1(points) - a_mid)
+    values = (shifted + shifted[::-1]) / denominator
+    spectrum = np.fft.rfft(np.concatenate((values, values)))[:points]
+    coef = (spectrum * np.exp(-0.5j * np.pi / points * np.arange(points))).real / points
+    coef[0] *= 0.5
+    coef[1::2] = 0.0
+    return coef
+
+
 @lru_cache(maxsize=4096)
 def _semi_pellian_cached(
     tau: float, eta: float, k: float, gamma: float, a_min: float, width: float
@@ -356,18 +385,7 @@ def _semi_pellian_cached(
     erf_part = _erf_poly_cached(k, eta)
     a_mid = a_min + 0.5 * width
     denominator = 4.0 * eta + tau + 2.0
-
-    def assembled(a):
-        arr = np.asarray(a, dtype=float)
-        return (
-            (1.0 + eta + erf_part.evaluate(arr - a_mid))
-            + (1.0 + eta + erf_part.evaluate(-arr - a_mid))
-        ) / denominator
-
-    # The sum of the two mirrored odd parts is an even polynomial of lower
-    # degree, so interpolation at the erf approximant's degree is exact.
-    coef = ncheb.chebinterpolate(assembled, erf_part.degree)
-    coef[1::2] = 0.0
+    coef = _assembled_series(erf_part, eta, a_mid, denominator)
     # tail[i] is the absolute sum of coef[i:]; drop the longest tail within
     # the budget, keeping at least the constant term.
     tail = np.append(np.cumsum(np.abs(coef[::-1]))[::-1], 0.0)
@@ -397,7 +415,7 @@ def _semi_pellian_cached(
             f"required {0.5 - gamma} / {0.5 + gamma}"
         )
     return SemiPellianPoly(
-        coefficients=tuple(float(c) for c in coef),
+        coefficients=tuple(coef.tolist()),
         degree=len(coef) - 1,
         gap_certificate=GapCertificate(left_max, right_min, gamma),
     )

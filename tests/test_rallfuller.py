@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as ncheb
 from scipy.special import erf, ive
 
 from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, SimulationError, TargetSpec
@@ -13,13 +14,17 @@ from lowdepth.rallfuller import (
     BRANCH_LOW_DEPTH,
     CERT_TOL,
     ConfidenceInterval,
+    ErfApproximant,
     GapCertificateError,
     PolynomialConstructionError,
     SHRINK_FACTOR,
     StepRecord,
+    _TRIM_BUDGET,
     _amos_ratio,
+    _assembled_series,
     _erf_series,
     _scaled_bessel,
+    _semi_pellian_cached,
     coin_test,
     coin_tosses,
     erf_poly,
@@ -270,14 +275,91 @@ class TestSemiPellian:
         assert cert.right_min >= 0.5 + params.gamma - 1e-9
 
     def test_charged_degree_stops_where_series_decays(self):
-        # Past the series' decay the assembled coefficients sit on a rounding
-        # floor of a few 1e-14 that runs up to the erf degree; the charged
-        # degree must not follow it there.
+        # Past the series' decay the assembled coefficients sit on the
+        # interpolation's rounding floor (about 1e-17), which runs up to the
+        # erf degree; the charged degree must not follow it there.
         width = 0.9**42
         interval = ConfidenceInterval(0.95 - width / 2, width)
         params = rf_params(interval, 0.0)
         poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
         assert poly.degree <= 0.8 * erf_poly(params.k, params.eta).degree
+
+    @PROPERTY
+    @given(intervals, st.floats(0.0, 1.0))
+    @example(ConfidenceInterval(0.7 - 0.9**44 / 2, 0.9**44), 0.0)
+    def test_assembled_series_matches_two_evaluation_interpolation(self, interval, beta):
+        try:
+            params = rf_params(interval, beta)
+        except SimulationError:
+            assume(False)
+        erf_part = erf_poly(params.k, params.eta)
+        nodes = ncheb.chebpts1(erf_part.degree + 1)
+        # The one-evaluation construction rests on exactly antisymmetric nodes.
+        assert np.array_equal(nodes[::-1], -nodes)
+        eta, a_mid = params.eta, interval.a_mid
+        denominator = 4.0 * eta + params.tau + 2.0
+
+        def assembled(a):
+            return (
+                (1.0 + eta + erf_part.evaluate(a - a_mid))
+                + (1.0 + eta + erf_part.evaluate(-a - a_mid))
+            ) / denominator
+
+        coef = _assembled_series(erf_part, eta, a_mid, denominator)
+        assert np.all(coef[1::2] == 0.0)
+        reference = ncheb.chebinterpolate(assembled, erf_part.degree)
+        np.testing.assert_allclose(coef, reference, rtol=0.0, atol=1e-12)
+
+    def test_one_erf_evaluation_per_construction(self, monkeypatch):
+        calls = []
+        evaluate = ErfApproximant.evaluate
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return evaluate(self, x)
+
+        monkeypatch.setattr(ErfApproximant, "evaluate", counted)
+        _semi_pellian_cached.cache_clear()
+        interval = ConfidenceInterval(0.3 - 0.9**20 / 2, 0.9**20)
+        params = rf_params(interval, 0.5)
+        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        assert calls == [erf_poly(params.k, params.eta).degree + 1]
+        assert poly.degree < calls[0]
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-17, reason="long double is no wider than double"
+    )
+    @pytest.mark.parametrize(
+        "step, degree",
+        [
+            ((0.0011533774164292946, 44.34280552637824, 0.09329135839721157, 0.013302794647291147), 204),
+            ((0.0010380396747863654, 49.66511454455309, 0.29518633773901554, 0.01077526366430583), 230),
+            ((0.01, 51.60638197416796, 0.6097467749685095, 0.020275559590445278), 194),
+            ((0.01, 63.711582684157975, 0.6115715753316495, 0.016423203268260675), 236),
+            ((0.0017579293041141515, 28.140201179524468, 0.6845032219078492, 0.030903154382632643), 140),
+        ],
+    )
+    def test_charged_degree_matches_long_double_interpolation(self, step, degree):
+        # Steps (tau = eta = gamma, k, a_min, width) of traced runs where a
+        # double-precision Vandermonde interpolation charged 2 above the
+        # series: its rounding floor, a few 1e-14, crossed the trim budget.
+        scale, k, a_min, width = step
+        poly = semi_pellian(scale, scale, k, ConfidenceInterval(a_min, width), scale)
+        ld = np.longdouble
+        erf_part = erf_poly(k, scale)
+        points = erf_part.degree + 1
+        nodes = np.sin(np.arccos(ld(-1)) / (2 * points) * np.arange(1 - points, points + 1, 2, dtype=ld))
+        series = np.array(erf_part.coefficients, dtype=ld)
+        mid, shift = ld(a_min + 0.5 * width), 1 + ld(scale)
+        values = (
+            (shift + ncheb.chebval((nodes - mid) / 2, series))
+            + (shift + ncheb.chebval((-nodes - mid) / 2, series))
+        ) / ld(4.0 * scale + scale + 2.0)
+        coef = ncheb.chebvander(nodes, points - 1).T @ values * (2 / ld(points))
+        coef[0] /= 2
+        coef[1::2] = 0
+        tail = np.append(np.cumsum(np.abs(coef[::-1]))[::-1], 0)
+        assert poly.degree == max(1, int(np.argmax(tail <= _TRIM_BUDGET))) - 1 == degree
 
     def test_gap_failure_raises(self):
         # a deliberately tiny erf scale cannot separate the segments
