@@ -86,7 +86,7 @@ class SyntheticCostModel:
     depth_fn: Callable[[object], int]
     queries_fn: Callable[[object], int]
 
-    def charge(self, contract, ledger: ResourceLedger, copies: int = 1) -> None:
+    def charge(self, contract, ledger: ResourceLedger, copies: int) -> None:
         depth = self.depth_fn(contract)
         # A single run can never make fewer queries than its deepest circuit.
         queries = max(depth, self.queries_fn(contract))
@@ -142,7 +142,6 @@ def synth_uqae1_sample(
     seed: SeedSpec,
     ledger: ResourceLedger,
     *,
-    cost_model: SyntheticCostModel = UQAE1_COST,
     size: int,
 ) -> np.ndarray:
     """Two-point estimator meeting a bias/variance contract exactly.
@@ -158,7 +157,7 @@ def synth_uqae1_sample(
         raise ValueError("size must be positive")
     signs = seed.rng().integers(0, 2, size=n) * 2 - 1
     values = a.value + bias_setting + math.sqrt(contract.variance_bound) * signs
-    cost_model.charge(contract, ledger, copies=n)
+    UQAE1_COST.charge(contract, ledger, n)
     return values
 
 
@@ -170,7 +169,6 @@ def synth_uqae2_sample(
     seed: SeedSpec,
     ledger: ResourceLedger,
     *,
-    cost_model: SyntheticCostModel = UQAE2_COST,
     size: int,
 ) -> np.ndarray:
     """Mixture estimator meeting a bias/precision/failure contract exactly.
@@ -199,7 +197,7 @@ def synth_uqae2_sample(
     spread = contract.precision - abs(bias_setting)
     magnitudes = (coins < contract.fail_prob) * (tail_magnitude - spread) + spread
     values = a.value + bias_setting + magnitudes * signs
-    cost_model.charge(contract, ledger, copies=n)
+    UQAE2_COST.charge(contract, ledger, n)
     return values
 
 
@@ -212,7 +210,6 @@ def synth_uqpe2_sample(
     ledger: ResourceLedger,
     *,
     good_spread: float | None = None,
-    cost_model: SyntheticCostModel = UQPE2_COST,
     size: int,
 ) -> np.ndarray:
     """Circular two-point mixture honouring a phase contract exactly.
@@ -238,7 +235,7 @@ def synth_uqpe2_sample(
     signs = rng.integers(0, 2, size=n) * 2 - 1
     magnitudes = (coins < contract.fail_prob) * (tail_magnitude - spread) + spread
     values = (theta + bias_setting + magnitudes * signs) % TWO_PI
-    cost_model.charge(contract, ledger, copies=n)
+    UQPE2_COST.charge(contract, ledger, n)
     return values
 
 

@@ -30,6 +30,9 @@ ARC_TOL = 1e-9
 # Half-width of the reference arc built around the preprocessing estimate.
 _REF_ARC_HALF_WIDTH = math.pi / 8
 
+# Precision of the preprocessing (reference) call: a quarter circle.
+REF_PRECISION = math.pi / 4
+
 # A phase sampler draws ``size`` independent runs of one contract from a
 # single stage stream and returns them as an array of angles; run i is
 # element i of each draw, as for the mean-aggregation samplers.
@@ -106,7 +109,7 @@ class PhasePlan:
             runs=runs,
             run_precision=eps ** (1.0 - beta),
             run_fail_prob=run_fail_prob,
-            ref_precision=math.pi / 4,
+            ref_precision=REF_PRECISION,
         )
 
     def ref_contract(self, target: TargetSpec) -> Uqpe2Contract:
@@ -126,7 +129,6 @@ def lowdepth_phase_estimate(
     *,
     seed: SeedSpec,
     ledger: ResourceLedger,
-    diagnostics: dict | None = None,
 ) -> Angle:
     """Three-stage circular aggregation of a phase black box.
 
@@ -146,11 +148,6 @@ def lowdepth_phase_estimate(
     stage with ``derive_stream(seed, 0)`` and ``size=1``, the main stage
     with ``derive_stream(seed, 1)`` and ``size=plan.runs``.  Main run i is
     element i of each draw, so the result does not depend on the schedule.
-
-    When a ``diagnostics`` dict is supplied it receives the arc length 2H and
-    both the mapped (normalised) and circular (radian) deviations of the
-    main-stage estimates from their mean, making the normalisation gap
-    between the two measurable.
     """
     plan = PhasePlan.from_target(target, bias_fraction, tail_fraction)
     reference = Angle(
@@ -160,17 +157,6 @@ def lowdepth_phase_estimate(
     estimates = draw_runs(sampler, main_contract, derive_stream(seed, 1), ledger, plan.runs)
     offsets = circ_diff(estimates, reference)
     half_width = _REF_ARC_HALF_WIDTH + plan.run_precision
-    escaped = bool(np.abs(offsets).max() > half_width + ARC_TOL)
-    if diagnostics is not None:
-        diagnostics["arc_length"] = 2.0 * half_width
-        diagnostics["runs"] = plan.runs
-        diagnostics["escaped"] = escaped
-    if escaped:
+    if np.abs(offsets).max() > half_width + ARC_TOL:
         return Angle(0.0)
-    mean_offset = math.fsum(offsets.tolist()) / plan.runs
-    if diagnostics is not None:
-        deviations = offsets - mean_offset
-        diagnostics["mapped_mean"] = (mean_offset + half_width) / (2.0 * half_width)
-        diagnostics["mapped_deviations"] = (deviations / (2.0 * half_width)).tolist()
-        diagnostics["circular_deviations"] = deviations.tolist()
-    return Angle(reference.value + mean_offset)
+    return Angle(reference.value + math.fsum(offsets.tolist()) / plan.runs)

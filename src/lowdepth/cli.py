@@ -28,11 +28,10 @@ from .core import (
     derive_stream,
 )
 from .harness import (
-    ALGORITHM_CHOICES,
+    ALGORITHM_CONSTANTS,
     EXPORT_FORMATS,
     ConfigError,
     ExperimentConfig,
-    _default_constants,
     export_report,
     run_experiment,
     scaling_study,
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_target_flags(sub, with_algorithm: bool = True) -> None:
         if with_algorithm:
-            sub.add_argument("--algorithm", choices=ALGORITHM_CHOICES)
+            sub.add_argument("--algorithm", choices=ALGORITHM_CONSTANTS)
             sub.add_argument("--truth", type=float)
         sub.add_argument("--epsilon", type=float)
         sub.add_argument("--delta", type=float)
@@ -107,6 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _yes_no(text: str) -> bool:
+    """A config-file yes/no value; any text but the listed spellings is an error."""
+    value = text.strip().lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1, true, yes, on, 0, false, no or off, got {text!r}")
+    return value in ("1", "true", "yes", "on")
+
+
 # Every setting a subcommand reads: its type (to parse config-file text) and
 # the default used when neither a flag nor the config file gives it.  One
 # table for all subcommands, so they share the same defaults.
@@ -120,7 +127,7 @@ _SETTINGS = {
     "seed": (int, 0),
     "out": (str, None),
     "format": (str, "json"),
-    "parallel": (lambda text: text.strip().lower() in ("1", "true", "yes", "on"), False),
+    "parallel": (_yes_no, False),
     "r": (float, None),
     "s": (float, None),
     "cap_c": (float, None),
@@ -186,7 +193,7 @@ def _build_run_config(args) -> ExperimentConfig:
         master_seed=setting("seed"),
         output_path=setting("out"),
         output_format=setting("format"),
-        parallel=bool(setting("parallel")),
+        parallel=setting("parallel"),
     )
 
 
@@ -233,8 +240,8 @@ def _cmd_scale(args) -> int:
 
 def _cmd_params(args) -> int:
     target, constants = _target_and_constants(_settings(args))
-    bias_variance = {**_default_constants("type1"), **constants}
-    precision_failure = {**_default_constants("type2"), **constants}
+    bias_variance = {**ALGORITHM_CONSTANTS["type1"], **constants}
+    precision_failure = {**ALGORITHM_CONSTANTS["type2"], **constants}
     r_bv, s_bv = bias_variance["r"], bias_variance["s"]
     r_pf, s_pf = precision_failure["r"], precision_failure["s"]
 

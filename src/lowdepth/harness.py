@@ -31,8 +31,6 @@ from .core import (
     derive_stream,
 )
 
-ALGORITHM_CHOICES = ("type1", "type2", "phase", "rallfuller", "monkey-demo")
-
 EXPORT_FORMATS = ("csv", "json", "svg")
 
 
@@ -44,32 +42,39 @@ class AlgorithmError(SimulationError):
     """An inner estimation routine failed; message carries the trial index."""
 
 
-def _default_constants(algorithm: str) -> dict:
-    if algorithm in ("type1", "monkey-demo"):
-        fractions = {
-            "r": aggregate.DEFAULT_BIAS_FRACTION_BV,
-            "s": aggregate.DEFAULT_VARIANCE_FRACTION_BV,
-        }
-    else:
-        fractions = {
-            "r": aggregate.DEFAULT_BIAS_FRACTION_PF,
-            "s": aggregate.DEFAULT_TAIL_FRACTION_PF,
-        }
-    return {
-        **fractions,
-        "C": 1.0,
-        # Fraction of the contracted bias the synthetic sampler actually
-        # applies; 1.0 is the adversarial worst case.
+# The constants each algorithm reads, with their defaults; an algorithm
+# rejects every constant outside its own table.  ``bias_scale`` is the
+# fraction of the contracted bias the synthetic sampler applies (1.0 is the
+# adversarial worst case); ``tail_magnitude`` is its tail offset, where None
+# means the largest the output cap allows.
+ALGORITHM_CONSTANTS = {
+    "type1": {
+        "r": aggregate.DEFAULT_BIAS_FRACTION_BV,
+        "s": aggregate.DEFAULT_VARIANCE_FRACTION_BV,
         "bias_scale": 1.0,
-        # Tail offset of the synthetic sampler; None means maximal allowed.
+    },
+    "type2": {
+        "r": aggregate.DEFAULT_BIAS_FRACTION_PF,
+        "s": aggregate.DEFAULT_TAIL_FRACTION_PF,
+        "C": 1.0,
+        "bias_scale": 1.0,
         "tail_magnitude": None,
-        # Good-branch spread of the synthetic phase sampler during the
-        # wide-precision reference call.  Kept inside the reference arc's
-        # half-width pi/8: a reference draw saturating its contracted
-        # quarter-circle precision would always defeat arc construction.
-        "ref_spread": math.pi / 10.0,
-        "phase_tail": math.pi / 2.0,
-    }
+    },
+    "phase": {
+        "r": aggregate.DEFAULT_BIAS_FRACTION_PF,
+        "s": aggregate.DEFAULT_TAIL_FRACTION_PF,
+        "bias_scale": 1.0,
+        "tail_magnitude": math.pi / 2.0,
+    },
+    "rallfuller": {},
+    "monkey-demo": {},
+}
+
+# Good-branch spread of the synthetic phase sampler during the wide-precision
+# reference call.  Kept inside the reference arc's half-width pi/8: a
+# reference draw saturating its contracted quarter-circle precision would
+# always defeat arc construction.
+_REF_SPREAD = math.pi / 10.0
 
 
 _TOLERANCE_PROVENANCE = {
@@ -97,8 +102,10 @@ class ExperimentConfig:
     parallel: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHM_CHOICES:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHM_CHOICES}")
+        if self.algorithm not in ALGORITHM_CONSTANTS:
+            raise ConfigError(
+                f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHM_CONSTANTS)}"
+            )
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.output_format not in EXPORT_FORMATS:
@@ -108,17 +115,19 @@ class ExperimentConfig:
                 raise ConfigError("phase truth must lie in [0, 2 pi)")
         elif not 0.0 <= self.truth <= 1.0:
             raise ConfigError("amplitude truth must lie in [0, 1]")
-        unknown = set(self.constants) - set(_default_constants(self.algorithm))
-        if unknown:
-            raise ConfigError(f"unknown constants: {sorted(unknown)}")
+        try:
+            SeedSpec(self.master_seed)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        unread = set(self.constants) - set(ALGORITHM_CONSTANTS[self.algorithm])
+        if unread:
+            raise ConfigError(f"{self.algorithm} does not read constants {sorted(unread)}")
 
     def resolved_constants(self) -> dict:
-        resolved = _default_constants(self.algorithm)
-        resolved.update(self.constants)
-        return resolved
+        return {**ALGORITHM_CONSTANTS[self.algorithm], **self.constants}
 
     def provenance(self) -> dict:
-        """Everything that determines the report, including defaulted knobs."""
+        """Everything that determines the report, with the constants its algorithm reads."""
         return {
             "algorithm": self.algorithm,
             "truth": self.truth,
@@ -160,52 +169,49 @@ def _trial_estimate(
     trial_seed: SeedSpec,
     ledger: ResourceLedger,
 ) -> float:
-    r, s = constants["r"], constants["s"]
     if algorithm == "type1":
         amplitude = Amplitude(truth)
-        plan = aggregate.Type1Plan.from_target(target, r, s)
-        bias_setting = constants["bias_scale"] * plan.bias_bound
+        bias_scale = constants["bias_scale"]
 
         def sampler(contract, seed, run_ledger, size):
             return blackbox.synth_uqae1_sample(
-                amplitude, contract, bias_setting, seed, run_ledger, size=size
+                amplitude, contract, bias_scale * contract.bias_bound, seed, run_ledger, size=size
             )
 
-        return aggregate.aggregate_type1(sampler, target, r, s, seed=trial_seed, ledger=ledger)
+        return aggregate.aggregate_type1(
+            sampler, target, constants["r"], constants["s"], seed=trial_seed, ledger=ledger
+        )
 
     if algorithm == "type2":
         amplitude = Amplitude(truth)
-        cap = constants["C"]
-        plan = aggregate.Type2Plan.from_target(target, r, s, cap)
-        bias_setting = constants["bias_scale"] * plan.bias_bound
-        tail = constants["tail_magnitude"]
-        if tail is None:
-            tail = cap - truth - abs(bias_setting)
+        bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
         def sampler(contract, seed, run_ledger, size):
+            bias_setting = bias_scale * contract.bias_bound
+            run_tail = contract.output_cap - truth - abs(bias_setting) if tail is None else tail
             return blackbox.synth_uqae2_sample(
-                amplitude, contract, bias_setting, tail, seed, run_ledger, size=size
+                amplitude, contract, bias_setting, run_tail, seed, run_ledger, size=size
             )
 
-        return aggregate.aggregate_type2(sampler, target, r, s, cap, seed=trial_seed, ledger=ledger)
+        return aggregate.aggregate_type2(
+            sampler, target, constants["r"], constants["s"], constants["C"],
+            seed=trial_seed, ledger=ledger,
+        )
 
     if algorithm == "phase":
-        plan = circphase.PhasePlan.from_target(target, r, s)
-        bias_scale = constants["bias_scale"]
-        ref_spread = constants["ref_spread"]
-        tail = constants["phase_tail"]
+        bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
         def sampler(contract, seed, run_ledger, size):
             bias_setting = bias_scale * contract.bias_bound
             spread = None
-            if contract.precision == plan.ref_precision:
-                spread = max(0.0, ref_spread - abs(bias_setting))
+            if contract.precision == circphase.REF_PRECISION:
+                spread = max(0.0, _REF_SPREAD - abs(bias_setting))
             return blackbox.synth_uqpe2_sample(
                 truth, contract, bias_setting, tail, seed, run_ledger, good_spread=spread, size=size
             )
 
         return circphase.lowdepth_phase_estimate(
-            sampler, target, r, s, seed=trial_seed, ledger=ledger
+            sampler, target, constants["r"], constants["s"], seed=trial_seed, ledger=ledger
         ).value
 
     if algorithm == "rallfuller":
@@ -223,7 +229,7 @@ def _trial_estimate(
     def sampler(_contract, _seed, _run_ledger, size):
         return np.full(size, blackbox.monkey_sample(amplitude, target.epsilon))
 
-    return aggregate.aggregate_type1(sampler, target, r, s, seed=trial_seed, ledger=ledger)
+    return aggregate.aggregate_type1(sampler, target, seed=trial_seed, ledger=ledger)
 
 
 def _run_one(args) -> tuple[int, float, int, int]:

@@ -38,6 +38,8 @@ BRANCH_FULL_DEPTH = "full_depth"
 # erf approximants live on [-2, 2]: the assembled even polynomial is
 # evaluated at a - mid and -a - mid for a in [-1, 1], mid in [0, 1].
 _ERF_DOMAIN_HALF = 2.0
+# Highest degree an erf approximant may take.
+_DEGREE_CAP = 4096
 
 CERT_TOL = 1e-9
 _DRIFT_TOL = 1e-12
@@ -241,7 +243,7 @@ def _erf_series(scale: float, terms: int) -> tuple[np.ndarray, float]:
     return odd, remainder + rounding
 
 
-def erf_poly(scale: float, accuracy: float, degree_cap: int = 4096) -> ErfApproximant:
+def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
     """Odd polynomial within ``accuracy`` of erf(scale x) on [-2, 2].
 
     The exact Chebyshev series of erf (see :func:`_erf_series`) truncated:
@@ -249,22 +251,20 @@ def erf_poly(scale: float, accuracy: float, degree_cap: int = 4096) -> ErfApprox
     most sum_{j>n} |c_j|, so the result is the smallest odd n whose tail
     bound fits ``accuracy``, and that bound is its ``sup_error``.  Raises
     :class:`PolynomialConstructionError`, reporting the best bound reached,
-    if the degree cap is insufficient.
+    if no degree up to ``_DEGREE_CAP`` fits.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if not 0.0 < accuracy < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
-    if degree_cap < 1:
-        raise ValueError("degree_cap must be at least 1")
-    odd, left_out = _erf_series(scale, degree_cap // 2 + 1)
+    odd, left_out = _erf_series(scale, _DEGREE_CAP // 2 + 1)
     # bound[i]: error after truncating at degree 2i + 1; nonincreasing in i.
     tail = np.cumsum(np.abs(odd[::-1]))[::-1]
-    bound = np.append(tail[1:], 0.0)[: (degree_cap + 1) // 2] + left_out
+    bound = np.append(tail[1:], 0.0)[: (_DEGREE_CAP + 1) // 2] + left_out
     (fits,) = np.nonzero(bound <= accuracy)
     if not fits.size:
         raise PolynomialConstructionError(
-            f"no odd polynomial of degree <= {degree_cap} reached accuracy {accuracy} "
+            f"no odd polynomial of degree <= {_DEGREE_CAP} reached accuracy {accuracy} "
             f"for erf({scale} x); best sup error {float(bound[-1])}"
         )
     cut = int(fits[0])

@@ -185,7 +185,7 @@ class TestCostModels:
     def test_queries_never_below_depth(self):
         contract = Uqae2Contract(bias_bound=0.5, precision=0.01, fail_prob=0.9)
         ledger = ResourceLedger()
-        UQAE2_COST.charge(contract, ledger)
+        UQAE2_COST.charge(contract, ledger, 1)
         assert ledger.total_queries >= ledger.max_depth
 
     def test_depth_scales_like_inverse_sqrt_variance(self):

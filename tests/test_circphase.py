@@ -222,11 +222,9 @@ class TestLowdepthPhaseEstimate:
             at_reference = contract.precision == plan.ref_precision
             return np.full(size, Angle(reference + (0.0 if at_reference else offset)).value)
 
-        diagnostics = {}
         estimate = lowdepth_phase_estimate(
-            sampler, target, seed=SeedSpec(89, 0), ledger=ResourceLedger(), diagnostics=diagnostics
+            sampler, target, seed=SeedSpec(89, 0), ledger=ResourceLedger()
         )
-        assert diagnostics["escaped"] is escapes
         if escapes:
             assert estimate == Angle(0.0)
         else:
@@ -278,24 +276,6 @@ class TestLowdepthPhaseEstimate:
             hits += abs(circ_diff(truth, ref)) <= PI / 8
         sigma = math.sqrt(plan.run_fail_prob * (1 - plan.run_fail_prob) / trials) or 1e-3
         assert hits / trials >= 1 - plan.run_fail_prob - 3 * sigma
-
-    def test_diagnostics_expose_normalisation_gap(self):
-        truth = 1.0
-        target = TargetSpec(0.02, 0.1, 0.5)
-        diagnostics = {}
-        estimate = lowdepth_phase_estimate(
-            make_sampler(truth),
-            target,
-            seed=SeedSpec(85, 0),
-            ledger=ResourceLedger(),
-            diagnostics=diagnostics,
-        )
-        assert not diagnostics["escaped"]
-        mapped = np.asarray(diagnostics["mapped_deviations"])
-        circular = np.asarray(diagnostics["circular_deviations"])
-        # circular deviations are the mapped ones scaled by the arc length
-        np.testing.assert_allclose(circular, mapped * diagnostics["arc_length"], atol=1e-9)
-        assert abs(circ_diff(estimate, truth)) <= target.epsilon
 
     def test_ledger_charged_per_run(self):
         ledger = ResourceLedger()

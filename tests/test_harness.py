@@ -12,6 +12,7 @@ import pytest
 from lowdepth.cli import main
 from lowdepth.core import TargetSpec
 from lowdepth.harness import (
+    ALGORITHM_CONSTANTS,
     AlgorithmError,
     ConfigError,
     ExperimentConfig,
@@ -20,6 +21,25 @@ from lowdepth.harness import (
     run_experiment,
     scaling_study,
 )
+
+
+# Each estimator constant and the ``run`` flag that sets it.
+CONSTANT_FLAGS = {
+    "r": "--r",
+    "s": "--s",
+    "C": "--cap-C",
+    "bias_scale": "--bias-scale",
+    "tail_magnitude": "--tail-magnitude",
+}
+
+# The constants each algorithm reads; it must reject every other one.
+READS = {
+    "type1": {"r", "s", "bias_scale"},
+    "type2": {"r", "s", "C", "bias_scale", "tail_magnitude"},
+    "phase": {"r", "s", "bias_scale", "tail_magnitude"},
+    "rallfuller": set(),
+    "monkey-demo": set(),
+}
 
 
 def quick_config(**overrides):
@@ -53,6 +73,17 @@ class TestConfigValidation:
     def test_unknown_constants_rejected(self):
         with pytest.raises(ConfigError):
             quick_config(constants={"mystery": 1.0})
+
+    @pytest.mark.parametrize("algorithm", sorted(READS))
+    def test_constants_an_algorithm_does_not_read_are_rejected(self, algorithm, capsys):
+        assert set(ALGORITHM_CONSTANTS[algorithm]) == READS[algorithm]
+        provenance = quick_config(algorithm=algorithm).provenance()
+        assert provenance["constants"] == ALGORITHM_CONSTANTS[algorithm]
+        for name in sorted(set(CONSTANT_FLAGS) - READS[algorithm]):
+            with pytest.raises(ConfigError, match="does not read"):
+                quick_config(algorithm=algorithm, constants={name: 0.1})
+            argv = ["run", "--algorithm", algorithm, "--truth", "0.3", "--trials", "1"]
+            assert main(argv + [CONSTANT_FLAGS[name], "0.1"]) == 2
 
     def test_provenance_includes_defaults(self):
         provenance = quick_config().provenance()
@@ -108,6 +139,14 @@ class TestRunExperiment:
         with pytest.raises(AlgorithmError) as info:
             run_experiment(config)
         assert "trial 0" in str(info.value)
+
+    def test_phase_reads_tail_magnitude(self):
+        # a tail offset above pi breaks the phase sampler's circular contract
+        config = quick_config(
+            algorithm="phase", truth=1.0, constants={"tail_magnitude": 4.0}, trials=1
+        )
+        with pytest.raises(AlgorithmError, match="offsets must stay below pi"):
+            run_experiment(config)
 
     def test_byte_identical_report_files(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -285,6 +324,18 @@ class TestCli:
         config_file = tmp_path / "typo.cfg"
         config_file.write_text("algorithm = type1\ntruth = 0.3\ntrails = 5\n")
         assert main(["run", "--config", str(config_file)]) == 2
+
+    def test_config_file_parallel_must_be_a_listed_spelling(self, tmp_path, capsys):
+        config_file = tmp_path / "parallel.cfg"
+        for value, code in (("ture", 2), ("off", 0)):
+            config_file.write_text(f"algorithm = type1\ntruth = 0.3\ntrials = 2\nparallel = {value}\n")
+            assert main(["run", "--config", str(config_file)]) == code
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exits_two(self, seed, capsys):
+        assert main(["run", "--algorithm", "type1", "--truth", "0.3", "--seed", seed]) == 2
+        assert main(["scale", "--seed", seed]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_bad_flag_value_exits_two(self, capsys):
         assert main(["run", "--algorithm", "bogus", "--truth", "0.3"]) == 2

@@ -232,7 +232,7 @@ class TestErfPoly:
 
     def test_construction_failure_reports_error(self):
         with pytest.raises(PolynomialConstructionError) as info:
-            erf_poly(50.0, 0.001, degree_cap=64)
+            erf_poly(600.0, 0.001)
         assert "best sup error" in str(info.value)
 
     def test_rejects_bad_arguments(self):
