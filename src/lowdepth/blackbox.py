@@ -113,7 +113,7 @@ def _uqae2_depth(contract) -> int:
 
 
 def _uqae2_queries(contract) -> int:
-    log_fail = math.log(1.0 / contract.fail_prob) if contract.fail_prob > 0 else 1.0
+    log_fail = -math.log(contract.fail_prob) if contract.fail_prob > 0 else 1.0
     log_fail = max(1.0, log_fail)
     return ceil_int((1.0 / contract.precision) * log_fail * _log_bias_factor(contract.bias_bound))
 

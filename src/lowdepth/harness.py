@@ -122,6 +122,9 @@ class ExperimentConfig:
         unread = set(self.constants) - set(ALGORITHM_CONSTANTS[self.algorithm])
         if unread:
             raise ConfigError(f"{self.algorithm} does not read constants {sorted(unread)}")
+        for name, value in self.constants.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"constant {name} must be finite, got {value}")
 
     def resolved_constants(self) -> dict:
         return {**ALGORITHM_CONSTANTS[self.algorithm], **self.constants}

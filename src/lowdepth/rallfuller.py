@@ -146,6 +146,42 @@ def rf_params(interval: ConfidenceInterval, beta: float) -> RfStepParams:
     return params
 
 
+def _parity_clenshaw(t, coefficients: tuple[float, ...], parity: int):
+    """Chebyshev series ``coefficients`` at t in [-1, 1], given that only
+    its entries of index ``parity`` mod 2 are nonzero.
+
+    The even- and the odd-index T_k(t) each obey T_{k+2} = 2u T_k - T_{k-2}
+    with u = T_2(t) = 2t^2 - 1, so one Clenshaw recurrence
+    b_j = a_j + 2u b_{j+1} - b_{j+2} over the entries a_j = c_{2j+parity}
+    sums the series in half the steps: to b_0 - u b_1 when even, and to
+    t (b_0 - b_1) when odd, T_1 = t and T_3 = t (2u - 1) starting the odd
+    sequence.  The recurrence runs in Reinsch's form about u = -1 (Oliver
+    1977), carrying s_j = b_j + b_{j+1} = a_j + w b_{j+1} - s_{j+1} with
+    w = 2u + 2 = 4t^2, so that nothing cancels in 2u + 2 near t = 0.  The
+    sums are then a_0 + (w / 2) b_1 - s_1 and t (a_0 + (w - 2) b_1 - s_1).
+    A 0-d t is summed in Python floats.
+    """
+    series = coefficients[parity::2]
+    head, rest = series[0], series[:0:-1]
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        t = float(t)
+        w = 4.0 * t * t
+        s = b = 0.0
+        for a in rest:
+            s = a + w * b - s
+            b = s - b
+    else:
+        w = 4.0 * t * t
+        s, b, scratch = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+        for a in rest:
+            np.multiply(w, b, out=scratch)
+            scratch += a
+            np.subtract(scratch, s, out=s)
+            np.subtract(s, b, out=b)
+    return t * (head + (w - 2.0) * b - s) if parity else head + 0.5 * w * b - s
+
+
 @dataclass(frozen=True)
 class ErfApproximant:
     """Odd polynomial approximating erf(scale x) on [-2, 2].
@@ -169,7 +205,7 @@ class ErfApproximant:
         return len(self.coefficients) - 1
 
     def evaluate(self, x):
-        return ncheb.chebval(np.asarray(x, dtype=float) / _ERF_DOMAIN_HALF, self.coefficients)
+        return _parity_clenshaw(np.asarray(x, dtype=float) / _ERF_DOMAIN_HALF, self.coefficients, 1)
 
 
 def _amos_ratio(nu: float, z: float) -> float:
@@ -243,13 +279,32 @@ def _erf_series(scale: float, terms: int) -> tuple[np.ndarray, float]:
     return odd, remainder + rounding
 
 
+def _sized_terms(scale: float, accuracy: float) -> int:
+    """Series terms :func:`erf_poly` computes: two past the first j at which
+    the remainder bound of :func:`_erf_series` for the terms from j on is at
+    most accuracy / 4, e^-z I_j being bounded by the product of Amos's
+    ratio bounds below j (and e^-z I_0 <= 1); at most ``_DEGREE_CAP // 2 + 1``.
+    """
+    big_k = _ERF_DOMAIN_HALF * scale
+    z = 0.5 * big_k * big_k
+    j_half = np.arange(_DEGREE_CAP // 2 + 1) + 0.5
+    ratio = z / (j_half + np.sqrt(j_half * j_half + z * z))
+    scaled_bessel = np.concatenate(([1.0], np.cumprod(ratio[:-1])))
+    prefactor = 2.0 * big_k / math.sqrt(math.pi)
+    remaining = prefactor * scaled_bessel * (1.0 + ratio) / ((1.0 - ratio) * 2.0 * j_half)
+    (small,) = np.nonzero(remaining <= 0.25 * accuracy)
+    return min(int(small[0]) + 2, j_half.size) if small.size else j_half.size
+
+
 def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
     """Odd polynomial within ``accuracy`` of erf(scale x) on [-2, 2].
 
     The exact Chebyshev series of erf (see :func:`_erf_series`) truncated:
     since |T_j| <= 1 on [-1, 1], dropping the terms above degree n costs at
     most sum_{j>n} |c_j|, so the result is the smallest odd n whose tail
-    bound fits ``accuracy``, and that bound is its ``sup_error``.  Raises
+    bound fits ``accuracy``, and that bound is its ``sup_error``.  The
+    series is computed to the length :func:`_sized_terms` predicts, and to
+    ``_DEGREE_CAP // 2 + 1`` terms if no degree of that fits.  Raises
     :class:`PolynomialConstructionError`, reporting the best bound reached,
     if no degree up to ``_DEGREE_CAP`` fits.
     """
@@ -257,20 +312,22 @@ def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
         raise ValueError("scale must be positive")
     if not 0.0 < accuracy < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
-    odd, left_out = _erf_series(scale, _DEGREE_CAP // 2 + 1)
-    # bound[i]: error after truncating at degree 2i + 1; nonincreasing in i.
-    tail = np.cumsum(np.abs(odd[::-1]))[::-1]
-    bound = np.append(tail[1:], 0.0)[: (_DEGREE_CAP + 1) // 2] + left_out
-    (fits,) = np.nonzero(bound <= accuracy)
-    if not fits.size:
-        raise PolynomialConstructionError(
-            f"no odd polynomial of degree <= {_DEGREE_CAP} reached accuracy {accuracy} "
-            f"for erf({scale} x); best sup error {float(bound[-1])}"
-        )
-    cut = int(fits[0])
-    coefficients = [0.0] * (2 * cut + 2)
-    coefficients[1::2] = (float(c) for c in odd[: cut + 1])
-    return ErfApproximant(tuple(coefficients), scale, accuracy, float(bound[cut]))
+    # dict.fromkeys: no second pass when the sized series is already the cap.
+    for terms in dict.fromkeys((_sized_terms(scale, accuracy), _DEGREE_CAP // 2 + 1)):
+        odd, left_out = _erf_series(scale, terms)
+        # bound[i]: error after truncating at degree 2i + 1; nonincreasing in i.
+        tail = np.cumsum(np.abs(odd[::-1]))[::-1]
+        bound = np.append(tail[1:], 0.0)[: (_DEGREE_CAP + 1) // 2] + left_out
+        (fits,) = np.nonzero(bound <= accuracy)
+        if fits.size:
+            cut = int(fits[0])
+            coefficients = [0.0] * (2 * cut + 2)
+            coefficients[1::2] = (float(c) for c in odd[: cut + 1])
+            return ErfApproximant(tuple(coefficients), scale, accuracy, float(bound[cut]))
+    raise PolynomialConstructionError(
+        f"no odd polynomial of degree <= {_DEGREE_CAP} reached accuracy {accuracy} "
+        f"for erf({scale} x); best sup error {float(bound[-1])}"
+    )
 
 
 @lru_cache(maxsize=256)
@@ -304,7 +361,7 @@ class SemiPellianPoly:
     gap_certificate: GapCertificate
 
     def evaluate(self, x):
-        return ncheb.chebval(np.asarray(x, dtype=float), self.coefficients)
+        return _parity_clenshaw(x, self.coefficients, 0)
 
 
 class GapEnvelope(NamedTuple):

@@ -3,10 +3,13 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdepth.blackbox import (
     UQAE1_COST,
     UQAE2_COST,
+    UQPE2_COST,
     Uqae1Contract,
     Uqae2Contract,
     Uqpe2Contract,
@@ -23,6 +26,34 @@ from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec
 
 A = Amplitude(0.3)
 SEED = SeedSpec(314159, 0)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+seeds = st.builds(SeedSpec, st.integers(0, 2**64 - 1), st.integers(0, 2**20))
+sizes = st.integers(1, 2000)
+
+
+class ChargeLog(ResourceLedger):
+    """Ledger that also records each charge it receives."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.charges = []
+
+    def charge(self, depth: int, queries: int) -> None:
+        self.charges.append((depth, queries))
+        super().charge(depth, queries)
+
+
+def assert_one_charge(ledger, cost, contract, size):
+    expected = ResourceLedger()
+    cost.charge(contract, expected, size)
+    assert ledger.charges == [(expected.max_depth, expected.total_queries)]
+
+
+def assert_binomial(count, size, probability):
+    # Six standard deviations: the draws are fixed by derandomised examples,
+    # so this only guards against a wrong branch probability.
+    assert abs(count - size * probability) <= 6 * math.sqrt(size * probability * (1 - probability)) + 1
 
 
 class TestSynthUqae1:
@@ -152,6 +183,78 @@ class TestSynthUqpe2:
             synth_uqpe2_sample(
                 1.0, contract, 0.0, 0.0, SEED, ResourceLedger(), good_spread=0.3, size=1
             )
+
+
+class TestSamplerContracts:
+    """Batched draws realise each contract's two-point law exactly: every
+    deviation from a + bias_setting is one of the branch magnitudes with a
+    symmetric sign, so the mean is exactly a + bias_setting, the uqae1
+    variance exactly the variance bound, and every good-branch draw within
+    precision; the branch and sign counts match their probabilities."""
+
+    @PROPERTY
+    @given(st.floats(0.0, 1.0), st.floats(1e-4, 0.2), st.floats(-1.0, 1.0), st.floats(0.0, 0.05), seeds, sizes)
+    def test_uqae1(self, truth, bias_bound, bias_fraction, variance, seed, size):
+        contract = Uqae1Contract(bias_bound=bias_bound, variance_bound=variance)
+        bias, ledger = bias_fraction * bias_bound, ChargeLog()
+        values = synth_uqae1_sample(Amplitude(truth), contract, bias, seed, ledger, size=size)
+        assert values.shape == (size,)
+        deviations = values - (truth + bias)
+        np.testing.assert_allclose(np.abs(deviations), math.sqrt(variance), rtol=0, atol=1e-12)
+        if math.sqrt(variance) > 1e-9:
+            assert_binomial(int(np.sum(deviations > 0)), size, 0.5)
+        assert_one_charge(ledger, UQAE1_COST, contract, size)
+
+    @PROPERTY
+    @given(
+        st.floats(0.0, 0.9), st.floats(0.01, 1.0), st.floats(1e-4, 0.1), st.floats(-1.0, 1.0),
+        st.floats(0.0, 0.999), st.floats(0.0, 0.5), seeds, sizes,
+    )
+    def test_uqae2(self, truth, precision_fraction, bias_bound, bias_fraction, tail_fraction,
+                   fail_prob, seed, size):
+        precision = precision_fraction * (1.0 - truth)
+        contract = Uqae2Contract(bias_bound=bias_bound, precision=precision, fail_prob=fail_prob)
+        bias = bias_fraction * min(bias_bound, precision)
+        tail = tail_fraction * (1.0 - truth - abs(bias))
+        ledger = ChargeLog()
+        values = synth_uqae2_sample(Amplitude(truth), contract, bias, tail, seed, ledger, size=size)
+        assert values.shape == (size,)
+        assert np.all(np.abs(values) <= contract.output_cap + 1e-12)
+        magnitudes = np.abs(values - (truth + bias))
+        good = np.abs(magnitudes - (precision - abs(bias))) <= 1e-12
+        assert np.all(good | (np.abs(magnitudes - tail) <= 1e-12))
+        assert np.all(np.abs(values[good] - truth) <= precision + 1e-12)
+        if abs(tail - (precision - abs(bias))) > 1e-9:
+            assert_binomial(int(np.sum(~good)), size, fail_prob)
+        if np.all(magnitudes > 1e-9):
+            assert_binomial(int(np.sum(values > truth + bias)), size, 0.5)
+        assert_one_charge(ledger, UQAE2_COST, contract, size)
+
+    @PROPERTY
+    @given(
+        st.floats(0.0, 2 * math.pi, exclude_max=True), st.floats(1e-3, math.pi),
+        st.floats(1e-4, 0.1), st.floats(-1.0, 1.0), st.floats(0.0, 0.999), st.floats(0.0, 0.5),
+        seeds, sizes,
+    )
+    def test_uqpe2(self, theta, precision, bias_bound, bias_fraction, tail_fraction, fail_prob,
+                   seed, size):
+        contract = Uqpe2Contract(bias_bound=bias_bound, precision=precision, fail_prob=fail_prob)
+        bias = bias_fraction * min(bias_bound, precision)
+        tail = tail_fraction * (math.pi - abs(bias))
+        ledger = ChargeLog()
+        values = synth_uqpe2_sample(theta, contract, bias, tail, seed, ledger, size=size)
+        assert values.shape == (size,)
+        assert np.all((0.0 <= values) & (values < 2 * math.pi))
+        offsets = circ_diff(values, theta + bias)
+        magnitudes = np.abs(offsets)
+        good = np.abs(magnitudes - (precision - abs(bias))) <= 1e-9
+        assert np.all(good | (np.abs(magnitudes - tail) <= 1e-9))
+        assert np.all(np.abs(circ_diff(values[good], theta)) <= precision + 1e-9)
+        if abs(tail - (precision - abs(bias))) > 1e-6:
+            assert_binomial(int(np.sum(~good)), size, fail_prob)
+        if np.all(magnitudes > 1e-6):
+            assert_binomial(int(np.sum(offsets > 0)), size, 0.5)
+        assert_one_charge(ledger, UQPE2_COST, contract, size)
 
 
 class TestMonkey:

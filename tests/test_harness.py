@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -84,6 +85,17 @@ class TestConfigValidation:
                 quick_config(algorithm=algorithm, constants={name: 0.1})
             argv = ["run", "--algorithm", algorithm, "--truth", "0.3", "--trials", "1"]
             assert main(argv + [CONSTANT_FLAGS[name], "0.1"]) == 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "algorithm, name",
+        [(algorithm, name) for algorithm, table in ALGORITHM_CONSTANTS.items() for name in table],
+    )
+    def test_non_finite_constants_exit_two(self, algorithm, name, value, capsys):
+        with pytest.raises(ConfigError, match="must be finite"):
+            quick_config(algorithm=algorithm, constants={name: value})
+        argv = ["run", "--algorithm", algorithm, "--truth", "0.3", "--trials", "1"]
+        assert main(argv + [f"{CONSTANT_FLAGS[name]}={value}"]) == 2
 
     def test_provenance_includes_defaults(self):
         provenance = quick_config().provenance()

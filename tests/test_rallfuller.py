@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as ncheb
 from scipy.special import erf, ive
 
+from lowdepth import rallfuller
 from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, SimulationError, TargetSpec
 from lowdepth.oracle import PolyOracle
 from lowdepth.rallfuller import (
@@ -23,6 +24,7 @@ from lowdepth.rallfuller import (
     _amos_ratio,
     _assembled_series,
     _erf_series,
+    _parity_clenshaw,
     _scaled_bessel,
     _semi_pellian_cached,
     coin_test,
@@ -230,6 +232,32 @@ class TestErfPoly:
             bounds = np.array([_amos_ratio(float(n), z) for n in nu[normal]])
             assert np.all(ratios <= bounds * (1.0 + 1e-13))
 
+    @pytest.mark.parametrize("accuracy", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_degree_matches_full_series_truncation(self, accuracy):
+        # The sized series keeps the degree that truncating the full
+        # 2 049-term series gives, and the same bound to within rounding.
+        for scale in np.geomspace(0.3, 130.0, 12):
+            odd, left_out = _erf_series(float(scale), 2049)
+            tail = np.cumsum(np.abs(odd[::-1]))[::-1]
+            bound = np.append(tail[1:], 0.0)[:2048] + left_out
+            cut = int(np.argmax(bound <= accuracy))
+            approx = erf_poly(float(scale), accuracy)
+            assert bound[cut] <= accuracy
+            assert approx.degree == 2 * cut + 1
+            assert approx.sup_error == pytest.approx(float(bound[cut]), rel=1e-3)
+
+    def test_miller_recurrence_sized_to_kept_degree(self, monkeypatch):
+        tops = []
+        scaled_bessel = rallfuller._scaled_bessel
+
+        def recorded(z, top):
+            tops.append(top)
+            return scaled_bessel(z, top)
+
+        monkeypatch.setattr(rallfuller, "_scaled_bessel", recorded)
+        assert erf_poly(1.05, 1e-3).degree == 9
+        assert tops and max(tops) < 64
+
     def test_construction_failure_reports_error(self):
         with pytest.raises(PolynomialConstructionError) as info:
             erf_poly(600.0, 0.001)
@@ -240,6 +268,41 @@ class TestErfPoly:
             erf_poly(-1.0, 0.1)
         with pytest.raises(ValueError):
             erf_poly(1.0, 1.5)
+
+
+class TestParityClenshaw:
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-17, reason="long double is no wider than double"
+    )
+    @settings(PROPERTY, max_examples=60)
+    @given(st.integers(0, 900), st.floats(0.9, 0.999), st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0))
+    def test_matches_long_double_chebval(self, degree, decay, seed, point):
+        # Random series of one parity with geometric decay, summed at an
+        # array of points (the ends and 0 among them) and at a 0-d point.
+        parity = degree % 2
+        rng = np.random.default_rng(seed)
+        series = np.zeros(degree + 1)
+        index = np.arange(parity, degree + 1, 2)
+        series[index] = rng.standard_normal(index.size) * decay**index
+        points = np.concatenate((rng.uniform(-1.0, 1.0, 61), [-1.0, 0.0, 1.0, point]))
+        exact = ncheb.chebval(points.astype(np.longdouble), series.astype(np.longdouble))
+        coefficients = tuple(series.tolist())
+        bound = 4 * (degree + 1) * np.finfo(float).eps * np.sum(np.abs(series))
+        assert np.all(np.abs(_parity_clenshaw(points, coefficients, parity) - exact) <= bound)
+        assert abs(_parity_clenshaw(np.asarray(point), coefficients, parity) - exact[-1]) <= bound
+
+    def test_erf_approximant_accurate_near_zero(self):
+        # Degree 791, whose coefficients alternate in sign, so its terms all
+        # add at u = T_2(t) = -1 (t = 0): there a plain recurrence in u loses
+        # the small t^2 to 2u + 2 cancelling.
+        approx = erf_poly(97.1, 0.001)
+        assert approx.degree == 791
+        points = np.concatenate((np.linspace(-2.0, 2.0, 2001), np.geomspace(1e-12, 0.1, 200)))
+        exact = ncheb.chebval(
+            points.astype(np.longdouble) / 2, np.array(approx.coefficients, dtype=np.longdouble)
+        )
+        bound = 4 * np.finfo(float).eps * sum(abs(c) for c in approx.coefficients)
+        assert np.max(np.abs(approx.evaluate(points) - exact)) <= bound
 
 
 class TestSemiPellian:
