@@ -29,11 +29,13 @@ DEFAULT_VARIANCE_FRACTION_BV = 100.0 / 225.0
 DEFAULT_BIAS_FRACTION_PF = 0.25
 DEFAULT_TAIL_FRACTION_PF = 0.25
 
-# A sampler draws ``size`` independent runs of one contract from a single
-# stage stream and returns them as a float array; run i is element i of each
+# A sampler draws ``size`` independent runs of one contract from the trial's
+# generator and returns them as a float array; run i is element i of each
 # draw, so the runs do not depend on any schedule they might be computed in.
-Uqae1Sampler = Callable[[Uqae1Contract, SeedSpec, ResourceLedger, int], np.ndarray]
-Uqae2Sampler = Callable[[Uqae2Contract, SeedSpec, ResourceLedger, int], np.ndarray]
+# The generator type is quoted: numpy loads numpy.random on first use, and
+# that cost belongs to the first draw, not to importing this package.
+Uqae1Sampler = Callable[[Uqae1Contract, "np.random.Generator", ResourceLedger, int], np.ndarray]
+Uqae2Sampler = Callable[[Uqae2Contract, "np.random.Generator", ResourceLedger, int], np.ndarray]
 
 
 class FeasibilityCheck(NamedTuple):
@@ -147,7 +149,7 @@ class Type2Plan:
 
 
 def _batched_mean(sampler, contract, runs: int, seed: SeedSpec, ledger: ResourceLedger) -> float:
-    values = draw_runs(sampler, contract, derive_stream(seed, 0), ledger, runs)
+    values = draw_runs(sampler, contract, derive_stream(seed, 0).rng(), ledger, runs)
     # fsum gives an exactly rounded sum, independent of summation order.
     return math.fsum(values.tolist()) / runs
 
@@ -168,9 +170,9 @@ def aggregate_type1(
     such runs then lands within eps of the truth with probability above the
     :func:`bias_variance_floor`.
 
-    The sampler is called once, with the stage stream
-    ``derive_stream(seed, 0)`` and ``size=plan.runs``; run i is the i-th
-    element of each draw, so the result does not depend on the schedule.
+    The sampler is called once, with the generator
+    ``derive_stream(seed, 0).rng()`` and ``size=plan.runs``; run i is the
+    i-th element of each draw, so the result does not depend on the schedule.
     """
     plan = Type1Plan.from_target(target, bias_fraction, variance_fraction)
     return _batched_mean(sampler, plan.contract(), plan.runs, seed, ledger)
@@ -192,9 +194,9 @@ def aggregate_type2(
     half the failure budget; Hoeffding on the good part covers the rest, so
     the mean lands within eps with probability at least 1 - delta.
 
-    The sampler is called once, with the stage stream
-    ``derive_stream(seed, 0)`` and ``size=plan.runs``; run i is the i-th
-    element of each draw, so the result does not depend on the schedule.
+    The sampler is called once, with the generator
+    ``derive_stream(seed, 0).rng()`` and ``size=plan.runs``; run i is the
+    i-th element of each draw, so the result does not depend on the schedule.
     """
     plan = Type2Plan.from_target(target, bias_fraction, tail_fraction, output_cap)
     return _batched_mean(sampler, plan.contract(), plan.runs, seed, ledger)

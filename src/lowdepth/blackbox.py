@@ -2,7 +2,7 @@
 
 The synthetic samplers realise their contracts *exactly* (two-point
 constructions), which isolates the aggregation math from any particular
-estimation circuit.  Each draws ``size`` independent runs from the one stream
+estimation circuit.  Each draws ``size`` independent runs from the generator
 it is given and returns them as an array, run i being element i.  The
 parameter calculators translate a precision / failure / depth target into
 the knob settings of the three published weakly-biased estimators this
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ABS_TOL, TWO_PI, Amplitude, ResourceLedger, SeedSpec, TargetSpec, ceil_int
+from .core import ABS_TOL, TWO_PI, Amplitude, ResourceLedger, TargetSpec, ceil_int
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,15 @@ UQAE2_COST = SyntheticCostModel(_uqae2_depth, _uqae2_queries)
 UQPE2_COST = SyntheticCostModel(_uqae2_depth, _uqae2_queries)
 
 
-def draw_runs(sampler, contract, seed: SeedSpec, ledger: ResourceLedger, size: int) -> np.ndarray:
-    """Call a batched sampler for ``size`` runs of one contract on one stream.
+def draw_runs(
+    sampler, contract, rng: np.random.Generator, ledger: ResourceLedger, size: int
+) -> np.ndarray:
+    """Call a batched sampler for ``size`` runs of one contract drawn from ``rng``.
 
     Run i is element i of the returned array; a sampler returning any other
     shape is rejected.
     """
-    values = np.asarray(sampler(contract, seed, ledger, size), dtype=float)
+    values = np.asarray(sampler(contract, rng, ledger, size), dtype=float)
     if values.shape != (size,):
         raise ValueError(f"sampler returned shape {values.shape}, expected ({size},)")
     return values
@@ -139,7 +141,7 @@ def synth_uqae1_sample(
     a: Amplitude,
     contract: Uqae1Contract,
     bias_setting: float,
-    seed: SeedSpec,
+    rng: np.random.Generator,
     ledger: ResourceLedger,
     *,
     size: int,
@@ -155,7 +157,7 @@ def synth_uqae1_sample(
     n = int(size)
     if n < 1:
         raise ValueError("size must be positive")
-    signs = seed.rng().integers(0, 2, size=n) * 2 - 1
+    signs = rng.integers(0, 2, size=n) * 2 - 1
     values = a.value + bias_setting + math.sqrt(contract.variance_bound) * signs
     UQAE1_COST.charge(contract, ledger, n)
     return values
@@ -166,7 +168,7 @@ def synth_uqae2_sample(
     contract: Uqae2Contract,
     bias_setting: float,
     tail_magnitude: float,
-    seed: SeedSpec,
+    rng: np.random.Generator,
     ledger: ResourceLedger,
     *,
     size: int,
@@ -191,7 +193,6 @@ def synth_uqae2_sample(
     n = int(size)
     if n < 1:
         raise ValueError("size must be positive")
-    rng = seed.rng()
     coins = rng.random(n)
     signs = rng.integers(0, 2, size=n) * 2 - 1
     spread = contract.precision - abs(bias_setting)
@@ -206,7 +207,7 @@ def synth_uqpe2_sample(
     contract: Uqpe2Contract,
     bias_setting: float,
     tail_magnitude: float,
-    seed: SeedSpec,
+    rng: np.random.Generator,
     ledger: ResourceLedger,
     *,
     good_spread: float | None = None,
@@ -230,7 +231,6 @@ def synth_uqpe2_sample(
     n = int(size)
     if n < 1:
         raise ValueError("size must be positive")
-    rng = seed.rng()
     coins = rng.random(n)
     signs = rng.integers(0, 2, size=n) * 2 - 1
     magnitudes = (coins < contract.fail_prob) * (tail_magnitude - spread) + spread

@@ -33,10 +33,11 @@ _REF_ARC_HALF_WIDTH = math.pi / 8
 # Precision of the preprocessing (reference) call: a quarter circle.
 REF_PRECISION = math.pi / 4
 
-# A phase sampler draws ``size`` independent runs of one contract from a
-# single stage stream and returns them as an array of angles; run i is
-# element i of each draw, as for the mean-aggregation samplers.
-UqpeSampler = Callable[[Uqpe2Contract, SeedSpec, ResourceLedger, int], np.ndarray]
+# A phase sampler draws ``size`` independent runs of one contract from the
+# trial's generator and returns them as an array of angles; run i is element
+# i of each draw, as for the mean-aggregation samplers (the generator type
+# is quoted for the same reason).
+UqpeSampler = Callable[[Uqpe2Contract, "np.random.Generator", ResourceLedger, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,15 @@ def lowdepth_phase_estimate(
     offset exceeds H (by more than ``ARC_TOL``) escapes the arc and aborts
     to the zero angle, which the harness counts as a failure.
 
-    Each stage calls the sampler once on its own stream: the reference
-    stage with ``derive_stream(seed, 0)`` and ``size=1``, the main stage
-    with ``derive_stream(seed, 1)`` and ``size=plan.runs``.  Main run i is
-    element i of each draw, so the result does not depend on the schedule.
+    Both stages draw from one generator, ``derive_stream(seed, 0).rng()``,
+    each in one sampler call: first the reference stage with ``size=1``,
+    then the main stage with ``size=plan.runs``.  Main run i is element i of
+    each draw, so the result does not depend on the schedule.
     """
     plan = PhasePlan.from_target(target, bias_fraction, tail_fraction)
-    reference = Angle(
-        draw_runs(sampler, plan.ref_contract(target), derive_stream(seed, 0), ledger, 1)[0]
-    )
-    main_contract = plan.main_contract(target)
-    estimates = draw_runs(sampler, main_contract, derive_stream(seed, 1), ledger, plan.runs)
+    rng = derive_stream(seed, 0).rng()
+    reference = Angle(draw_runs(sampler, plan.ref_contract(target), rng, ledger, 1)[0])
+    estimates = draw_runs(sampler, plan.main_contract(target), rng, ledger, plan.runs)
     offsets = circ_diff(estimates, reference)
     half_width = _REF_ARC_HALF_WIDTH + plan.run_precision
     if np.abs(offsets).max() > half_width + ARC_TOL:

@@ -5,16 +5,15 @@ from a :class:`SeedSpec`, so whole experiments are pure functions of a
 master seed and can be replayed bit for bit.
 
 Stream layout: trial (or scaling cell) i gets
-``derive_stream(SeedSpec(master_seed, 0), i)``.  Within a trial, each stage
-has one stream and draws all its runs in one batch, run i taking the i-th
-element of each draw:
+``derive_stream(SeedSpec(master_seed, 0), i)``, and builds exactly one
+generator, ``derive_stream(trial_seed, 0).rng()``.  Its stages draw from that
+generator in a fixed order, each drawing all its runs in one batch, run i
+taking the i-th element of each draw:
 
-* a mean aggregation is one stage, ``derive_stream(trial_seed, 0)``;
-* phase estimation has a reference stage, ``derive_stream(trial_seed, 0)``
-  with one run, and a main stage, ``derive_stream(trial_seed, 1)`` with
-  ``runs`` runs.
-
-Rall-Fuller steps still take one child stream each.
+* a mean aggregation is one stage;
+* phase estimation draws its reference run (``size=1``) and then its
+  ``runs`` main runs;
+* Rall-Fuller draws one head count per shrinking step, step 0 first.
 """
 
 from __future__ import annotations

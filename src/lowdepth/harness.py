@@ -125,6 +125,10 @@ class ExperimentConfig:
         for name, value in self.constants.items():
             if not math.isfinite(value):
                 raise ConfigError(f"constant {name} must be finite, got {value}")
+        bias_scale = self.constants.get("bias_scale", 0.0)
+        if abs(bias_scale) > 1.0:
+            # a synthetic sampler applies at most its contracted bias
+            raise ConfigError(f"|bias_scale| must be at most 1, got {bias_scale}")
 
     def resolved_constants(self) -> dict:
         return {**ALGORITHM_CONSTANTS[self.algorithm], **self.constants}
@@ -176,9 +180,9 @@ def _trial_estimate(
         amplitude = Amplitude(truth)
         bias_scale = constants["bias_scale"]
 
-        def sampler(contract, seed, run_ledger, size):
+        def sampler(contract, rng, run_ledger, size):
             return blackbox.synth_uqae1_sample(
-                amplitude, contract, bias_scale * contract.bias_bound, seed, run_ledger, size=size
+                amplitude, contract, bias_scale * contract.bias_bound, rng, run_ledger, size=size
             )
 
         return aggregate.aggregate_type1(
@@ -189,11 +193,11 @@ def _trial_estimate(
         amplitude = Amplitude(truth)
         bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
-        def sampler(contract, seed, run_ledger, size):
+        def sampler(contract, rng, run_ledger, size):
             bias_setting = bias_scale * contract.bias_bound
             run_tail = contract.output_cap - truth - abs(bias_setting) if tail is None else tail
             return blackbox.synth_uqae2_sample(
-                amplitude, contract, bias_setting, run_tail, seed, run_ledger, size=size
+                amplitude, contract, bias_setting, run_tail, rng, run_ledger, size=size
             )
 
         return aggregate.aggregate_type2(
@@ -204,13 +208,13 @@ def _trial_estimate(
     if algorithm == "phase":
         bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
-        def sampler(contract, seed, run_ledger, size):
+        def sampler(contract, rng, run_ledger, size):
             bias_setting = bias_scale * contract.bias_bound
             spread = None
             if contract.precision == circphase.REF_PRECISION:
                 spread = max(0.0, _REF_SPREAD - abs(bias_setting))
             return blackbox.synth_uqpe2_sample(
-                truth, contract, bias_setting, tail, seed, run_ledger, good_spread=spread, size=size
+                truth, contract, bias_setting, tail, rng, run_ledger, good_spread=spread, size=size
             )
 
         return circphase.lowdepth_phase_estimate(
@@ -229,7 +233,7 @@ def _trial_estimate(
     # estimator; the report shows bias exactly epsilon and zero variance.
     amplitude = Amplitude(truth)
 
-    def sampler(_contract, _seed, _run_ledger, size):
+    def sampler(_contract, _rng, _run_ledger, size):
         return np.full(size, blackbox.monkey_sample(amplitude, target.epsilon))
 
     return aggregate.aggregate_type1(sampler, target, seed=trial_seed, ledger=ledger)

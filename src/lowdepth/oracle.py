@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Amplitude, ResourceLedger, SeedSpec
+from .core import Amplitude, ResourceLedger
 
 # Slack beyond which |P(a)| is considered to exceed 1.
 BOUND_TOL = 1e-9
@@ -36,16 +36,16 @@ class PolyOracle:
 def poly_sample(
     oracle: PolyOracle,
     shots: int,
-    seed: SeedSpec,
+    rng: np.random.Generator,
     ledger: ResourceLedger,
 ) -> int:
-    """Head count of ``shots`` draws from Bernoulli(P(a)^2).
+    """Head count of ``shots`` draws from Bernoulli(P(a)^2), taken from ``rng``.
 
     Charges depth deg P and ``shots * deg P`` queries, the cost of playing
     the polynomial through a signal-processing circuit.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    heads = int(seed.rng().binomial(shots, oracle.head_probability))
+    heads = int(rng.binomial(shots, oracle.head_probability))
     ledger.charge(oracle.degree, shots * oracle.degree)
     return heads

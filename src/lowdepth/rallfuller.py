@@ -533,16 +533,20 @@ def rall_fuller_estimate(
     the returned midpoint is then within epsilon of the truth with
     probability at least 1 - delta.  ``trace`` (if given) receives one
     :class:`StepRecord` per step.
+
+    The steps draw their head counts in order from one generator,
+    ``derive_stream(seed, 0).rng()``.
     """
     steps = ceil_int(math.log(target.epsilon) / math.log(SHRINK_FACTOR))
     step_fail = target.delta / steps
     interval = ConfidenceInterval(0.0, 1.0)
+    rng = derive_stream(seed, 0).rng()
     for step in range(steps):
         params = rf_params(interval, target.beta)
         poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
         tosses = coin_tosses(params.gamma, step_fail)
         oracle = oracle_factory(poly)
-        heads = poly_sample(oracle, tosses, derive_stream(seed, step), ledger)
+        heads = poly_sample(oracle, tosses, rng, ledger)
         truth_on_right = coin_test(heads, tosses, params.gamma)
         if trace is not None:
             trace.append(

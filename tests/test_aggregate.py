@@ -19,8 +19,8 @@ A = Amplitude(0.3)
 
 
 def worst_bias_sampler(plan):
-    def sampler(contract, seed, ledger, size):
-        return synth_uqae1_sample(A, contract, plan.bias_bound, seed, ledger, size=size)
+    def sampler(contract, rng, ledger, size):
+        return synth_uqae1_sample(A, contract, plan.bias_bound, rng, ledger, size=size)
 
     return sampler
 
@@ -159,10 +159,10 @@ class TestAggregateType1:
         plan = Type1Plan.from_target(target)
         b = plan.bias_bound
 
-        def alternating(contract, seed, ledger, size):
+        def alternating(contract, rng, ledger, size):
             # run i carries bias +b when i is even and -b when it is odd
             signs = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
-            return synth_uqae1_sample(A, contract, 0.0, seed, ledger, size=size) + signs * b
+            return synth_uqae1_sample(A, contract, 0.0, rng, ledger, size=size) + signs * b
 
         meta = 2000
         values = [
@@ -183,7 +183,7 @@ class TestAggregateType1:
 
     def test_monkey_falsification(self):
         # deterministic bias epsilon survives aggregation for every run count
-        def monkey(contract, seed, ledger, size):
+        def monkey(contract, rng, ledger, size):
             return np.full(size, monkey_sample(A, 0.05))
 
         for beta in (0.0, 0.4, 1.0):
@@ -202,7 +202,7 @@ class TestAggregateType1:
     def test_rejects_infeasible_fractions_before_sampling(self):
         calls = {"count": 0}
 
-        def counting(contract, seed, ledger, size):
+        def counting(contract, rng, ledger, size):
             calls["count"] += 1
             return np.zeros(size)
 
@@ -220,7 +220,7 @@ class TestAggregateType1:
     def test_rejects_sampler_returning_wrong_run_count(self):
         with pytest.raises(ValueError, match="shape"):
             aggregate_type1(
-                lambda contract, seed, ledger, size: np.zeros(size - 1),
+                lambda contract, rng, ledger, size: np.zeros(size - 1),
                 TargetSpec(0.1, 0.1, 1.0),
                 seed=SeedSpec(24, 0),
                 ledger=ResourceLedger(),
@@ -234,8 +234,8 @@ class TestAggregateType2:
         bias = plan.bias_bound
         tail = 1.0 - A.value - bias
 
-        def sampler(contract, seed, ledger, size):
-            return synth_uqae2_sample(A, contract, bias, tail, seed, ledger, size=size)
+        def sampler(contract, rng, ledger, size):
+            return synth_uqae2_sample(A, contract, bias, tail, rng, ledger, size=size)
 
         trials = 400
         failures = sum(
@@ -251,7 +251,7 @@ class TestAggregateType2:
     def test_rejects_overfull_split(self):
         with pytest.raises(ValueError):
             aggregate_type2(
-                lambda contract, seed, ledger, size: np.zeros(size),
+                lambda contract, rng, ledger, size: np.zeros(size),
                 TargetSpec(0.05, 0.1, 0.5),
                 0.7,
                 0.4,

@@ -3,7 +3,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowdepth.blackbox import (
@@ -59,13 +59,13 @@ def assert_binomial(count, size, probability):
 class TestSynthUqae1:
     def test_two_point_support(self):
         contract = Uqae1Contract(bias_bound=0.05, variance_bound=0.01)
-        values = synth_uqae1_sample(A, contract, 0.0, SEED, ResourceLedger(), size=10_000)
+        values = synth_uqae1_sample(A, contract, 0.0, SEED.rng(), ResourceLedger(), size=10_000)
         assert set(np.round(values, 12)) == {0.2, 0.4}
 
     def test_mean_and_variance_exact_shape(self):
         contract = Uqae1Contract(bias_bound=0.05, variance_bound=0.01)
         n = 1_000_000
-        values = synth_uqae1_sample(A, contract, 0.02, SeedSpec(1, 1), ResourceLedger(), size=n)
+        values = synth_uqae1_sample(A, contract, 0.02, SeedSpec(1, 1).rng(), ResourceLedger(), size=n)
         assert abs(values.mean() - 0.32) < 3 * math.sqrt(0.01 / n)
         assert values.var() <= 0.01 * 1.05
 
@@ -73,14 +73,14 @@ class TestSynthUqae1:
         contract = Uqae1Contract(bias_bound=0.05, variance_bound=0.0)
         for index in range(5):
             values = synth_uqae1_sample(
-                A, contract, 0.05, SeedSpec(1, index), ResourceLedger(), size=1
+                A, contract, 0.05, SeedSpec(1, index).rng(), ResourceLedger(), size=1
             )
             assert values[0] == 0.35
 
     def test_contract_conformance(self):
         contract = Uqae1Contract(bias_bound=0.01, variance_bound=0.004)
         n = 1_000_000
-        values = synth_uqae1_sample(A, contract, 0.01, SeedSpec(1, 2), ResourceLedger(), size=n)
+        values = synth_uqae1_sample(A, contract, 0.01, SeedSpec(1, 2).rng(), ResourceLedger(), size=n)
         assert abs(values.mean() - A.value) <= contract.bias_bound + 4 * math.sqrt(
             contract.variance_bound / n
         )
@@ -89,12 +89,12 @@ class TestSynthUqae1:
     def test_bias_setting_validated(self):
         contract = Uqae1Contract(bias_bound=0.01, variance_bound=0.01)
         with pytest.raises(ValueError):
-            synth_uqae1_sample(A, contract, 0.02, SEED, ResourceLedger(), size=1)
+            synth_uqae1_sample(A, contract, 0.02, SEED.rng(), ResourceLedger(), size=1)
 
     def test_cost_model_charges(self):
         contract = Uqae1Contract(bias_bound=0.01, variance_bound=0.0025)
         ledger = ResourceLedger()
-        synth_uqae1_sample(A, contract, 0.0, SEED, ledger, size=1)
+        synth_uqae1_sample(A, contract, 0.0, SEED.rng(), ledger, size=1)
         assert ledger.max_depth == 20  # ceil(0.0025 ** -0.5)
         expected_queries = math.ceil(20 * math.log(math.e / 0.01) * (1 - 1e-9))
         assert ledger.total_queries == expected_queries
@@ -103,7 +103,7 @@ class TestSynthUqae1:
 class TestSynthUqae2:
     def test_zero_failure_reduces_to_two_point_within_precision(self):
         contract = Uqae2Contract(bias_bound=0.01, precision=0.05, fail_prob=0.0)
-        values = synth_uqae2_sample(A, contract, 0.01, 0.5, SeedSpec(2, 0), ResourceLedger(), size=5000)
+        values = synth_uqae2_sample(A, contract, 0.01, 0.5, SeedSpec(2, 0).rng(), ResourceLedger(), size=5000)
         assert np.all(np.abs(values - A.value) <= 0.05 + 1e-12)
         assert set(np.round(values, 12)) == {round(0.3 + 0.01 - 0.04, 12), round(0.3 + 0.01 + 0.04, 12)}
 
@@ -111,7 +111,7 @@ class TestSynthUqae2:
         contract = Uqae2Contract(bias_bound=0.01, precision=0.05, fail_prob=0.02)
         n = 1_000_000
         values = synth_uqae2_sample(
-            A, contract, 0.0, 0.6, SeedSpec(2, 1), ResourceLedger(), size=n
+            A, contract, 0.0, 0.6, SeedSpec(2, 1).rng(), ResourceLedger(), size=n
         )
         out_rate = float(np.mean(np.abs(values - A.value) > contract.precision))
         assert out_rate <= contract.fail_prob + 4 * math.sqrt(contract.fail_prob / n)
@@ -122,7 +122,7 @@ class TestSynthUqae2:
         bias = contract.bias_bound
         tail = 1.0 - A.value - bias  # maximal allowed
         n = 1_000_000
-        values = synth_uqae2_sample(A, contract, bias, tail, SeedSpec(2, 2), ResourceLedger(), size=n)
+        values = synth_uqae2_sample(A, contract, bias, tail, SeedSpec(2, 2).rng(), ResourceLedger(), size=n)
         assert np.max(np.abs(values)) <= 1.0 + 1e-12
         sigma = values.std() / math.sqrt(n)
         assert abs(values.mean() - (A.value + bias)) < 4 * sigma
@@ -132,7 +132,7 @@ class TestSynthUqae2:
         bias = contract.bias_bound
         tail = 1.0 - A.value - bias
         n = 2_000_000
-        values = synth_uqae2_sample(A, contract, bias, tail, SeedSpec(2, 3), ResourceLedger(), size=n)
+        values = synth_uqae2_sample(A, contract, bias, tail, SeedSpec(2, 3).rng(), ResourceLedger(), size=n)
         good = np.abs(values - A.value) <= contract.precision
         bad_mass = float(np.mean(np.where(good, 0.0, values)))
         # |E[bad part]| <= cap * delta, so the good part's mean is shifted
@@ -142,18 +142,18 @@ class TestSynthUqae2:
     def test_preconditions_rejected(self):
         contract = Uqae2Contract(bias_bound=0.01, precision=0.05, fail_prob=0.1)
         with pytest.raises(ValueError):
-            synth_uqae2_sample(A, contract, 0.02, 0.1, SEED, ResourceLedger(), size=1)
+            synth_uqae2_sample(A, contract, 0.02, 0.1, SEED.rng(), ResourceLedger(), size=1)
         with pytest.raises(ValueError):
-            synth_uqae2_sample(A, contract, 0.01, 0.8, SEED, ResourceLedger(), size=1)
+            synth_uqae2_sample(A, contract, 0.01, 0.8, SEED.rng(), ResourceLedger(), size=1)
         big_precision = Uqae2Contract(bias_bound=0.01, precision=0.9, fail_prob=0.1)
         with pytest.raises(ValueError):
-            synth_uqae2_sample(A, big_precision, 0.0, 0.0, SEED, ResourceLedger(), size=1)
+            synth_uqae2_sample(A, big_precision, 0.0, 0.0, SEED.rng(), ResourceLedger(), size=1)
 
 
 class TestSynthUqpe2:
     def test_wraps_into_canonical_range(self):
         contract = Uqpe2Contract(bias_bound=0.05, precision=0.2, fail_prob=0.0)
-        values = synth_uqpe2_sample(0.02, contract, 0.0, 0.0, SeedSpec(3, 0), ResourceLedger(), size=2000)
+        values = synth_uqpe2_sample(0.02, contract, 0.0, 0.0, SeedSpec(3, 0).rng(), ResourceLedger(), size=2000)
         assert np.all((0.0 <= values) & (values < 2 * math.pi))
         deviations = circ_diff(values, 0.02)
         assert np.all(np.abs(deviations) <= 0.2 + 1e-12)
@@ -162,7 +162,7 @@ class TestSynthUqpe2:
         contract = Uqpe2Contract(bias_bound=0.05, precision=0.2, fail_prob=0.0)
         n = 200_000
         values = synth_uqpe2_sample(
-            6.27, contract, 0.05, 0.0, SeedSpec(3, 1), ResourceLedger(), size=n
+            6.27, contract, 0.05, 0.0, SeedSpec(3, 1).rng(), ResourceLedger(), size=n
         )
         deviations = circ_diff(values, 6.27)
         assert abs(deviations.mean() - 0.05) < 4 * deviations.std() / math.sqrt(n)
@@ -170,7 +170,7 @@ class TestSynthUqpe2:
     def test_good_spread_narrowing(self):
         contract = Uqpe2Contract(bias_bound=0.05, precision=math.pi / 4, fail_prob=0.0)
         values = synth_uqpe2_sample(
-            1.0, contract, 0.0, 0.0, SeedSpec(3, 2), ResourceLedger(), good_spread=0.1, size=500
+            1.0, contract, 0.0, 0.0, SeedSpec(3, 2).rng(), ResourceLedger(), good_spread=0.1, size=500
         )
         deviations = circ_diff(values, 1.0)
         assert np.all(np.abs(np.abs(deviations) - 0.1) < 1e-12)
@@ -178,10 +178,10 @@ class TestSynthUqpe2:
     def test_rejects_oversized_offsets(self):
         contract = Uqpe2Contract(bias_bound=0.05, precision=0.2, fail_prob=0.1)
         with pytest.raises(ValueError, match="offsets must stay below pi"):
-            synth_uqpe2_sample(1.0, contract, 0.0, 3.2, SEED, ResourceLedger(), size=1)
+            synth_uqpe2_sample(1.0, contract, 0.0, 3.2, SEED.rng(), ResourceLedger(), size=1)
         with pytest.raises(ValueError, match="good-branch spread"):
             synth_uqpe2_sample(
-                1.0, contract, 0.0, 0.0, SEED, ResourceLedger(), good_spread=0.3, size=1
+                1.0, contract, 0.0, 0.0, SEED.rng(), ResourceLedger(), good_spread=0.3, size=1
             )
 
 
@@ -197,7 +197,7 @@ class TestSamplerContracts:
     def test_uqae1(self, truth, bias_bound, bias_fraction, variance, seed, size):
         contract = Uqae1Contract(bias_bound=bias_bound, variance_bound=variance)
         bias, ledger = bias_fraction * bias_bound, ChargeLog()
-        values = synth_uqae1_sample(Amplitude(truth), contract, bias, seed, ledger, size=size)
+        values = synth_uqae1_sample(Amplitude(truth), contract, bias, seed.rng(), ledger, size=size)
         assert values.shape == (size,)
         deviations = values - (truth + bias)
         np.testing.assert_allclose(np.abs(deviations), math.sqrt(variance), rtol=0, atol=1e-12)
@@ -210,6 +210,8 @@ class TestSamplerContracts:
         st.floats(0.0, 0.9), st.floats(0.01, 1.0), st.floats(1e-4, 0.1), st.floats(-1.0, 1.0),
         st.floats(0.0, 0.999), st.floats(0.0, 0.5), seeds, sizes,
     )
+    # a subnormal failure probability once overflowed the cost model's log(1/p)
+    @example(0.3, 0.5, 0.01, 0.5, 0.5, 2.225e-309, SeedSpec(0, 0), 100)
     def test_uqae2(self, truth, precision_fraction, bias_bound, bias_fraction, tail_fraction,
                    fail_prob, seed, size):
         precision = precision_fraction * (1.0 - truth)
@@ -217,7 +219,7 @@ class TestSamplerContracts:
         bias = bias_fraction * min(bias_bound, precision)
         tail = tail_fraction * (1.0 - truth - abs(bias))
         ledger = ChargeLog()
-        values = synth_uqae2_sample(Amplitude(truth), contract, bias, tail, seed, ledger, size=size)
+        values = synth_uqae2_sample(Amplitude(truth), contract, bias, tail, seed.rng(), ledger, size=size)
         assert values.shape == (size,)
         assert np.all(np.abs(values) <= contract.output_cap + 1e-12)
         magnitudes = np.abs(values - (truth + bias))
@@ -242,7 +244,7 @@ class TestSamplerContracts:
         bias = bias_fraction * min(bias_bound, precision)
         tail = tail_fraction * (math.pi - abs(bias))
         ledger = ChargeLog()
-        values = synth_uqpe2_sample(theta, contract, bias, tail, seed, ledger, size=size)
+        values = synth_uqpe2_sample(theta, contract, bias, tail, seed.rng(), ledger, size=size)
         assert values.shape == (size,)
         assert np.all((0.0 <= values) & (values < 2 * math.pi))
         offsets = circ_diff(values, theta + bias)

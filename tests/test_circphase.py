@@ -172,13 +172,13 @@ class TestPhasePlan:
 def make_sampler(truth, *, ref_spread=PI / 10, tail=PI / 2, bias_scale=1.0):
     ref_precision = PI / 4
 
-    def sampler(contract, seed, ledger, size):
+    def sampler(contract, rng, ledger, size):
         bias = bias_scale * contract.bias_bound
         spread = None
         if contract.precision == ref_precision:
             spread = max(0.0, ref_spread - bias)
         return synth_uqpe2_sample(
-            truth, contract, bias, tail, seed, ledger, good_spread=spread, size=size
+            truth, contract, bias, tail, rng, ledger, good_spread=spread, size=size
         )
 
     return sampler
@@ -188,7 +188,7 @@ class TestLowdepthPhaseEstimate:
     def test_zero_noise_sampler_recovers_truth_exactly(self):
         truth = 1.234
 
-        def exact(contract, seed, ledger, size):
+        def exact(contract, rng, ledger, size):
             return np.full(size, truth)
 
         estimate = lowdepth_phase_estimate(
@@ -199,7 +199,7 @@ class TestLowdepthPhaseEstimate:
     def test_arc_escape_outputs_zero_angle(self):
         truth = 1.0
 
-        def escaping(contract, seed, ledger, size):
+        def escaping(contract, rng, ledger, size):
             # reference lands on the truth, main runs land opposite
             return np.full(size, truth if contract.precision == PI / 4 else truth + PI)
 
@@ -218,7 +218,7 @@ class TestLowdepthPhaseEstimate:
         plan = PhasePlan.from_target(target)
         offset = side * (PI / 8 + plan.run_precision + margin)
 
-        def sampler(contract, seed, ledger, size):
+        def sampler(contract, rng, ledger, size):
             at_reference = contract.precision == plan.ref_precision
             return np.full(size, Angle(reference + (0.0 if at_reference else offset)).value)
 
@@ -268,7 +268,7 @@ class TestLowdepthPhaseEstimate:
                 contract,
                 0.0,
                 PI / 2,
-                SeedSpec(84, index),
+                SeedSpec(84, index).rng(),
                 ResourceLedger(),
                 good_spread=PI / 10,
                 size=1,
@@ -296,7 +296,7 @@ class TestLowdepthPhaseEstimate:
 
     @pytest.mark.parametrize("stage", ["reference", "main"])
     def test_rejects_sampler_returning_wrong_run_count(self, stage):
-        def sampler(contract, seed, ledger, size):
+        def sampler(contract, rng, ledger, size):
             # one run too many from the chosen stage only
             extra = (contract.precision == PI / 4) == (stage == "reference")
             return np.full(size + extra, 1.0)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from lowdepth.cli import main
-from lowdepth.core import TargetSpec
+from lowdepth.core import SeedSpec, TargetSpec, derive_stream
 from lowdepth.harness import (
     ALGORITHM_CONSTANTS,
     AlgorithmError,
@@ -97,6 +97,14 @@ class TestConfigValidation:
         argv = ["run", "--algorithm", algorithm, "--truth", "0.3", "--trials", "1"]
         assert main(argv + [f"{CONSTANT_FLAGS[name]}={value}"]) == 2
 
+    @pytest.mark.parametrize("algorithm", ["type1", "type2", "phase"])
+    def test_bias_scale_beyond_one_rejected(self, algorithm):
+        for value in (-1.0, 1.0):
+            quick_config(algorithm=algorithm, constants={"bias_scale": value})
+        for value in (-1.5, 2.0):
+            with pytest.raises(ConfigError, match="bias_scale"):
+                quick_config(algorithm=algorithm, constants={"bias_scale": value})
+
     def test_provenance_includes_defaults(self):
         provenance = quick_config().provenance()
         assert provenance["constants"]["r"] == 0.05
@@ -165,6 +173,46 @@ class TestRunExperiment:
         for path in paths:
             run_experiment(quick_config(trials=25, output_path=str(path)))
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def record_generators(monkeypatch) -> list:
+    """Record the stream of every generator built through ``SeedSpec.rng``."""
+    built = []
+    build = SeedSpec.rng
+
+    def rng(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(SeedSpec, "rng", rng)
+    return built
+
+
+def trial_generator_streams(master_seed: int, count: int) -> list:
+    root = SeedSpec(master_seed, 0)
+    return [derive_stream(derive_stream(root, index), 0) for index in range(count)]
+
+
+class TestOneGeneratorPerTrial:
+    """Each trial and each scaling cell builds exactly one generator, on
+    ``derive_stream(trial_seed, 0)``, however many stages or steps draw from it."""
+
+    @pytest.mark.parametrize(
+        "algorithm, truth",
+        [("type1", 0.3), ("type2", 0.3), ("phase", 1.0), ("rallfuller", 0.4), ("monkey-demo", 0.5)],
+    )
+    def test_run_experiment(self, algorithm, truth, monkeypatch):
+        built = record_generators(monkeypatch)
+        run_experiment(quick_config(algorithm=algorithm, truth=truth, trials=3))
+        assert built == trial_generator_streams(123, 3)
+
+    @pytest.mark.parametrize("algorithm", ["type1", "rallfuller"])
+    def test_scaling_study(self, algorithm, monkeypatch):
+        built = record_generators(monkeypatch)
+        base = ExperimentConfig(algorithm, 0.4, TargetSpec(0.05, 0.1, 0.5), master_seed=5)
+        study = scaling_study(base, [0.1, 0.05], [0.5, 1.0])
+        assert len(study.rows) == 4
+        assert built == trial_generator_streams(5, 4)
 
 
 class TestHardwareWorkflow:
@@ -329,6 +377,14 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         assert subprocess.run([sys.executable, "-c", code], env=env, cwd=root).returncode == 0
 
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy loads numpy.random on first use; importing the CLI must not
+        # move that cost out of the first draw and into start-up
+        root = Path(__file__).resolve().parents[1]
+        code = "import lowdepth.cli, sys; sys.exit('numpy.random' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        assert subprocess.run([sys.executable, "-c", code], env=env, cwd=root).returncode == 0
+
     def test_missing_required_flags_is_config_error(self, capsys):
         assert main(["run", "--epsilon", "0.05"]) == 2
 
@@ -354,6 +410,12 @@ class TestCli:
         # a 0 is rejected, never replaced by a default
         assert main(["params", "--epsilon", "0"]) == 2
         assert main(["scale", "--delta", "0", "--epsilon-grid", "0.1", "--beta-grid", "0"]) == 2
+
+    def test_impossible_bias_scale_exits_two_before_any_trial(self, capsys):
+        argv = ["run", "--algorithm", "type1", "--truth", "0.3", "--bias-scale", "2"]
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        assert "configuration error" in error and "trial" not in error
 
     def test_inner_algorithm_error_exits_three(self, capsys):
         code = main(

@@ -22,7 +22,7 @@ class PowerPoly:
 class TestPolyOracle:
     def test_constant_polynomial_always_heads(self):
         oracle = PolyOracle(PowerPoly(1.0), Amplitude(0.2))
-        heads = poly_sample(oracle, 50, SeedSpec(5, 0), ResourceLedger())
+        heads = poly_sample(oracle, 50, SeedSpec(5, 0).rng(), ResourceLedger())
         assert heads == 50
 
     def test_identity_polynomial_head_fraction(self):
@@ -30,15 +30,15 @@ class TestPolyOracle:
         oracle = PolyOracle(PowerPoly(0.0, 1.0), Amplitude(0.6))
         assert oracle.head_probability == pytest.approx(0.36, abs=1e-15)
         shots = 200_000
-        heads = poly_sample(oracle, shots, SeedSpec(5, 1), ResourceLedger())
+        heads = poly_sample(oracle, shots, SeedSpec(5, 1).rng(), ResourceLedger())
         sigma = math.sqrt(0.36 * 0.64 / shots)
         assert abs(heads / shots - 0.36) < 4 * sigma
 
     def test_ledger_charges_degree(self):
         ledger = ResourceLedger()
         oracle = PolyOracle(PowerPoly(0.0, 0.0, 0.5), Amplitude(0.5))  # degree 2
-        poly_sample(oracle, 30, SeedSpec(5, 2), ledger)
-        poly_sample(oracle, 12, SeedSpec(5, 3), ledger)
+        poly_sample(oracle, 30, SeedSpec(5, 2).rng(), ledger)
+        poly_sample(oracle, 12, SeedSpec(5, 3).rng(), ledger)
         assert ledger.max_depth == 2
         assert ledger.total_queries == 42 * 2
 
@@ -53,7 +53,7 @@ class TestPolyOracle:
         p_analytic = float(poly.evaluate(np.asarray(truth))) ** 2
         assert p_analytic >= (0.5 + params.gamma) ** 2
         shots = 100_000
-        heads = poly_sample(oracle, shots, SeedSpec(5, 4), ResourceLedger())
+        heads = poly_sample(oracle, shots, SeedSpec(5, 4).rng(), ResourceLedger())
         sigma = math.sqrt(p_analytic * (1 - p_analytic) / shots)
         assert heads / shots >= (0.5 + params.gamma) ** 2 - 3 * sigma
 
@@ -73,7 +73,7 @@ class TestTargetSpecIntegration:
     def test_oracle_calls_are_pure_given_seed(self):
         oracle = PolyOracle(PowerPoly(0.0, 0.0, 1.0), Amplitude(0.37))
         seed = SeedSpec(11, 5)
-        first = poly_sample(oracle, 1000, seed, ResourceLedger())
-        second = poly_sample(oracle, 1000, seed, ResourceLedger())
+        first = poly_sample(oracle, 1000, seed.rng(), ResourceLedger())
+        second = poly_sample(oracle, 1000, seed.rng(), ResourceLedger())
         assert first == second
         TargetSpec(0.1, 0.1, 0.5)  # smoke: shared types interoperate
