@@ -28,7 +28,7 @@ from .core import (
     derive_stream,
 )
 from .harness import (
-    ALGORITHM_CONSTANTS,
+    ALGORITHMS,
     EXPORT_FORMATS,
     ConfigError,
     ExperimentConfig,
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_target_flags(sub, with_algorithm: bool = True) -> None:
         if with_algorithm:
-            sub.add_argument("--algorithm", choices=ALGORITHM_CONSTANTS)
+            sub.add_argument("--algorithm", choices=ALGORITHMS)
             sub.add_argument("--truth", type=float)
         sub.add_argument("--epsilon", type=float)
         sub.add_argument("--delta", type=float)
@@ -240,27 +240,27 @@ def _cmd_scale(args) -> int:
 
 def _cmd_params(args) -> int:
     target, constants = _target_and_constants(_settings(args))
-    bias_variance = {**ALGORITHM_CONSTANTS["type1"], **constants}
-    precision_failure = {**ALGORITHM_CONSTANTS["type2"], **constants}
-    r_bv, s_bv = bias_variance["r"], bias_variance["s"]
-    r_pf, s_pf = precision_failure["r"], precision_failure["s"]
+
+    def plan(algorithm: str):
+        record = ALGORITHMS[algorithm]
+        return record.plan(target, {**record.constants, **constants})
 
     print(f"target: epsilon={target.epsilon:g} delta={target.delta:g} beta={target.beta:g}")
-    plan1 = aggregate.Type1Plan.from_target(target, r_bv, s_bv)
-    floor = aggregate.bias_variance_floor(r_bv, s_bv)
+    plan1 = plan("type1")
+    floor = aggregate.bias_variance_floor(plan1.bias_fraction, plan1.variance_fraction)
     print(
         f"bias/variance plan:    bias_bound={plan1.bias_bound:.6g} "
         f"variance_bound={plan1.variance_bound:.6g} runs={plan1.runs} "
         f"success_floor={floor.success_floor:.6g}"
     )
-    plan2 = aggregate.Type2Plan.from_target(target, r_pf, s_pf, precision_failure["C"])
+    plan2 = plan("type2")
     print(
         f"precision/failure plan: bias_bound={plan2.bias_bound:.6g} "
         f"run_precision={plan2.run_precision:.6g} run_fail_prob={plan2.run_fail_prob:.6g} "
         f"runs={plan2.runs}"
     )
     if target.epsilon < math.pi / 8:
-        phase_plan = circphase.PhasePlan.from_target(target, r_pf, s_pf)
+        phase_plan = plan("phase")
         print(
             f"circular phase plan:   runs={phase_plan.runs} "
             f"run_precision={phase_plan.run_precision:.6g} "

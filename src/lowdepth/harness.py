@@ -7,8 +7,6 @@ measured but never serialised).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import statistics
@@ -16,6 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,39 +41,142 @@ class AlgorithmError(SimulationError):
     """An inner estimation routine failed; message carries the trial index."""
 
 
-# The constants each algorithm reads, with their defaults; an algorithm
-# rejects every constant outside its own table.  ``bias_scale`` is the
-# fraction of the contracted bias the synthetic sampler applies (1.0 is the
-# adversarial worst case); ``tail_magnitude`` is its tail offset, where None
-# means the largest the output cap allows.
-ALGORITHM_CONSTANTS = {
-    "type1": {
-        "r": aggregate.DEFAULT_BIAS_FRACTION_BV,
-        "s": aggregate.DEFAULT_VARIANCE_FRACTION_BV,
-        "bias_scale": 1.0,
-    },
-    "type2": {
-        "r": aggregate.DEFAULT_BIAS_FRACTION_PF,
-        "s": aggregate.DEFAULT_TAIL_FRACTION_PF,
-        "C": 1.0,
-        "bias_scale": 1.0,
-        "tail_magnitude": None,
-    },
-    "phase": {
-        "r": aggregate.DEFAULT_BIAS_FRACTION_PF,
-        "s": aggregate.DEFAULT_TAIL_FRACTION_PF,
-        "bias_scale": 1.0,
-        "tail_magnitude": math.pi / 2.0,
-    },
-    "rallfuller": {},
-    "monkey-demo": {},
-}
-
 # Good-branch spread of the synthetic phase sampler during the wide-precision
 # reference call.  Kept inside the reference arc's half-width pi/8: a
 # reference draw saturating its contracted quarter-circle precision would
 # always defeat arc construction.
 _REF_SPREAD = math.pi / 10.0
+
+
+def _type1_trial(truth, target, constants, seed, ledger) -> float:
+    amplitude = Amplitude(truth)
+    bias_scale = constants["bias_scale"]
+
+    def sampler(contract, rng, run_ledger, size):
+        return blackbox.synth_uqae1_sample(
+            amplitude, contract, bias_scale * contract.bias_bound, rng, run_ledger, size=size
+        )
+
+    return aggregate.aggregate_type1(
+        sampler, target, constants["r"], constants["s"], seed=seed, ledger=ledger
+    )
+
+
+def _type2_trial(truth, target, constants, seed, ledger) -> float:
+    amplitude = Amplitude(truth)
+    bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
+
+    def sampler(contract, rng, run_ledger, size):
+        bias_setting = bias_scale * contract.bias_bound
+        run_tail = contract.output_cap - truth - abs(bias_setting) if tail is None else tail
+        return blackbox.synth_uqae2_sample(
+            amplitude, contract, bias_setting, run_tail, rng, run_ledger, size=size
+        )
+
+    return aggregate.aggregate_type2(
+        sampler, target, constants["r"], constants["s"], constants["C"], seed=seed, ledger=ledger
+    )
+
+
+def _phase_trial(truth, target, constants, seed, ledger) -> float:
+    bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
+
+    def sampler(contract, rng, run_ledger, size):
+        bias_setting = bias_scale * contract.bias_bound
+        spread = None
+        if contract.precision == circphase.REF_PRECISION:
+            spread = max(0.0, _REF_SPREAD - abs(bias_setting))
+        return blackbox.synth_uqpe2_sample(
+            truth, contract, bias_setting, tail, rng, run_ledger, good_spread=spread, size=size
+        )
+
+    return circphase.lowdepth_phase_estimate(
+        sampler, target, constants["r"], constants["s"], seed=seed, ledger=ledger
+    ).value
+
+
+def _rallfuller_trial(truth, target, constants, seed, ledger) -> float:
+    amplitude = Amplitude(truth)
+
+    def factory(poly):
+        return oracle.PolyOracle(poly, amplitude)
+
+    return rallfuller.rall_fuller_estimate(factory, target, seed=seed, ledger=ledger)
+
+
+def _monkey_trial(truth, target, constants, seed, ledger) -> float:
+    # aggregation cannot help a deterministic, maximally biased estimator;
+    # the report shows bias exactly epsilon and zero variance
+    amplitude = Amplitude(truth)
+
+    def sampler(_contract, _rng, _run_ledger, size):
+        return np.full(size, blackbox.monkey_sample(amplitude, target.epsilon))
+
+    return aggregate.aggregate_type1(sampler, target, seed=seed, ledger=ledger)
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """Everything the harness knows about one algorithm.
+
+    ``constants`` lists the constants it reads, with their defaults; it
+    rejects every constant outside that table.  ``trial`` runs one trial,
+    ``(truth, target, constants, seed, ledger) -> estimate``.  ``plan``, when
+    given, builds the algorithm's schedule from a target and the resolved
+    constants, raising ``ValueError`` for constants that can never run.  A
+    ``circular`` algorithm estimates an angle in [0, 2 pi), and its
+    deviations are circular differences.
+    """
+
+    constants: dict
+    trial: Callable[[float, TargetSpec, dict, SeedSpec, ResourceLedger], float]
+    plan: Callable[[TargetSpec, dict], object] | None = None
+    circular: bool = False
+
+    def deviation(self, estimate: float, truth: float) -> float:
+        if self.circular:
+            return circphase.circ_diff(estimate, truth)
+        return estimate - truth
+
+
+# ``bias_scale`` is the fraction of the contracted bias the synthetic sampler
+# applies (1.0 is the adversarial worst case); ``tail_magnitude`` is its tail
+# offset, where None means the largest the output cap allows.
+ALGORITHMS = {
+    "type1": Algorithm(
+        constants={
+            "r": aggregate.DEFAULT_BIAS_FRACTION_BV,
+            "s": aggregate.DEFAULT_VARIANCE_FRACTION_BV,
+            "bias_scale": 1.0,
+        },
+        trial=_type1_trial,
+        plan=lambda target, c: aggregate.Type1Plan.from_target(target, c["r"], c["s"]),
+    ),
+    "type2": Algorithm(
+        constants={
+            "r": aggregate.DEFAULT_BIAS_FRACTION_PF,
+            "s": aggregate.DEFAULT_TAIL_FRACTION_PF,
+            "C": 1.0,
+            "bias_scale": 1.0,
+            "tail_magnitude": None,
+        },
+        trial=_type2_trial,
+        plan=lambda target, c: aggregate.Type2Plan.from_target(target, c["r"], c["s"], c["C"]),
+    ),
+    "phase": Algorithm(
+        constants={
+            "r": aggregate.DEFAULT_BIAS_FRACTION_PF,
+            "s": aggregate.DEFAULT_TAIL_FRACTION_PF,
+            "bias_scale": 1.0,
+            "tail_magnitude": math.pi / 2.0,
+        },
+        trial=_phase_trial,
+        plan=lambda target, c: circphase.PhasePlan.from_target(target, c["r"], c["s"]),
+        circular=True,
+    ),
+    "rallfuller": Algorithm(constants={}, trial=_rallfuller_trial),
+    "monkey-demo": Algorithm(constants={}, trial=_monkey_trial),
+}
 
 
 _TOLERANCE_PROVENANCE = {
@@ -102,15 +204,16 @@ class ExperimentConfig:
     parallel: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHM_CONSTANTS:
+        if self.algorithm not in ALGORITHMS:
             raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHM_CONSTANTS)}"
+                f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHMS)}"
             )
+        record = ALGORITHMS[self.algorithm]
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.output_format not in EXPORT_FORMATS:
             raise ConfigError(f"unknown format {self.output_format!r}")
-        if self.algorithm == "phase":
+        if record.circular:
             if not 0.0 <= self.truth < TWO_PI:
                 raise ConfigError("phase truth must lie in [0, 2 pi)")
         elif not 0.0 <= self.truth <= 1.0:
@@ -119,7 +222,7 @@ class ExperimentConfig:
             SeedSpec(self.master_seed)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        unread = set(self.constants) - set(ALGORITHM_CONSTANTS[self.algorithm])
+        unread = set(self.constants) - set(record.constants)
         if unread:
             raise ConfigError(f"{self.algorithm} does not read constants {sorted(unread)}")
         for name, value in self.constants.items():
@@ -129,9 +232,14 @@ class ExperimentConfig:
         if abs(bias_scale) > 1.0:
             # a synthetic sampler applies at most its contracted bias
             raise ConfigError(f"|bias_scale| must be at most 1, got {bias_scale}")
+        if record.plan is not None:
+            try:
+                record.plan(self.target, self.resolved_constants())
+            except ValueError as err:
+                raise ConfigError(f"{self.algorithm} cannot run: {err}") from err
 
     def resolved_constants(self) -> dict:
-        return {**ALGORITHM_CONSTANTS[self.algorithm], **self.constants}
+        return {**ALGORITHMS[self.algorithm].constants, **self.constants}
 
     def provenance(self) -> dict:
         """Everything that determines the report, with the constants its algorithm reads."""
@@ -168,92 +276,15 @@ class TrialReport:
     wall_time: float | None = field(default=None, compare=False)
 
 
-def _trial_estimate(
-    algorithm: str,
-    truth: float,
-    target: TargetSpec,
-    constants: dict,
-    trial_seed: SeedSpec,
-    ledger: ResourceLedger,
-) -> float:
-    if algorithm == "type1":
-        amplitude = Amplitude(truth)
-        bias_scale = constants["bias_scale"]
-
-        def sampler(contract, rng, run_ledger, size):
-            return blackbox.synth_uqae1_sample(
-                amplitude, contract, bias_scale * contract.bias_bound, rng, run_ledger, size=size
-            )
-
-        return aggregate.aggregate_type1(
-            sampler, target, constants["r"], constants["s"], seed=trial_seed, ledger=ledger
-        )
-
-    if algorithm == "type2":
-        amplitude = Amplitude(truth)
-        bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
-
-        def sampler(contract, rng, run_ledger, size):
-            bias_setting = bias_scale * contract.bias_bound
-            run_tail = contract.output_cap - truth - abs(bias_setting) if tail is None else tail
-            return blackbox.synth_uqae2_sample(
-                amplitude, contract, bias_setting, run_tail, rng, run_ledger, size=size
-            )
-
-        return aggregate.aggregate_type2(
-            sampler, target, constants["r"], constants["s"], constants["C"],
-            seed=trial_seed, ledger=ledger,
-        )
-
-    if algorithm == "phase":
-        bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
-
-        def sampler(contract, rng, run_ledger, size):
-            bias_setting = bias_scale * contract.bias_bound
-            spread = None
-            if contract.precision == circphase.REF_PRECISION:
-                spread = max(0.0, _REF_SPREAD - abs(bias_setting))
-            return blackbox.synth_uqpe2_sample(
-                truth, contract, bias_setting, tail, rng, run_ledger, good_spread=spread, size=size
-            )
-
-        return circphase.lowdepth_phase_estimate(
-            sampler, target, constants["r"], constants["s"], seed=trial_seed, ledger=ledger
-        ).value
-
-    if algorithm == "rallfuller":
-        amplitude = Amplitude(truth)
-
-        def factory(poly):
-            return oracle.PolyOracle(poly, amplitude)
-
-        return rallfuller.rall_fuller_estimate(factory, target, seed=trial_seed, ledger=ledger)
-
-    # monkey-demo: aggregation cannot help a deterministic, maximally biased
-    # estimator; the report shows bias exactly epsilon and zero variance.
-    amplitude = Amplitude(truth)
-
-    def sampler(_contract, _rng, _run_ledger, size):
-        return np.full(size, blackbox.monkey_sample(amplitude, target.epsilon))
-
-    return aggregate.aggregate_type1(sampler, target, seed=trial_seed, ledger=ledger)
-
-
 def _run_one(args) -> tuple[int, float, int, int]:
     algorithm, truth, target, constants, master_seed, index = args
     trial_seed = derive_stream(SeedSpec(master_seed, 0), index)
     ledger = ResourceLedger()
     try:
-        estimate = _trial_estimate(algorithm, truth, target, constants, trial_seed, ledger)
+        estimate = ALGORITHMS[algorithm].trial(truth, target, constants, trial_seed, ledger)
     except (SimulationError, ValueError) as err:
         raise AlgorithmError(f"trial {index}: {err}") from err
     return index, estimate, ledger.max_depth, ledger.total_queries
-
-
-def _deviation(estimate: float, truth: float, circular: bool) -> float:
-    if circular:
-        return circphase.circ_diff(estimate, truth)
-    return estimate - truth
 
 
 def run_experiment(config: ExperimentConfig) -> TrialReport:
@@ -274,8 +305,8 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
     estimates = [estimate for _, estimate, _, _ in outcomes]
     depths = [depth for _, _, depth, _ in outcomes]
     queries = [q for _, _, _, q in outcomes]
-    circular = config.algorithm == "phase"
-    deviations = [_deviation(estimate, config.truth, circular) for estimate in estimates]
+    deviation = ALGORITHMS[config.algorithm].deviation
+    deviations = [deviation(estimate, config.truth) for estimate in estimates]
     successes = sum(1 for d in deviations if abs(d) <= config.target.epsilon)
     mean_deviation = math.fsum(deviations) / len(deviations)
     # pvariance is exact (rational arithmetic), so a constant estimator
@@ -340,6 +371,7 @@ def scaling_study(
         raise ConfigError("epsilon_grid and beta_grid must be nonempty")
     if any(not 0.0 < eps < 1.0 for eps in epsilon_grid):
         raise ConfigError("epsilon grid values must lie in (0, 1)")
+    trial = ALGORITHMS[base_config.algorithm].trial
     constants = base_config.resolved_constants()
     rows: list[ScalingCell] = []
     errors: list[dict] = []
@@ -352,9 +384,7 @@ def scaling_study(
             seed = derive_stream(root, cell_index)
             cell_index += 1
             try:
-                _trial_estimate(
-                    base_config.algorithm, base_config.truth, target, constants, seed, ledger
-                )
+                trial(base_config.truth, target, constants, seed, ledger)
             except (SimulationError, ValueError) as err:
                 errors.append({"epsilon": epsilon, "beta": beta, "error": str(err)})
                 continue
@@ -388,73 +418,47 @@ def scaling_study(
 
 
 def _trial_report_to_dict(report: TrialReport) -> dict:
-    return {
-        "kind": "trial_report",
-        "config": report.config,
-        "estimates": report.estimates,
-        "empirical_success": report.empirical_success,
-        "empirical_bias": report.empirical_bias,
-        "empirical_variance": report.empirical_variance,
-        "max_depth": report.max_depth,
-        "total_queries": report.total_queries,
-        "trial_depths": report.trial_depths,
-        "trial_queries": report.trial_queries,
-    }
+    # vars, not dataclasses.asdict, which deep-copies every value: about
+    # 0.4 ms for an 80-trial report
+    payload = {**vars(report), "kind": "trial_report"}
+    del payload["wall_time"]
+    return payload
 
 
 def _scaling_to_dict(study: ScalingStudy) -> dict:
     return {
+        **vars(study),
         "kind": "scaling_study",
-        "config": study.config,
-        "rows": [
-            {
-                "epsilon": row.epsilon,
-                "beta": row.beta,
-                "max_depth": row.max_depth,
-                "total_queries": row.total_queries,
-            }
-            for row in study.rows
-        ],
-        "slopes": {repr(beta): fits for beta, fits in study.slopes.items()},
         "partial": study.partial,
-        "errors": study.errors,
+        "rows": [vars(row) for row in study.rows],
+        "slopes": {repr(beta): fits for beta, fits in study.slopes.items()},
     }
+
+
+def _csv_text(header: str, rows) -> str:
+    # every field is an int or a float repr, so none needs quoting
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _trial_csv(report: TrialReport) -> str:
     truth = report.config["truth"]
-    circular = report.config["algorithm"] == "phase"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["trial_index", "estimate", "abs_error", "max_depth", "total_queries"])
-    for index, estimate in enumerate(report.estimates):
-        writer.writerow(
-            [
-                index,
-                repr(estimate),
-                repr(abs(_deviation(estimate, truth, circular))),
-                report.trial_depths[index],
-                report.trial_queries[index],
-            ]
-        )
-    return buffer.getvalue()
+    deviation = ALGORITHMS[report.config["algorithm"]].deviation
+    rows = (
+        (index, repr(estimate), repr(abs(deviation(estimate, truth))),
+         report.trial_depths[index], report.trial_queries[index])
+        for index, estimate in enumerate(report.estimates)
+    )
+    return _csv_text("trial_index,estimate,abs_error,max_depth,total_queries", rows)
 
 
 def _scaling_csv(study: ScalingStudy) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["epsilon", "beta", "max_depth", "total_queries", "depth_query_product"])
-    for row in study.rows:
-        writer.writerow(
-            [
-                repr(row.epsilon),
-                repr(row.beta),
-                row.max_depth,
-                row.total_queries,
-                row.max_depth * row.total_queries,
-            ]
-        )
-    return buffer.getvalue()
+    rows = (
+        (repr(row.epsilon), repr(row.beta), row.max_depth, row.total_queries,
+         row.max_depth * row.total_queries)
+        for row in study.rows
+    )
+    return _csv_text("epsilon,beta,max_depth,total_queries,depth_query_product", rows)
 
 
 _SVG_COLOURS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

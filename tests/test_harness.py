@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from lowdepth.circphase import circ_diff
 from lowdepth.cli import main
 from lowdepth.core import SeedSpec, TargetSpec, derive_stream
 from lowdepth.harness import (
-    ALGORITHM_CONSTANTS,
+    ALGORITHMS,
     AlgorithmError,
     ConfigError,
     ExperimentConfig,
@@ -77,9 +78,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("algorithm", sorted(READS))
     def test_constants_an_algorithm_does_not_read_are_rejected(self, algorithm, capsys):
-        assert set(ALGORITHM_CONSTANTS[algorithm]) == READS[algorithm]
+        assert set(ALGORITHMS[algorithm].constants) == READS[algorithm]
         provenance = quick_config(algorithm=algorithm).provenance()
-        assert provenance["constants"] == ALGORITHM_CONSTANTS[algorithm]
+        assert provenance["constants"] == ALGORITHMS[algorithm].constants
         for name in sorted(set(CONSTANT_FLAGS) - READS[algorithm]):
             with pytest.raises(ConfigError, match="does not read"):
                 quick_config(algorithm=algorithm, constants={name: 0.1})
@@ -89,7 +90,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "algorithm, name",
-        [(algorithm, name) for algorithm, table in ALGORITHM_CONSTANTS.items() for name in table],
+        [(algorithm, name) for algorithm, record in ALGORITHMS.items() for name in record.constants],
     )
     def test_non_finite_constants_exit_two(self, algorithm, name, value, capsys):
         with pytest.raises(ConfigError, match="must be finite"):
@@ -155,7 +156,8 @@ class TestRunExperiment:
         assert serial == parallel
 
     def test_inner_error_carries_trial_index(self):
-        config = quick_config(algorithm="type2", constants={"r": 0.7, "s": 0.4}, trials=3)
+        # a tail this far out passes configuration but breaks the sampler's cap
+        config = quick_config(algorithm="type2", constants={"tail_magnitude": 0.9}, trials=3)
         with pytest.raises(AlgorithmError) as info:
             run_experiment(config)
         assert "trial 0" in str(info.value)
@@ -253,6 +255,23 @@ class TestExport:
         assert int(first[0]) == 0
         assert abs(float(first[1]) - 0.3) < 0.2
 
+    def test_phase_csv_error_is_circular(self, tmp_path):
+        # at truth 6.28 estimates land on both sides of the wrap at 0
+        truth, epsilon = 6.28, 0.05
+        report = run_experiment(
+            quick_config(algorithm="phase", truth=truth, target=TargetSpec(epsilon, 0.1, 0.5),
+                         trials=20, master_seed=7)
+        )
+        path = export_report(report, "csv", tmp_path / "phase.csv")
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        estimates = [float(row[1]) for row in rows]
+        errors = [float(row[2]) for row in rows]
+        assert min(estimates) < math.pi < max(estimates)
+        assert errors == [abs(circ_diff(estimate, truth)) for estimate in estimates]
+        assert max(errors) <= math.pi
+        successes = sum(error <= epsilon for error in errors)
+        assert successes == round(report.empirical_success * report.config["trials"])
+
     def test_json_round_trip(self, tmp_path):
         # the export carries every report field except the wall time
         report = run_experiment(quick_config(trials=12))
@@ -298,11 +317,11 @@ class TestScalingStudy:
             assert abs(study.slopes[beta]["product"] - (-2.0)) <= 0.2
 
     def test_partial_table_flagged(self):
+        # the base target runs; both cells fail on the phase plan's pi/8 bound
         base = ExperimentConfig(
-            "type2", 0.3, TargetSpec(0.05, 0.1, 0.5), constants={"r": 0.7, "s": 0.4},
-            trials=1, master_seed=5,
+            "phase", 0.3, TargetSpec(0.05, 0.1, 0.5), trials=1, master_seed=5
         )
-        study = scaling_study(base, [0.1, 0.05], [0.0])
+        study = scaling_study(base, [0.4, 0.5], [0.0])
         assert study.partial
         assert study.rows == []
 
@@ -377,11 +396,13 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         assert subprocess.run([sys.executable, "-c", code], env=env, cwd=root).returncode == 0
 
-    def test_cli_import_leaves_numpy_random_unloaded(self):
+    @pytest.mark.parametrize("module", ["numpy.random", "csv"])
+    def test_cli_import_leaves_numpy_random_unloaded(self, module):
         # numpy loads numpy.random on first use; importing the CLI must not
-        # move that cost out of the first draw and into start-up
+        # move that cost out of the first draw and into start-up; no report
+        # writer uses csv
         root = Path(__file__).resolve().parents[1]
-        code = "import lowdepth.cli, sys; sys.exit('numpy.random' in sys.modules)"
+        code = f"import lowdepth.cli, sys; sys.exit({module!r} in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         assert subprocess.run([sys.executable, "-c", code], env=env, cwd=root).returncode == 0
 
@@ -411,20 +432,34 @@ class TestCli:
         assert main(["params", "--epsilon", "0"]) == 2
         assert main(["scale", "--delta", "0", "--epsilon-grid", "0.1", "--beta-grid", "0"]) == 2
 
-    def test_impossible_bias_scale_exits_two_before_any_trial(self, capsys):
-        argv = ["run", "--algorithm", "type1", "--truth", "0.3", "--bias-scale", "2"]
-        assert main(argv) == 2
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--algorithm", "type1", "--truth", "0.3", "--bias-scale", "2"],
+            ["--algorithm", "type2", "--truth", "0.3", "--r", "0.7", "--s", "0.4"],
+            ["--algorithm", "type1", "--truth", "0.3", "--s", "0.5"],
+            ["--algorithm", "phase", "--truth", "1.0", "--r", "0.6", "--s", "0.5"],
+            ["--algorithm", "type2", "--truth", "0.3", "--cap-C", "0.5"],
+            ["--algorithm", "phase", "--truth", "1.0", "--epsilon", "0.5"],
+        ],
+        ids=[
+            "bias-scale", "type2-fractions", "type1-floor", "phase-fractions", "type2-cap",
+            "phase-epsilon",
+        ],
+    )
+    def test_input_that_can_never_run_exits_two_before_any_trial(self, flags, capsys):
+        assert main(["run", *flags]) == 2
         error = capsys.readouterr().err
         assert "configuration error" in error and "trial" not in error
 
     def test_inner_algorithm_error_exits_three(self, capsys):
+        # the tail branch passes configuration but exceeds the output cap when sampled
         code = main(
             [
                 "run",
                 "--algorithm", "type2",
                 "--truth", "0.3",
-                "--r", "0.7",
-                "--s", "0.4",
+                "--tail-magnitude", "0.9",
                 "--trials", "2",
             ]
         )
