@@ -25,7 +25,7 @@ from .core import ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
 DEFAULT_BIAS_FRACTION_BV = 0.05
 DEFAULT_VARIANCE_FRACTION_BV = 100.0 / 225.0
 
-# Symmetric default split r = s = 1/4 for the precision/failure plan.
+# Symmetric default split r = s = 1/4 for the precision/failure and phase plans.
 DEFAULT_BIAS_FRACTION_PF = 0.25
 DEFAULT_TAIL_FRACTION_PF = 0.25
 
@@ -148,58 +148,43 @@ class Type2Plan:
         )
 
 
-def _batched_mean(sampler, contract, runs: int, seed: SeedSpec, ledger: ResourceLedger) -> float:
-    values = draw_runs(sampler, contract, derive_stream(seed, 0).rng(), ledger, runs)
+def _batched_mean(sampler, plan, seed: SeedSpec, ledger: ResourceLedger) -> float:
+    values = draw_runs(sampler, plan.contract(), derive_stream(seed, 0).rng(), ledger, plan.runs)
     # fsum gives an exactly rounded sum, independent of summation order.
-    return math.fsum(values.tolist()) / runs
+    return math.fsum(values.tolist()) / plan.runs
 
 
 def aggregate_type1(
-    sampler: Uqae1Sampler,
-    target: TargetSpec,
-    bias_fraction: float = DEFAULT_BIAS_FRACTION_BV,
-    variance_fraction: float = DEFAULT_VARIANCE_FRACTION_BV,
-    *,
-    seed: SeedSpec,
-    ledger: ResourceLedger,
+    sampler: Uqae1Sampler, plan: Type1Plan, *, seed: SeedSpec, ledger: ResourceLedger
 ) -> float:
     """Mean of independent bias/variance-contract runs.
 
-    The sampler must honour Uqae1Contract(bias_fraction * eps,
-    variance_fraction * eps^(2 - 2 beta)); the mean of ceil(eps^(-2 beta))
+    The sampler must honour ``plan.contract()``; the mean of ``plan.runs``
     such runs then lands within eps of the truth with probability above the
-    :func:`bias_variance_floor`.
+    plan's :func:`bias_variance_floor`.
 
     The sampler is called once, with the generator
     ``derive_stream(seed, 0).rng()`` and ``size=plan.runs``; run i is the
     i-th element of each draw, so the result does not depend on the schedule.
     """
-    plan = Type1Plan.from_target(target, bias_fraction, variance_fraction)
-    return _batched_mean(sampler, plan.contract(), plan.runs, seed, ledger)
+    return _batched_mean(sampler, plan, seed, ledger)
 
 
 def aggregate_type2(
-    sampler: Uqae2Sampler,
-    target: TargetSpec,
-    bias_fraction: float = DEFAULT_BIAS_FRACTION_PF,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION_PF,
-    output_cap: float = 1.0,
-    *,
-    seed: SeedSpec,
-    ledger: ResourceLedger,
+    sampler: Uqae2Sampler, plan: Type2Plan, *, seed: SeedSpec, ledger: ResourceLedger
 ) -> float:
     """Mean of independent precision/failure-contract runs.
 
     Good/bad decomposition plus a union bound keeps the bad-run mass below
     half the failure budget; Hoeffding on the good part covers the rest, so
-    the mean lands within eps with probability at least 1 - delta.
+    the mean of ``plan.runs`` runs honouring ``plan.contract()`` lands within
+    eps with probability at least 1 - delta.
 
     The sampler is called once, with the generator
     ``derive_stream(seed, 0).rng()`` and ``size=plan.runs``; run i is the
     i-th element of each draw, so the result does not depend on the schedule.
     """
-    plan = Type2Plan.from_target(target, bias_fraction, tail_fraction, output_cap)
-    return _batched_mean(sampler, plan.contract(), plan.runs, seed, ledger)
+    return _batched_mean(sampler, plan, seed, ledger)
 
 
 def boost_repetitions(success_floor: float, delta_target: float) -> int:

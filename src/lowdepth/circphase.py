@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .aggregate import DEFAULT_BIAS_FRACTION_PF, DEFAULT_TAIL_FRACTION_PF
 from .blackbox import Uqpe2Contract, draw_runs
 from .core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
 
@@ -89,7 +90,10 @@ class PhasePlan:
 
     @classmethod
     def from_target(
-        cls, target: TargetSpec, bias_fraction: float = 0.25, tail_fraction: float = 0.25
+        cls,
+        target: TargetSpec,
+        bias_fraction: float = DEFAULT_BIAS_FRACTION_PF,
+        tail_fraction: float = DEFAULT_TAIL_FRACTION_PF,
     ) -> "PhasePlan":
         if bias_fraction <= 0 or tail_fraction <= 0:
             raise ValueError("fractions must be positive")
@@ -125,16 +129,15 @@ class PhasePlan:
 def lowdepth_phase_estimate(
     sampler: UqpeSampler,
     target: TargetSpec,
-    bias_fraction: float = 0.25,
-    tail_fraction: float = 0.25,
+    plan: PhasePlan,
     *,
     seed: SeedSpec,
     ledger: ResourceLedger,
 ) -> Angle:
-    """Three-stage circular aggregation of a phase black box.
+    """Three-stage circular aggregation of a phase black box on ``plan``.
 
     Preprocessing runs the sampler once at quarter-circle precision; its
-    estimate is the reference.  The main stage runs it ``runs`` times at
+    estimate is the reference.  The main stage runs it ``plan.runs`` times at
     hardware precision.  Postprocessing takes each estimate's circular
     offset from the reference once and returns the reference plus the mean
     offset.  That is the arc construction of the paper: the arc centred on
@@ -150,7 +153,6 @@ def lowdepth_phase_estimate(
     then the main stage with ``size=plan.runs``.  Main run i is element i of
     each draw, so the result does not depend on the schedule.
     """
-    plan = PhasePlan.from_target(target, bias_fraction, tail_fraction)
     rng = derive_stream(seed, 0).rng()
     reference = Angle(draw_runs(sampler, plan.ref_contract(target), rng, ledger, 1)[0])
     estimates = draw_runs(sampler, plan.main_contract(target), rng, ledger, plan.runs)

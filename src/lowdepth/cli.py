@@ -240,27 +240,22 @@ def _cmd_scale(args) -> int:
 
 def _cmd_params(args) -> int:
     target, constants = _target_and_constants(_settings(args))
-
-    def plan(algorithm: str):
-        record = ALGORITHMS[algorithm]
-        return record.plan(target, {**record.constants, **constants})
-
     print(f"target: epsilon={target.epsilon:g} delta={target.delta:g} beta={target.beta:g}")
-    plan1 = plan("type1")
+    plan1 = ALGORITHMS["type1"].build_plan(target, constants)
     floor = aggregate.bias_variance_floor(plan1.bias_fraction, plan1.variance_fraction)
     print(
         f"bias/variance plan:    bias_bound={plan1.bias_bound:.6g} "
         f"variance_bound={plan1.variance_bound:.6g} runs={plan1.runs} "
         f"success_floor={floor.success_floor:.6g}"
     )
-    plan2 = plan("type2")
+    plan2 = ALGORITHMS["type2"].build_plan(target, constants)
     print(
         f"precision/failure plan: bias_bound={plan2.bias_bound:.6g} "
         f"run_precision={plan2.run_precision:.6g} run_fail_prob={plan2.run_fail_prob:.6g} "
         f"runs={plan2.runs}"
     )
     if target.epsilon < math.pi / 8:
-        phase_plan = plan("phase")
+        phase_plan = ALGORITHMS["phase"].build_plan(target, constants)
         print(
             f"circular phase plan:   runs={phase_plan.runs} "
             f"run_precision={phase_plan.run_precision:.6g} "

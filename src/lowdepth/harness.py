@@ -30,7 +30,8 @@ from .core import (
     derive_stream,
 )
 
-EXPORT_FORMATS = ("csv", "json", "svg")
+TRIAL_FORMATS = ("csv", "json")
+EXPORT_FORMATS = (*TRIAL_FORMATS, "svg")
 
 
 class ConfigError(SimulationError):
@@ -48,7 +49,7 @@ class AlgorithmError(SimulationError):
 _REF_SPREAD = math.pi / 10.0
 
 
-def _type1_trial(truth, target, constants, seed, ledger) -> float:
+def _type1_trial(truth, target, constants, plan, seed, ledger) -> float:
     amplitude = Amplitude(truth)
     bias_scale = constants["bias_scale"]
 
@@ -57,12 +58,10 @@ def _type1_trial(truth, target, constants, seed, ledger) -> float:
             amplitude, contract, bias_scale * contract.bias_bound, rng, run_ledger, size=size
         )
 
-    return aggregate.aggregate_type1(
-        sampler, target, constants["r"], constants["s"], seed=seed, ledger=ledger
-    )
+    return aggregate.aggregate_type1(sampler, plan, seed=seed, ledger=ledger)
 
 
-def _type2_trial(truth, target, constants, seed, ledger) -> float:
+def _type2_trial(truth, target, constants, plan, seed, ledger) -> float:
     amplitude = Amplitude(truth)
     bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
@@ -73,12 +72,10 @@ def _type2_trial(truth, target, constants, seed, ledger) -> float:
             amplitude, contract, bias_setting, run_tail, rng, run_ledger, size=size
         )
 
-    return aggregate.aggregate_type2(
-        sampler, target, constants["r"], constants["s"], constants["C"], seed=seed, ledger=ledger
-    )
+    return aggregate.aggregate_type2(sampler, plan, seed=seed, ledger=ledger)
 
 
-def _phase_trial(truth, target, constants, seed, ledger) -> float:
+def _phase_trial(truth, target, constants, plan, seed, ledger) -> float:
     bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
     def sampler(contract, rng, run_ledger, size):
@@ -90,12 +87,10 @@ def _phase_trial(truth, target, constants, seed, ledger) -> float:
             truth, contract, bias_setting, tail, rng, run_ledger, good_spread=spread, size=size
         )
 
-    return circphase.lowdepth_phase_estimate(
-        sampler, target, constants["r"], constants["s"], seed=seed, ledger=ledger
-    ).value
+    return circphase.lowdepth_phase_estimate(sampler, target, plan, seed=seed, ledger=ledger).value
 
 
-def _rallfuller_trial(truth, target, constants, seed, ledger) -> float:
+def _rallfuller_trial(truth, target, constants, plan, seed, ledger) -> float:
     amplitude = Amplitude(truth)
 
     def factory(poly):
@@ -104,7 +99,7 @@ def _rallfuller_trial(truth, target, constants, seed, ledger) -> float:
     return rallfuller.rall_fuller_estimate(factory, target, seed=seed, ledger=ledger)
 
 
-def _monkey_trial(truth, target, constants, seed, ledger) -> float:
+def _monkey_trial(truth, target, constants, plan, seed, ledger) -> float:
     # aggregation cannot help a deterministic, maximally biased estimator;
     # the report shows bias exactly epsilon and zero variance
     amplitude = Amplitude(truth)
@@ -112,7 +107,7 @@ def _monkey_trial(truth, target, constants, seed, ledger) -> float:
     def sampler(_contract, _rng, _run_ledger, size):
         return np.full(size, blackbox.monkey_sample(amplitude, target.epsilon))
 
-    return aggregate.aggregate_type1(sampler, target, seed=seed, ledger=ledger)
+    return aggregate.aggregate_type1(sampler, plan, seed=seed, ledger=ledger)
 
 
 @dataclass(frozen=True)
@@ -120,18 +115,29 @@ class Algorithm:
     """Everything the harness knows about one algorithm.
 
     ``constants`` lists the constants it reads, with their defaults; it
-    rejects every constant outside that table.  ``trial`` runs one trial,
-    ``(truth, target, constants, seed, ledger) -> estimate``.  ``plan``, when
-    given, builds the algorithm's schedule from a target and the resolved
-    constants, raising ``ValueError`` for constants that can never run.  A
-    ``circular`` algorithm estimates an angle in [0, 2 pi), and its
-    deviations are circular differences.
+    rejects every constant outside that table.  ``plan``, when given, builds
+    the algorithm's schedule from a target and the resolved constants,
+    raising ``ValueError`` for constants that can never run.  ``trial`` runs
+    one trial on that schedule, ``(truth, target, constants, plan, seed,
+    ledger) -> estimate``.  A ``circular`` algorithm estimates an angle in
+    [0, 2 pi), and its deviations are circular differences.
     """
 
+    name: str
     constants: dict
-    trial: Callable[[float, TargetSpec, dict, SeedSpec, ResourceLedger], float]
+    trial: Callable[[float, TargetSpec, dict, object, SeedSpec, ResourceLedger], float]
     plan: Callable[[TargetSpec, dict], object] | None = None
     circular: bool = False
+
+    def build_plan(self, target: TargetSpec, constants: dict):
+        """The schedule at ``target`` with ``constants`` over the defaults
+        (None without a ``plan``); one that can never run is a ConfigError."""
+        if self.plan is None:
+            return None
+        try:
+            return self.plan(target, {**self.constants, **constants})
+        except ValueError as err:
+            raise ConfigError(f"{self.name} cannot run: {err}") from err
 
     def deviation(self, estimate: float, truth: float) -> float:
         if self.circular:
@@ -142,8 +148,9 @@ class Algorithm:
 # ``bias_scale`` is the fraction of the contracted bias the synthetic sampler
 # applies (1.0 is the adversarial worst case); ``tail_magnitude`` is its tail
 # offset, where None means the largest the output cap allows.
-ALGORITHMS = {
-    "type1": Algorithm(
+ALGORITHMS = {record.name: record for record in (
+    Algorithm(
+        "type1",
         constants={
             "r": aggregate.DEFAULT_BIAS_FRACTION_BV,
             "s": aggregate.DEFAULT_VARIANCE_FRACTION_BV,
@@ -152,7 +159,8 @@ ALGORITHMS = {
         trial=_type1_trial,
         plan=lambda target, c: aggregate.Type1Plan.from_target(target, c["r"], c["s"]),
     ),
-    "type2": Algorithm(
+    Algorithm(
+        "type2",
         constants={
             "r": aggregate.DEFAULT_BIAS_FRACTION_PF,
             "s": aggregate.DEFAULT_TAIL_FRACTION_PF,
@@ -163,7 +171,8 @@ ALGORITHMS = {
         trial=_type2_trial,
         plan=lambda target, c: aggregate.Type2Plan.from_target(target, c["r"], c["s"], c["C"]),
     ),
-    "phase": Algorithm(
+    Algorithm(
+        "phase",
         constants={
             "r": aggregate.DEFAULT_BIAS_FRACTION_PF,
             "s": aggregate.DEFAULT_TAIL_FRACTION_PF,
@@ -174,9 +183,14 @@ ALGORITHMS = {
         plan=lambda target, c: circphase.PhasePlan.from_target(target, c["r"], c["s"]),
         circular=True,
     ),
-    "rallfuller": Algorithm(constants={}, trial=_rallfuller_trial),
-    "monkey-demo": Algorithm(constants={}, trial=_monkey_trial),
-}
+    Algorithm("rallfuller", constants={}, trial=_rallfuller_trial),
+    Algorithm(
+        "monkey-demo",
+        constants={},
+        trial=_monkey_trial,
+        plan=lambda target, c: aggregate.Type1Plan.from_target(target),
+    ),
+)}
 
 
 _TOLERANCE_PROVENANCE = {
@@ -211,8 +225,8 @@ class ExperimentConfig:
         record = ALGORITHMS[self.algorithm]
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if self.output_format not in EXPORT_FORMATS:
-            raise ConfigError(f"unknown format {self.output_format!r}")
+        if self.output_format not in TRIAL_FORMATS:
+            raise ConfigError(f"a trial report is csv or json, not {self.output_format!r}")
         if record.circular:
             if not 0.0 <= self.truth < TWO_PI:
                 raise ConfigError("phase truth must lie in [0, 2 pi)")
@@ -232,11 +246,6 @@ class ExperimentConfig:
         if abs(bias_scale) > 1.0:
             # a synthetic sampler applies at most its contracted bias
             raise ConfigError(f"|bias_scale| must be at most 1, got {bias_scale}")
-        if record.plan is not None:
-            try:
-                record.plan(self.target, self.resolved_constants())
-            except ValueError as err:
-                raise ConfigError(f"{self.algorithm} cannot run: {err}") from err
 
     def resolved_constants(self) -> dict:
         return {**ALGORITHMS[self.algorithm].constants, **self.constants}
@@ -277,21 +286,23 @@ class TrialReport:
 
 
 def _run_one(args) -> tuple[int, float, int, int]:
-    algorithm, truth, target, constants, master_seed, index = args
+    algorithm, truth, target, constants, plan, master_seed, index = args
     trial_seed = derive_stream(SeedSpec(master_seed, 0), index)
     ledger = ResourceLedger()
     try:
-        estimate = ALGORITHMS[algorithm].trial(truth, target, constants, trial_seed, ledger)
+        estimate = ALGORITHMS[algorithm].trial(truth, target, constants, plan, trial_seed, ledger)
     except (SimulationError, ValueError) as err:
         raise AlgorithmError(f"trial {index}: {err}") from err
     return index, estimate, ledger.max_depth, ledger.total_queries
 
 
 def run_experiment(config: ExperimentConfig) -> TrialReport:
-    """Run all trials and assemble (optionally export) the report."""
+    """Run all trials on one plan and assemble (optionally export) the report."""
+    record = ALGORITHMS[config.algorithm]
     constants = config.resolved_constants()
+    plan = record.build_plan(config.target, constants)
     jobs = [
-        (config.algorithm, config.truth, config.target, constants, config.master_seed, index)
+        (config.algorithm, config.truth, config.target, constants, plan, config.master_seed, index)
         for index in range(config.trials)
     ]
     started = time.perf_counter()
@@ -305,8 +316,7 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
     estimates = [estimate for _, estimate, _, _ in outcomes]
     depths = [depth for _, _, depth, _ in outcomes]
     queries = [q for _, _, _, q in outcomes]
-    deviation = ALGORITHMS[config.algorithm].deviation
-    deviations = [deviation(estimate, config.truth) for estimate in estimates]
+    deviations = [record.deviation(estimate, config.truth) for estimate in estimates]
     successes = sum(1 for d in deviations if abs(d) <= config.target.epsilon)
     mean_deviation = math.fsum(deviations) / len(deviations)
     # pvariance is exact (rational arithmetic), so a constant estimator
@@ -365,30 +375,32 @@ def scaling_study(
     epsilon_grid: list[float],
     beta_grid: list[float],
 ) -> ScalingStudy:
-    """One aggregate per grid point; fits log-depth and log-queries slopes
-    against log-epsilon separately for each beta."""
+    """One aggregate per grid point, each on its own plan; fits log-depth and
+    log-queries slopes against log-epsilon separately for each beta.  Every
+    grid point must be a valid target; a plan that cannot run is a cell error."""
     if not epsilon_grid or not beta_grid:
         raise ConfigError("epsilon_grid and beta_grid must be nonempty")
-    if any(not 0.0 < eps < 1.0 for eps in epsilon_grid):
-        raise ConfigError("epsilon grid values must lie in (0, 1)")
-    trial = ALGORITHMS[base_config.algorithm].trial
+    delta = base_config.target.delta
+    try:
+        targets = [TargetSpec(eps, delta, beta) for beta in beta_grid for eps in epsilon_grid]
+    except ValueError as err:
+        raise ConfigError(f"grid point: {err}") from err
+    record = ALGORITHMS[base_config.algorithm]
     constants = base_config.resolved_constants()
     rows: list[ScalingCell] = []
     errors: list[dict] = []
     root = SeedSpec(base_config.master_seed, 0)
-    cell_index = 0
-    for beta in beta_grid:
-        for epsilon in epsilon_grid:
-            target = TargetSpec(epsilon, base_config.target.delta, beta)
-            ledger = ResourceLedger()
-            seed = derive_stream(root, cell_index)
-            cell_index += 1
-            try:
-                trial(base_config.truth, target, constants, seed, ledger)
-            except (SimulationError, ValueError) as err:
-                errors.append({"epsilon": epsilon, "beta": beta, "error": str(err)})
-                continue
-            rows.append(ScalingCell(epsilon, beta, ledger.max_depth, ledger.total_queries))
+    for cell_index, target in enumerate(targets):
+        epsilon, beta = target.epsilon, target.beta
+        ledger = ResourceLedger()
+        seed = derive_stream(root, cell_index)
+        try:
+            plan = record.build_plan(target, constants)
+            record.trial(base_config.truth, target, constants, plan, seed, ledger)
+        except (SimulationError, ValueError) as err:
+            errors.append({"epsilon": epsilon, "beta": beta, "error": str(err)})
+            continue
+        rows.append(ScalingCell(epsilon, beta, ledger.max_depth, ledger.total_queries))
     slopes: dict[float, dict[str, float]] = {}
     for beta in beta_grid:
         cells = [row for row in rows if row.beta == beta]

@@ -150,13 +150,12 @@ def test_criterion_3_monkey_falsification():
 
     observed = []
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        target = TargetSpec(epsilon, 0.1, beta)
-        runs = Type1Plan.from_target(target).runs
+        plan = Type1Plan.from_target(TargetSpec(epsilon, 0.1, beta))
         value = aggregate_type1(
-            monkey, target, seed=SeedSpec(MASTER_SEED, 1), ledger=ResourceLedger()
+            monkey, plan, seed=SeedSpec(MASTER_SEED, 1), ledger=ResourceLedger()
         )
-        assert abs(abs(value - truth.value) - epsilon) <= 1e-15, f"runs={runs}"
-        observed.append(runs)
+        assert abs(abs(value - truth.value) - epsilon) <= 1e-15, f"runs={plan.runs}"
+        observed.append(plan.runs)
     print(
         "ACCEPTANCE 3 PASS: |mean - truth| = epsilon to machine precision for run counts "
         f"{observed}"

@@ -101,7 +101,7 @@ class TestAggregateType1:
         target = TargetSpec(0.05, 0.1, 0.0)
         plan = Type1Plan.from_target(target)
         ledger = ResourceLedger()
-        value = aggregate_type1(worst_bias_sampler(plan), target, seed=SeedSpec(10, 0), ledger=ledger)
+        value = aggregate_type1(worst_bias_sampler(plan), plan, seed=SeedSpec(10, 0), ledger=ledger)
         # one run: the aggregate IS the run
         expected_depth = math.ceil(plan.variance_bound**-0.5 * (1 - 1e-9))
         assert ledger.max_depth == expected_depth
@@ -111,7 +111,7 @@ class TestAggregateType1:
         target = TargetSpec(0.1, 0.1, 1.0)
         plan = Type1Plan.from_target(target)
         ledger = ResourceLedger()
-        aggregate_type1(worst_bias_sampler(plan), target, seed=SeedSpec(10, 1), ledger=ledger)
+        aggregate_type1(worst_bias_sampler(plan), plan, seed=SeedSpec(10, 1), ledger=ledger)
         per_run_depth = math.ceil(plan.variance_bound**-0.5 * (1 - 1e-9))
         per_run_queries = math.ceil(
             plan.variance_bound**-0.5 * math.log(math.e / plan.bias_bound) * (1 - 1e-9)
@@ -128,7 +128,7 @@ class TestAggregateType1:
         meta = 4000
         sampler = worst_bias_sampler(plan)
         values = [
-            aggregate_type1(sampler, target, seed=SeedSpec(17, 1 + i), ledger=ResourceLedger())
+            aggregate_type1(sampler, plan, seed=SeedSpec(17, 1 + i), ledger=ResourceLedger())
             for i in range(meta)
         ]
         observed = np.var(values)
@@ -143,7 +143,7 @@ class TestAggregateType1:
         trials = 2000
         wins = sum(
             abs(
-                aggregate_type1(sampler, target, seed=SeedSpec(18, i), ledger=ResourceLedger())
+                aggregate_type1(sampler, plan, seed=SeedSpec(18, i), ledger=ResourceLedger())
                 - A.value
             )
             <= target.epsilon
@@ -166,7 +166,7 @@ class TestAggregateType1:
 
         meta = 2000
         values = [
-            aggregate_type1(alternating, target, seed=SeedSpec(19, i), ledger=ResourceLedger())
+            aggregate_type1(alternating, plan, seed=SeedSpec(19, i), ledger=ResourceLedger())
             for i in range(meta)
         ]
         total_runs = meta * plan.runs
@@ -175,7 +175,7 @@ class TestAggregateType1:
         # constant worst bias saturates the subadditive bound
         constant = [
             aggregate_type1(
-                worst_bias_sampler(plan), target, seed=SeedSpec(20, i), ledger=ResourceLedger()
+                worst_bias_sampler(plan), plan, seed=SeedSpec(20, i), ledger=ResourceLedger()
             )
             for i in range(meta)
         ]
@@ -187,16 +187,16 @@ class TestAggregateType1:
             return np.full(size, monkey_sample(A, 0.05))
 
         for beta in (0.0, 0.4, 1.0):
-            target = TargetSpec(0.05, 0.1, beta)
-            value = aggregate_type1(monkey, target, seed=SeedSpec(21, 0), ledger=ResourceLedger())
+            plan = Type1Plan.from_target(TargetSpec(0.05, 0.1, beta))
+            value = aggregate_type1(monkey, plan, seed=SeedSpec(21, 0), ledger=ResourceLedger())
             assert abs(abs(value - A.value) - 0.05) <= 1e-15
 
     def test_deterministic_given_seed(self):
         target = TargetSpec(0.05, 0.1, 0.5)
         plan = Type1Plan.from_target(target)
         sampler = worst_bias_sampler(plan)
-        first = aggregate_type1(sampler, target, seed=SeedSpec(22, 5), ledger=ResourceLedger())
-        second = aggregate_type1(sampler, target, seed=SeedSpec(22, 5), ledger=ResourceLedger())
+        first = aggregate_type1(sampler, plan, seed=SeedSpec(22, 5), ledger=ResourceLedger())
+        second = aggregate_type1(sampler, plan, seed=SeedSpec(22, 5), ledger=ResourceLedger())
         assert first == second
 
     def test_rejects_infeasible_fractions_before_sampling(self):
@@ -209,9 +209,7 @@ class TestAggregateType1:
         with pytest.raises(ValueError):
             aggregate_type1(
                 counting,
-                TargetSpec(0.05, 0.1, 0.5),
-                0.5,
-                0.2,
+                Type1Plan.from_target(TargetSpec(0.05, 0.1, 0.5), 0.5, 0.2),
                 seed=SeedSpec(23, 0),
                 ledger=ResourceLedger(),
             )
@@ -221,7 +219,7 @@ class TestAggregateType1:
         with pytest.raises(ValueError, match="shape"):
             aggregate_type1(
                 lambda contract, rng, ledger, size: np.zeros(size - 1),
-                TargetSpec(0.1, 0.1, 1.0),
+                Type1Plan.from_target(TargetSpec(0.1, 0.1, 1.0)),
                 seed=SeedSpec(24, 0),
                 ledger=ResourceLedger(),
             )
@@ -240,7 +238,7 @@ class TestAggregateType2:
         trials = 400
         failures = sum(
             abs(
-                aggregate_type2(sampler, target, seed=SeedSpec(30, i), ledger=ResourceLedger())
+                aggregate_type2(sampler, plan, seed=SeedSpec(30, i), ledger=ResourceLedger())
                 - A.value
             )
             > target.epsilon
@@ -252,9 +250,7 @@ class TestAggregateType2:
         with pytest.raises(ValueError):
             aggregate_type2(
                 lambda contract, rng, ledger, size: np.zeros(size),
-                TargetSpec(0.05, 0.1, 0.5),
-                0.7,
-                0.4,
+                Type2Plan.from_target(TargetSpec(0.05, 0.1, 0.5), 0.7, 0.4),
                 seed=SeedSpec(31, 0),
                 ledger=ResourceLedger(),
             )
@@ -311,7 +307,7 @@ class TestResourceShape:
             plan = Type1Plan.from_target(target)
             ledger = ResourceLedger()
             aggregate_type1(
-                worst_bias_sampler(plan), target, seed=SeedSpec(50, index), ledger=ledger
+                worst_bias_sampler(plan), plan, seed=SeedSpec(50, index), ledger=ledger
             )
             depths.append(ledger.max_depth)
             queries.append(ledger.total_queries)

@@ -191,8 +191,10 @@ class TestLowdepthPhaseEstimate:
         def exact(contract, rng, ledger, size):
             return np.full(size, truth)
 
+        target = TargetSpec(0.01, 0.1, 0.5)
         estimate = lowdepth_phase_estimate(
-            exact, TargetSpec(0.01, 0.1, 0.5), seed=SeedSpec(80, 0), ledger=ResourceLedger()
+            exact, target, PhasePlan.from_target(target), seed=SeedSpec(80, 0),
+            ledger=ResourceLedger(),
         )
         assert abs(circ_diff(estimate, truth)) <= 1e-12
 
@@ -203,8 +205,10 @@ class TestLowdepthPhaseEstimate:
             # reference lands on the truth, main runs land opposite
             return np.full(size, truth if contract.precision == PI / 4 else truth + PI)
 
+        target = TargetSpec(0.01, 0.1, 0.5)
         estimate = lowdepth_phase_estimate(
-            escaping, TargetSpec(0.01, 0.1, 0.5), seed=SeedSpec(81, 0), ledger=ResourceLedger()
+            escaping, target, PhasePlan.from_target(target), seed=SeedSpec(81, 0),
+            ledger=ResourceLedger(),
         )
         assert estimate == Angle(0.0)
 
@@ -223,7 +227,7 @@ class TestLowdepthPhaseEstimate:
             return np.full(size, Angle(reference + (0.0 if at_reference else offset)).value)
 
         estimate = lowdepth_phase_estimate(
-            sampler, target, seed=SeedSpec(89, 0), ledger=ResourceLedger()
+            sampler, target, plan, seed=SeedSpec(89, 0), ledger=ResourceLedger()
         )
         if escapes:
             assert estimate == Angle(0.0)
@@ -236,20 +240,23 @@ class TestLowdepthPhaseEstimate:
         # and the run aborts to the zero sentinel
         truth = 2.0
         sampler = make_sampler(truth, ref_spread=PI / 4)
+        target = TargetSpec(0.05, 0.1, 0.5)
         estimate = lowdepth_phase_estimate(
-            sampler, TargetSpec(0.05, 0.1, 0.5), seed=SeedSpec(82, 0), ledger=ResourceLedger()
+            sampler, target, PhasePlan.from_target(target), seed=SeedSpec(82, 0),
+            ledger=ResourceLedger(),
         )
         assert estimate == Angle(0.0)
 
     def test_wrap_adjacent_truth_success_rate(self):
         truth = 0.02
         target = TargetSpec(0.01, 0.1, 0.5)
+        plan = PhasePlan.from_target(target)
         sampler = make_sampler(truth)
         trials = 120
         failures = 0
         for index in range(trials):
             estimate = lowdepth_phase_estimate(
-                sampler, target, seed=SeedSpec(83, index), ledger=ResourceLedger()
+                sampler, target, plan, seed=SeedSpec(83, index), ledger=ResourceLedger()
             )
             failures += abs(circ_diff(estimate, truth)) > target.epsilon
         assert failures / trials <= target.delta + 3 * math.sqrt(target.delta / trials)
@@ -280,10 +287,10 @@ class TestLowdepthPhaseEstimate:
     def test_ledger_charged_per_run(self):
         ledger = ResourceLedger()
         target = TargetSpec(0.05, 0.2, 0.5)
-        lowdepth_phase_estimate(
-            make_sampler(0.5), target, seed=SeedSpec(86, 0), ledger=ledger
-        )
         plan = PhasePlan.from_target(target)
+        lowdepth_phase_estimate(
+            make_sampler(0.5), target, plan, seed=SeedSpec(86, 0), ledger=ledger
+        )
         assert ledger.max_depth == math.ceil(1 / plan.run_precision * (1 - 1e-9))
 
         def per_run(contract):
@@ -301,16 +308,20 @@ class TestLowdepthPhaseEstimate:
             extra = (contract.precision == PI / 4) == (stage == "reference")
             return np.full(size + extra, 1.0)
 
+        target = TargetSpec(0.05, 0.1, 0.5)
         with pytest.raises(ValueError, match="shape"):
             lowdepth_phase_estimate(
-                sampler, TargetSpec(0.05, 0.1, 0.5), seed=SeedSpec(88, 0), ledger=ResourceLedger()
+                sampler, target, PhasePlan.from_target(target), seed=SeedSpec(88, 0),
+                ledger=ResourceLedger(),
             )
 
     def test_rejects_coarse_target(self):
+        target = TargetSpec(0.6, 0.1, 0.5)
         with pytest.raises(ValueError):
             lowdepth_phase_estimate(
                 make_sampler(1.0),
-                TargetSpec(0.6, 0.1, 0.5),
+                target,
+                PhasePlan.from_target(target),
                 seed=SeedSpec(87, 0),
                 ledger=ResourceLedger(),
             )

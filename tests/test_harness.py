@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from lowdepth import aggregate, circphase
 from lowdepth.circphase import circ_diff
 from lowdepth.cli import main
 from lowdepth.core import SeedSpec, TargetSpec, derive_stream
@@ -215,6 +216,43 @@ class TestOneGeneratorPerTrial:
         study = scaling_study(base, [0.1, 0.05], [0.5, 1.0])
         assert len(study.rows) == 4
         assert built == trial_generator_streams(5, 4)
+
+
+def record_plan_builds(monkeypatch) -> list:
+    """Record the target of every plan built through a ``from_target``."""
+    built = []
+    for plan_class in (aggregate.Type1Plan, aggregate.Type2Plan, circphase.PhasePlan):
+
+        def from_target(target, *args, _build=plan_class.from_target):
+            built.append(target)
+            return _build(target, *args)
+
+        monkeypatch.setattr(plan_class, "from_target", from_target)
+    return built
+
+
+class TestOnePlanPerRun:
+    """``run_experiment`` builds its plan once, before any trial, and a
+    scaling study one per cell, at that cell's target."""
+
+    @pytest.mark.parametrize(
+        "algorithm, truth", [("type1", 0.3), ("type2", 0.3), ("phase", 1.0), ("monkey-demo", 0.5)]
+    )
+    @pytest.mark.parametrize("trials", [1, 6])
+    def test_run_experiment(self, algorithm, truth, trials, monkeypatch):
+        built = record_plan_builds(monkeypatch)
+        config = quick_config(algorithm=algorithm, truth=truth, trials=trials)
+        run_experiment(config)
+        assert built == [config.target]
+
+    def test_scaling_study(self, monkeypatch):
+        built = record_plan_builds(monkeypatch)
+        base = ExperimentConfig("phase", 1.0, TargetSpec(0.05, 0.1, 0.5), master_seed=5)
+        study = scaling_study(base, [0.1, 0.05], [0.5, 1.0])
+        assert len(study.rows) == 4
+        assert [(target.epsilon, target.beta) for target in built] == [
+            (0.1, 0.5), (0.05, 0.5), (0.1, 1.0), (0.05, 1.0)
+        ]
 
 
 class TestHardwareWorkflow:
@@ -451,6 +489,36 @@ class TestCli:
         assert main(["run", *flags]) == 2
         error = capsys.readouterr().err
         assert "configuration error" in error and "trial" not in error
+
+    def test_params_that_can_never_run_exits_two(self, capsys):
+        assert main(["params", "--r", "0.7", "--s", "0.4"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_run_rejects_svg_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        built = record_generators(monkeypatch)
+        out = tmp_path / "r.svg"
+        argv = ["run", "--algorithm", "type1", "--truth", "0.3", "--trials", "3"]
+        assert main(argv + ["--format", "svg", "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert built == [] and not out.exists()
+
+    def test_scale_runs_cells_finer_than_a_base_epsilon_no_cell_uses(self, capsys):
+        argv = ["scale", "--algorithm", "phase", "--truth", "1.0", "--epsilon", "0.5"]
+        assert main(argv + ["--epsilon-grid", "0.1,0.05", "--beta-grid", "0.5"]) == 0
+        assert "beta=0.5: depth slope" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "grid",
+        [["--epsilon-grid", "0.1,1.5"], ["--beta-grid", "0.5,2"], ["--beta-grid", "-0.5"]],
+        ids=["epsilon", "beta-above-one", "beta-negative"],
+    )
+    def test_scale_grid_point_out_of_range_exits_two_before_any_cell(
+        self, grid, monkeypatch, capsys
+    ):
+        built = record_generators(monkeypatch)
+        assert main(["scale", *grid]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert built == []
 
     def test_inner_algorithm_error_exits_three(self, capsys):
         # the tail branch passes configuration but exceeds the output cap when sampled
