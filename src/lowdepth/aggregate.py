@@ -126,8 +126,8 @@ class Type2Plan:
             raise ValueError("fractions must be positive")
         if bias_fraction + tail_fraction >= 1.0:
             raise ValueError("bias_fraction + tail_fraction must stay below 1")
-        if output_cap < 1.0:
-            raise ValueError("output_cap must be at least 1")
+        if not 1.0 <= output_cap < math.inf:
+            raise ValueError("output_cap must be finite and at least 1")
         eps, delta, beta = target.epsilon, target.delta, target.beta
         slack = 1.0 - bias_fraction - tail_fraction
         runs = ceil_int(2.0 * math.log(4.0 / delta) * eps ** (-2.0 * beta) / slack**2)

@@ -229,8 +229,12 @@ def _cmd_scale(args) -> int:
             f"beta={beta:g}: depth slope {fits['depth']:+.3f}, "
             f"query slope {fits['queries']:+.3f}, product slope {fits['product']:+.3f}"
         )
-    if study.partial:
-        print(f"partial table: {len(study.errors)} cell(s) failed", file=sys.stderr)
+    failed = len(args.epsilon_grid) * len(args.beta_grid) - len(study.rows)
+    if failed:
+        print(f"partial table: {failed} cell(s) failed", file=sys.stderr)
+    for error in study.errors:
+        if "epsilon" not in error:
+            print(f"beta={error['beta']:g}: no fit ({error['error']})", file=sys.stderr)
     out = setting("out")
     if out:
         export_report(study, setting("format"), out)
@@ -240,27 +244,33 @@ def _cmd_scale(args) -> int:
 
 def _cmd_params(args) -> int:
     target, constants = _target_and_constants(_settings(args))
-    print(f"target: epsilon={target.epsilon:g} delta={target.delta:g} beta={target.beta:g}")
+    # every plan is built before the first line, so a configuration error
+    # prints nothing; phase alone may be out of range where the others run
     plan1 = ALGORITHMS["type1"].build_plan(target, constants)
+    plan2 = ALGORITHMS["type2"].build_plan(target, constants)
+    try:
+        phase_plan = ALGORITHMS["phase"].build_plan(target, constants)
+    except ConfigError as err:
+        phase_line = f"circular phase plan:   cannot run: {err.__cause__}"
+    else:
+        phase_line = (
+            f"circular phase plan:   runs={phase_plan.runs} "
+            f"run_precision={phase_plan.run_precision:.6g} "
+            f"run_fail_prob={phase_plan.run_fail_prob:.6g}"
+        )
+    print(f"target: epsilon={target.epsilon:g} delta={target.delta:g} beta={target.beta:g}")
     floor = aggregate.bias_variance_floor(plan1.bias_fraction, plan1.variance_fraction)
     print(
         f"bias/variance plan:    bias_bound={plan1.bias_bound:.6g} "
         f"variance_bound={plan1.variance_bound:.6g} runs={plan1.runs} "
         f"success_floor={floor.success_floor:.6g}"
     )
-    plan2 = ALGORITHMS["type2"].build_plan(target, constants)
     print(
         f"precision/failure plan: bias_bound={plan2.bias_bound:.6g} "
         f"run_precision={plan2.run_precision:.6g} run_fail_prob={plan2.run_fail_prob:.6g} "
         f"runs={plan2.runs}"
     )
-    if target.epsilon < math.pi / 8:
-        phase_plan = ALGORITHMS["phase"].build_plan(target, constants)
-        print(
-            f"circular phase plan:   runs={phase_plan.runs} "
-            f"run_precision={phase_plan.run_precision:.6g} "
-            f"run_fail_prob={phase_plan.run_fail_prob:.6g}"
-        )
+    print(phase_line)
     amp = blackbox.cornelissen_amp_params(target)
     print(
         f"amplitude estimator knobs:  depth_scale={amp.depth_scale:.6g} "

@@ -39,7 +39,7 @@ class ConfigError(SimulationError):
 
 
 class AlgorithmError(SimulationError):
-    """An inner estimation routine failed; message carries the trial index."""
+    """A trial failed; the message carries its index, ``__cause__`` the inner error."""
 
 
 # Good-branch spread of the synthetic phase sampler during the wide-precision
@@ -313,9 +313,7 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
         outcomes = [_run_one(job) for job in jobs]
     wall = time.perf_counter() - started
 
-    estimates = [estimate for _, estimate, _, _ in outcomes]
-    depths = [depth for _, _, depth, _ in outcomes]
-    queries = [q for _, _, _, q in outcomes]
+    _, estimates, depths, queries = map(list, zip(*outcomes))
     deviations = [record.deviation(estimate, config.truth) for estimate in estimates]
     successes = sum(1 for d in deviations if abs(d) <= config.target.epsilon)
     mean_deviation = math.fsum(deviations) / len(deviations)
@@ -375,9 +373,9 @@ def scaling_study(
     epsilon_grid: list[float],
     beta_grid: list[float],
 ) -> ScalingStudy:
-    """One aggregate per grid point, each on its own plan; fits log-depth and
-    log-queries slopes against log-epsilon separately for each beta.  Every
-    grid point must be a valid target; a plan that cannot run is a cell error."""
+    """Runs each grid point as trial ``index`` of ``run_experiment`` and fits
+    log-log depth/query slopes per beta.  Every plan is built first, so one that
+    can never run is a ConfigError; a failed cell run is a cell error."""
     if not epsilon_grid or not beta_grid:
         raise ConfigError("epsilon_grid and beta_grid must be nonempty")
     delta = base_config.target.delta
@@ -387,20 +385,21 @@ def scaling_study(
         raise ConfigError(f"grid point: {err}") from err
     record = ALGORITHMS[base_config.algorithm]
     constants = base_config.resolved_constants()
+    jobs = [
+        (record.name, base_config.truth, target, constants, record.build_plan(target, constants),
+         base_config.master_seed, index)
+        for index, target in enumerate(targets)
+    ]
     rows: list[ScalingCell] = []
     errors: list[dict] = []
-    root = SeedSpec(base_config.master_seed, 0)
-    for cell_index, target in enumerate(targets):
+    for target, job in zip(targets, jobs):
         epsilon, beta = target.epsilon, target.beta
-        ledger = ResourceLedger()
-        seed = derive_stream(root, cell_index)
         try:
-            plan = record.build_plan(target, constants)
-            record.trial(base_config.truth, target, constants, plan, seed, ledger)
-        except (SimulationError, ValueError) as err:
-            errors.append({"epsilon": epsilon, "beta": beta, "error": str(err)})
+            _, _, depth, queries = _run_one(job)
+        except AlgorithmError as err:
+            errors.append({"epsilon": epsilon, "beta": beta, "error": str(err.__cause__)})
             continue
-        rows.append(ScalingCell(epsilon, beta, ledger.max_depth, ledger.total_queries))
+        rows.append(ScalingCell(epsilon, beta, depth, queries))
     slopes: dict[float, dict[str, float]] = {}
     for beta in beta_grid:
         cells = [row for row in rows if row.beta == beta]

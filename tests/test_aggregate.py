@@ -87,6 +87,11 @@ class TestPlans:
         with pytest.raises(ValueError):
             Type2Plan.from_target(TargetSpec(0.01, 0.1, 0.5), 0.6, 0.5)
 
+    @pytest.mark.parametrize("cap", [0.5, math.nan, math.inf])
+    def test_type2_rejects_cap_below_one_or_not_finite(self, cap):
+        with pytest.raises(ValueError, match="output_cap"):
+            Type2Plan.from_target(TargetSpec(0.01, 0.1, 0.5), 0.25, 0.25, cap)
+
     def test_simple_model_identity(self):
         # with zero bias and zero per-run failure, 2 ln(2/delta) eps^(-2 beta)
         # runs push the Hoeffding tail exactly to delta

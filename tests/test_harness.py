@@ -355,13 +355,24 @@ class TestScalingStudy:
             assert abs(study.slopes[beta]["product"] - (-2.0)) <= 0.2
 
     def test_partial_table_flagged(self):
-        # the base target runs; both cells fail on the phase plan's pi/8 bound
-        base = ExperimentConfig(
-            "phase", 0.3, TargetSpec(0.05, 0.1, 0.5), trials=1, master_seed=5
-        )
-        study = scaling_study(base, [0.4, 0.5], [0.0])
+        # at truth 0.9 the beta=1 cells' good branch exceeds the
+        # output cap only when sampled, so those cells fail while running
+        base = ExperimentConfig("type2", 0.9, TargetSpec(0.05, 0.1, 0.5), master_seed=3)
+        study = scaling_study(base, [0.1, 0.01], [0.0, 1.0])
         assert study.partial
-        assert study.rows == []
+        cell_errors = [error for error in study.errors if "epsilon" in error]
+        assert cell_errors and len(study.rows) + len(cell_errors) == 4
+        ran = {(row.epsilon, row.beta) for row in study.rows}
+        for error in cell_errors:
+            assert (error["epsilon"], error["beta"]) not in ran
+            assert error["error"] == "good branch would exceed the output cap"
+
+    def test_plan_that_can_never_run_rejected_before_any_cell(self, monkeypatch):
+        built = record_generators(monkeypatch)
+        base = ExperimentConfig("phase", 1.0, TargetSpec(0.05, 0.1, 0.5), master_seed=5)
+        with pytest.raises(ConfigError, match="pi/8"):
+            scaling_study(base, [0.4, 0.1], [0.5])
+        assert built == []
 
     def test_zero_ledgers_reported_instead_of_fitted(self):
         # monkey-demo charges nothing, so no log-log slope exists to fit
@@ -492,7 +503,45 @@ class TestCli:
 
     def test_params_that_can_never_run_exits_two(self, capsys):
         assert main(["params", "--r", "0.7", "--s", "0.4"]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("cap", ["nan", "inf"])
+    def test_params_non_finite_cap_exits_two(self, cap, capsys):
+        assert main(["params", "--cap-C", cap]) == 2
+        captured = capsys.readouterr()
+        assert "output_cap must be finite" in captured.err and captured.out == ""
+
+    def test_params_prints_why_phase_cannot_run(self, capsys):
+        assert main(["params", "--epsilon", "0.5"]) == 0
+        output = capsys.readouterr().out
+        assert "circular phase plan:   cannot run: target precision must stay below pi/8" in output
+        assert "precision/failure plan" in output
+
+    def test_scale_constants_that_can_never_run_exit_two_before_any_cell(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        built = record_generators(monkeypatch)
+        out = tmp_path / "scale.json"
+        argv = ["scale", "--algorithm", "type2", "--r", "0.7", "--s", "0.4", "--out", str(out)]
+        assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert built == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "algorithm, truth, failed, unfitted",
+        [("type2", "0.9", 13, 3), ("monkey-demo", "0.3", 0, 5)],
+    )
+    def test_scale_counts_failed_cells_apart_from_fit_gaps(
+        self, algorithm, truth, failed, unfitted, capsys
+    ):
+        # the default grid has 20 cells over 5 betas
+        assert main(["scale", "--algorithm", algorithm, "--truth", truth, "--seed", "3"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        partial = [line for line in lines if line.startswith("partial table")]
+        assert partial == ([f"partial table: {failed} cell(s) failed"] if failed else [])
+        assert len([line for line in lines if " no fit (" in line]) == unfitted
 
     def test_run_rejects_svg_before_any_trial(self, tmp_path, monkeypatch, capsys):
         built = record_generators(monkeypatch)
