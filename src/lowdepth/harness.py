@@ -11,7 +11,6 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -307,6 +306,10 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
     ]
     started = time.perf_counter()
     if config.parallel and config.trials > 1:
+        # imported here: the process pool loads multiprocessing, which a
+        # serial call never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor() as pool:
             outcomes = sorted(pool.map(_run_one, jobs, chunksize=16))
     else:
@@ -374,10 +377,15 @@ def scaling_study(
     beta_grid: list[float],
 ) -> ScalingStudy:
     """Runs each grid point as trial ``index`` of ``run_experiment`` and fits
-    log-log depth/query slopes per beta.  Every plan is built first, so one that
-    can never run is a ConfigError; a failed cell run is a cell error."""
+    log-log depth/query slopes per beta.  A repeated grid point, or a plan that
+    can never run, is a ConfigError before the first cell; a failed cell run is
+    a cell error."""
     if not epsilon_grid or not beta_grid:
         raise ConfigError("epsilon_grid and beta_grid must be nonempty")
+    for name, grid in (("epsilon_grid", epsilon_grid), ("beta_grid", beta_grid)):
+        if len(set(grid)) < len(grid):
+            # a slope needs distinct epsilons, and a repeated beta fits twice
+            raise ConfigError(f"{name} repeats a point: {list(grid)}")
     delta = base_config.target.delta
     try:
         targets = [TargetSpec(eps, delta, beta) for beta in beta_grid for eps in epsilon_grid]
@@ -483,7 +491,9 @@ def _scaling_svg(study: ScalingStudy) -> str:
     points = [(row.epsilon, row.max_depth, row.beta, "D") for row in study.rows]
     points += [(row.epsilon, row.total_queries, row.beta, "N") for row in study.rows]
     if not points:
-        raise ConfigError("cannot render an empty scaling study")
+        # the grids are never empty, so no rows means every cell failed: an
+        # algorithm error (exit 3), not a configuration error
+        raise SimulationError("every cell of the sweep failed, so there is no svg to render")
     xs = [math.log10(p[0]) for p in points]
     ys = [math.log10(max(1, p[1])) for p in points]
     x_lo, x_hi = min(xs), max(xs)

@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev as ncheb
 
 from .core import ResourceLedger, SeedSpec, SimulationError, TargetSpec, ceil_int, derive_stream
 from .oracle import PolyOracle, poly_sample
@@ -208,11 +207,12 @@ class ErfApproximant:
         return _parity_clenshaw(np.asarray(x, dtype=float) / _ERF_DOMAIN_HALF, self.coefficients, 1)
 
 
-def _amos_ratio(nu: float, z: float) -> float:
+def _amos_ratio(nu, z: float):
     """Upper bound z / (nu + 1/2 + sqrt((nu + 1/2)^2 + z^2)) on
-    I_{nu+1}(z) / I_nu(z) (Amos 1974); it decreases in nu."""
+    I_{nu+1}(z) / I_nu(z) (Amos 1974), elementwise for an array ``nu``; it
+    decreases in nu."""
     a = nu + 0.5
-    return z / (a + math.sqrt(a * a + z * z))
+    return z / (a + np.sqrt(a * a + z * z))
 
 
 def _scaled_bessel(z: float, top: int) -> tuple[np.ndarray, float]:
@@ -234,14 +234,22 @@ def _scaled_bessel(z: float, top: int) -> tuple[np.ndarray, float]:
     ratios divided by a sum of as many such products, which doubles their
     summed error and adds one rounding per factor and term.
     """
-    start, log_shrink = top, 0.0
-    while log_shrink > -45.0:
-        log_shrink += math.log(_amos_ratio(start, z))
-        start += 1
-    ratio, ratios = 0.0, np.empty(start)
+    # The start is one past the first index from ``top`` on at which the
+    # summed log Amos ratios reach -45.  A span of 2 top + 64 holds it for
+    # every top erf_poly asks for; the search doubles the span until it does.
+    span = 2 * top + 64
+    while True:
+        log_shrink = np.cumsum(np.log(_amos_ratio(np.arange(top, top + span), z)))
+        (reached,) = np.nonzero(log_shrink <= -45.0)
+        if reached.size:
+            break
+        span *= 2
+    start = top + int(reached[0]) + 1
+    ratio, backward = 0.0, []
     for j in range(start, 0, -1):
         ratio = z / (2.0 * j + z * ratio)
-        ratios[j - 1] = ratio
+        backward.append(ratio)
+    ratios = np.array(backward[::-1])
     products = np.cumprod(ratios)
     scaled_i0 = 1.0 / (1.0 + 2.0 * float(np.sum(products)))
     eps = np.finfo(float).eps
@@ -417,8 +425,9 @@ def _assembled_series(
     ((1 + eta + e(a - mid)) + (1 + eta + e(-a - mid))) / D.
 
     The sum of the two mirrored odd parts is an even polynomial of at most
-    the erf approximant's degree n, so interpolating at the n + 1 nodes of
-    ``chebpts1`` is exact.  Those nodes are antisymmetric bit for bit, so
+    the erf approximant's degree n, so interpolating at the n + 1 Chebyshev
+    points of the first kind, sin(pi (2i - n) / (2 (n + 1))) for i = 0..n, is
+    exact.  Those nodes are antisymmetric bit for bit, so
     e(-x_i - mid) is the value already computed at x_{n-i}: one evaluation
     of e gives both halves, and the assembled values are symmetric.  The
     coefficients are a DCT-II of the values, computed as the FFT of their
@@ -426,7 +435,9 @@ def _assembled_series(
     Approximation Theory and Approximation Practice, ch. 3).
     """
     points = erf_part.degree + 1
-    shifted = 1.0 + eta + erf_part.evaluate(ncheb.chebpts1(points) - a_mid)
+    # numpy's chebpts1 formula, bit for bit, without importing numpy.polynomial
+    nodes = np.sin(0.5 * np.pi / points * np.arange(-points + 1, points + 1, 2))
+    shifted = 1.0 + eta + erf_part.evaluate(nodes - a_mid)
     values = (shifted + shifted[::-1]) / denominator
     spectrum = np.fft.rfft(np.concatenate((values, values)))[:points]
     coef = (spectrum * np.exp(-0.5j * np.pi / points * np.arange(points))).real / points

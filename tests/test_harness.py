@@ -445,11 +445,15 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         assert subprocess.run([sys.executable, "-c", code], env=env, cwd=root).returncode == 0
 
-    @pytest.mark.parametrize("module", ["numpy.random", "csv"])
+    @pytest.mark.parametrize(
+        "module",
+        ["numpy.random", "csv", "concurrent.futures.process", "multiprocessing", "numpy.polynomial"],
+    )
     def test_cli_import_leaves_numpy_random_unloaded(self, module):
         # numpy loads numpy.random on first use; importing the CLI must not
         # move that cost out of the first draw and into start-up; no report
-        # writer uses csv
+        # writer uses csv; only --parallel needs the process pool, and the
+        # Chebyshev nodes are computed without numpy.polynomial
         root = Path(__file__).resolve().parents[1]
         code = f"import lowdepth.cli, sys; sys.exit({module!r} in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -568,6 +572,34 @@ class TestCli:
         assert main(["scale", *grid]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert built == []
+
+    @pytest.mark.parametrize(
+        "grid",
+        [["--epsilon-grid", "0.1,0.1", "--beta-grid", "0.5"],
+         ["--epsilon-grid", "0.1,0.05", "--beta-grid", "0.5,0,0.5"]],
+        ids=["epsilon", "beta"],
+    )
+    def test_scale_repeated_grid_point_exits_two_before_any_cell(
+        self, grid, monkeypatch, capsys
+    ):
+        # a repeated epsilon leaves one distinct log epsilon to fit a slope through
+        built = record_generators(monkeypatch)
+        assert main(["scale", *grid]) == 2
+        captured = capsys.readouterr()
+        assert "repeats a point" in captured.err
+        assert captured.out == ""
+        assert built == []
+
+    def test_scale_svg_of_a_sweep_whose_every_cell_failed_exits_three(
+        self, tmp_path, capsys
+    ):
+        # at truth 0.9 every beta=1 cell fails when sampled: an algorithm
+        # error, not a configuration error, and no file is written
+        out = tmp_path / "x.svg"
+        argv = ["scale", "--algorithm", "type2", "--truth", "0.9", "--beta-grid", "1"]
+        assert main([*argv, "--format", "svg", "--out", str(out)]) == 3
+        assert "every cell of the sweep failed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inner_algorithm_error_exits_three(self, capsys):
         # the tail branch passes configuration but exceeds the output cap when sampled

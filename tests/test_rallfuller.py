@@ -246,6 +246,41 @@ class TestErfPoly:
             assert approx.degree == 2 * cut + 1
             assert approx.sup_error == pytest.approx(float(bound[cut]), rel=1e-3)
 
+    def test_miller_start_search_matches_scalar_loop(self):
+        # The vectorised start search and the list of backward ratios give
+        # the scalar loop's values and rounding bound bit for bit, at every
+        # sized ``top`` of a 30 x 20 (scale, accuracy) grid and at the cap,
+        # and where the start lies past the search's first span.
+        def scalar_loop(z, top):
+            start, log_shrink = top, 0.0
+            while log_shrink > -45.0:
+                a = start + 0.5
+                log_shrink += math.log(z / (a + math.sqrt(a * a + z * z)))
+                start += 1
+            ratio, ratios = 0.0, np.empty(start)
+            for j in range(start, 0, -1):
+                ratio = z / (2.0 * j + z * ratio)
+                ratios[j - 1] = ratio
+            products = np.cumprod(ratios)
+            scaled_i0 = 1.0 / (1.0 + 2.0 * float(np.sum(products)))
+            eps = np.finfo(float).eps
+            damping = np.maximum.accumulate((ratios * np.append(ratios[1:], 0.0))[::-1])[::-1]
+            ratio_error = float(np.sum(1.5 * eps / (1.0 - damping)))
+            rel_error = 2.0 * (ratio_error + start * eps) + 4.0 * eps
+            return scaled_i0 * np.concatenate(([1.0], products[:top])), rel_error
+
+        cases = {(5e4, 10), (1e6, 1)}
+        for scale in np.geomspace(0.3, 130.0, 30):
+            z = 0.5 * (2.0 * float(scale)) ** 2  # K = 2 scale, z = K^2 / 2
+            cases.add((z, rallfuller._DEGREE_CAP // 2 + 1))
+            for accuracy in np.geomspace(1e-2, 1e-6, 20):
+                cases.add((z, rallfuller._sized_terms(float(scale), float(accuracy))))
+        for z, top in sorted(cases):
+            values, rel_error = _scaled_bessel(z, top)
+            reference, reference_error = scalar_loop(z, top)
+            assert values.tobytes() == reference.tobytes(), (z, top)
+            assert rel_error == reference_error, (z, top)
+
     def test_miller_recurrence_sized_to_kept_degree(self, monkeypatch):
         tops = []
         scaled_bessel = rallfuller._scaled_bessel
@@ -372,6 +407,20 @@ class TestSemiPellian:
         assert np.all(coef[1::2] == 0.0)
         reference = ncheb.chebinterpolate(assembled, erf_part.degree)
         np.testing.assert_allclose(coef, reference, rtol=0.0, atol=1e-12)
+
+    def test_nodes_are_chebpts1_bit_for_bit(self):
+        # _assembled_series computes chebpts1's formula inline; at a_mid = 0
+        # the erf approximant is evaluated at the nodes themselves.
+        class Recorder:
+            def evaluate(self, x):
+                self.points = x
+                return np.zeros_like(x)
+
+        recorder = Recorder()
+        for points in range(1, 4098):
+            recorder.degree = points - 1
+            _assembled_series(recorder, 0.01, 0.0, 2.05)
+            assert recorder.points.tobytes() == ncheb.chebpts1(points).tobytes(), points
 
     def test_one_erf_evaluation_per_construction(self, monkeypatch):
         calls = []
