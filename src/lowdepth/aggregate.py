@@ -15,9 +15,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .blackbox import Uqae1Contract, Uqae2Contract, draw_runs
+from .blackbox import Sampler, Uqae1Contract, Uqae2Contract, draw_runs
 from .core import ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
 
 # Bias fraction r and variance fraction s used by default for the
@@ -28,15 +26,6 @@ DEFAULT_VARIANCE_FRACTION_BV = 100.0 / 225.0
 # Symmetric default split r = s = 1/4 for the precision/failure and phase plans.
 DEFAULT_BIAS_FRACTION_PF = 0.25
 DEFAULT_TAIL_FRACTION_PF = 0.25
-
-# A sampler draws ``size`` independent runs of one contract from the trial's
-# generator and returns them as a float array; run i is element i of each
-# draw, so the runs do not depend on any schedule they might be computed in.
-# The generator type is quoted: numpy loads numpy.random on first use, and
-# that cost belongs to the first draw, not to importing this package.
-Uqae1Sampler = Callable[[Uqae1Contract, "np.random.Generator", ResourceLedger, int], np.ndarray]
-Uqae2Sampler = Callable[[Uqae2Contract, "np.random.Generator", ResourceLedger, int], np.ndarray]
-
 
 class FeasibilityCheck(NamedTuple):
     valid: bool
@@ -97,6 +86,23 @@ class Type1Plan:
         return Uqae1Contract(self.bias_bound, self.variance_bound)
 
 
+def hoeffding_runs(target: TargetSpec, bias_fraction: float, tail_fraction: float) -> int:
+    """Run count of the precision/failure plans (type 2 and circular phase).
+
+    With slack ``1 - bias_fraction - tail_fraction`` left of eps for the
+    spread of good runs, ``2 ln(4 / delta) eps^(-2 beta) / slack^2`` runs put
+    Hoeffding's two-sided tail at half the failure budget.
+    """
+    if bias_fraction <= 0 or tail_fraction <= 0:
+        raise ValueError("fractions must be positive")
+    if bias_fraction + tail_fraction >= 1.0:
+        raise ValueError("bias_fraction + tail_fraction must stay below 1")
+    slack = 1.0 - bias_fraction - tail_fraction
+    return ceil_int(
+        2.0 * math.log(4.0 / target.delta) * target.epsilon ** (-2.0 * target.beta) / slack**2
+    )
+
+
 @dataclass(frozen=True)
 class Type2Plan:
     """Aggregation schedule for a bias/precision/failure black box.
@@ -122,15 +128,10 @@ class Type2Plan:
         tail_fraction: float = DEFAULT_TAIL_FRACTION_PF,
         output_cap: float = 1.0,
     ) -> "Type2Plan":
-        if bias_fraction <= 0 or tail_fraction <= 0:
-            raise ValueError("fractions must be positive")
-        if bias_fraction + tail_fraction >= 1.0:
-            raise ValueError("bias_fraction + tail_fraction must stay below 1")
+        runs = hoeffding_runs(target, bias_fraction, tail_fraction)
         if not 1.0 <= output_cap < math.inf:
             raise ValueError("output_cap must be finite and at least 1")
         eps, delta, beta = target.epsilon, target.delta, target.beta
-        slack = 1.0 - bias_fraction - tail_fraction
-        runs = ceil_int(2.0 * math.log(4.0 / delta) * eps ** (-2.0 * beta) / slack**2)
         run_fail_prob = min(delta / (2.0 * runs), tail_fraction * eps / output_cap)
         return cls(
             bias_fraction=bias_fraction,
@@ -155,7 +156,7 @@ def _batched_mean(sampler, plan, seed: SeedSpec, ledger: ResourceLedger) -> floa
 
 
 def aggregate_type1(
-    sampler: Uqae1Sampler, plan: Type1Plan, *, seed: SeedSpec, ledger: ResourceLedger
+    sampler: Sampler, plan: Type1Plan, *, seed: SeedSpec, ledger: ResourceLedger
 ) -> float:
     """Mean of independent bias/variance-contract runs.
 
@@ -171,7 +172,7 @@ def aggregate_type1(
 
 
 def aggregate_type2(
-    sampler: Uqae2Sampler, plan: Type2Plan, *, seed: SeedSpec, ledger: ResourceLedger
+    sampler: Sampler, plan: Type2Plan, *, seed: SeedSpec, ledger: ResourceLedger
 ) -> float:
     """Mean of independent precision/failure-contract runs.
 

@@ -123,8 +123,20 @@ UQAE2_COST = SyntheticCostModel(_uqae2_depth, _uqae2_queries)
 UQPE2_COST = SyntheticCostModel(_uqae2_depth, _uqae2_queries)
 
 
+# A sampler draws ``size`` independent runs of one contract from the trial's
+# generator and returns them as a float array (angles for a phase contract);
+# run i is element i of each draw, so the runs do not depend on any schedule
+# they might be computed in.  The generator type is quoted: numpy loads
+# numpy.random on first use, and that cost belongs to the first draw, not to
+# importing this package.
+Sampler = Callable[
+    [Uqae1Contract | Uqae2Contract | Uqpe2Contract, "np.random.Generator", ResourceLedger, int],
+    np.ndarray,
+]
+
+
 def draw_runs(
-    sampler, contract, rng: np.random.Generator, ledger: ResourceLedger, size: int
+    sampler: Sampler, contract, rng: np.random.Generator, ledger: ResourceLedger, size: int
 ) -> np.ndarray:
     """Call a batched sampler for ``size`` runs of one contract drawn from ``rng``.
 

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .aggregate import DEFAULT_BIAS_FRACTION_PF, DEFAULT_TAIL_FRACTION_PF
-from .blackbox import Uqpe2Contract, draw_runs
-from .core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
+from .aggregate import DEFAULT_BIAS_FRACTION_PF, DEFAULT_TAIL_FRACTION_PF, hoeffding_runs
+from .blackbox import Sampler, Uqpe2Contract, draw_runs
+from .core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec, derive_stream
 
 # Tolerance on the escape test |offset| <= half-width; an offset is one
 # circular difference, a cancellation of magnitude at most 2 pi.
@@ -33,13 +32,6 @@ _REF_ARC_HALF_WIDTH = math.pi / 8
 
 # Precision of the preprocessing (reference) call: a quarter circle.
 REF_PRECISION = math.pi / 4
-
-# A phase sampler draws ``size`` independent runs of one contract from the
-# trial's generator and returns them as an array of angles; run i is element
-# i of each draw, as for the mean-aggregation samplers (the generator type
-# is quoted for the same reason).
-UqpeSampler = Callable[[Uqpe2Contract, "np.random.Generator", ResourceLedger, int], np.ndarray]
-
 
 @dataclass(frozen=True)
 class Angle:
@@ -95,18 +87,13 @@ class PhasePlan:
         bias_fraction: float = DEFAULT_BIAS_FRACTION_PF,
         tail_fraction: float = DEFAULT_TAIL_FRACTION_PF,
     ) -> "PhasePlan":
-        if bias_fraction <= 0 or tail_fraction <= 0:
-            raise ValueError("fractions must be positive")
-        if bias_fraction + tail_fraction >= 1.0:
-            raise ValueError("bias_fraction + tail_fraction must stay below 1")
+        runs = hoeffding_runs(target, bias_fraction, tail_fraction)
         eps, delta, beta = target.epsilon, target.delta, target.beta
         if eps >= _REF_ARC_HALF_WIDTH:
             raise ValueError(
                 "target precision must stay below pi/8 so the widened arc "
                 "spans less than the full circle"
             )
-        slack = 1.0 - bias_fraction - tail_fraction
-        runs = ceil_int(2.0 * math.log(4.0 / delta) * eps ** (-2.0 * beta) / slack**2)
         run_fail_prob = min(delta / (2.0 * (runs + 1)), tail_fraction * eps / (4.0 * math.pi))
         return cls(
             bias_fraction=bias_fraction,
@@ -127,7 +114,7 @@ class PhasePlan:
 
 
 def lowdepth_phase_estimate(
-    sampler: UqpeSampler,
+    sampler: Sampler,
     target: TargetSpec,
     plan: PhasePlan,
     *,

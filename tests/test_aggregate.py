@@ -13,6 +13,7 @@ from lowdepth.aggregate import (
     median_boost,
 )
 from lowdepth.blackbox import monkey_sample, synth_uqae1_sample, synth_uqae2_sample
+from lowdepth.circphase import PhasePlan
 from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec
 
 A = Amplitude(0.3)
@@ -74,8 +75,13 @@ class TestPlans:
             Type1Plan.from_target(TargetSpec(0.05, 0.1, 0.5), 0.5, 0.2)
 
     def test_type2_reference_run_count(self):
-        plan = Type2Plan.from_target(TargetSpec(0.01, 0.1, 0.5), 0.25, 0.25, 1.0)
-        assert plan.runs == 2952  # ceil(2 ln(40) * 100 / 0.25)
+        target = TargetSpec(0.01, 0.1, 0.5)
+        # the circular phase plan reuses the type-2 run count unchanged
+        for plan in (
+            Type2Plan.from_target(target, 0.25, 0.25, 1.0),
+            PhasePlan.from_target(target, 0.25, 0.25),
+        ):
+            assert plan.runs == 2952  # ceil(2 ln(40) * 100 / 0.25)
 
     def test_type2_run_fail_prob_joint_with_runs(self):
         plan = Type2Plan.from_target(TargetSpec(0.01, 0.1, 0.5), 0.25, 0.25, 1.0)
@@ -84,8 +90,9 @@ class TestPlans:
         assert plan.output_cap * plan.run_fail_prob <= 0.25 * 0.01 + 1e-12
 
     def test_type2_rejects_overfull_split(self):
-        with pytest.raises(ValueError):
-            Type2Plan.from_target(TargetSpec(0.01, 0.1, 0.5), 0.6, 0.5)
+        for plan_type in (Type2Plan, PhasePlan):
+            with pytest.raises(ValueError, match="must stay below 1"):
+                plan_type.from_target(TargetSpec(0.01, 0.1, 0.5), 0.6, 0.5)
 
     @pytest.mark.parametrize("cap", [0.5, math.nan, math.inf])
     def test_type2_rejects_cap_below_one_or_not_finite(self, cap):
@@ -220,11 +227,18 @@ class TestAggregateType1:
             )
         assert calls["count"] == 0
 
-    def test_rejects_sampler_returning_wrong_run_count(self):
+    # every estimator calls its sampler through blackbox.draw_runs; the phase
+    # estimator's cases are in test_circphase
+    @pytest.mark.parametrize(
+        "aggregate, plan_type",
+        [(aggregate_type1, Type1Plan), (aggregate_type2, Type2Plan)],
+        ids=["type1", "type2"],
+    )
+    def test_rejects_sampler_returning_wrong_run_count(self, aggregate, plan_type):
         with pytest.raises(ValueError, match="shape"):
-            aggregate_type1(
+            aggregate(
                 lambda contract, rng, ledger, size: np.zeros(size - 1),
-                Type1Plan.from_target(TargetSpec(0.1, 0.1, 1.0)),
+                plan_type.from_target(TargetSpec(0.1, 0.1, 1.0)),
                 seed=SeedSpec(24, 0),
                 ledger=ResourceLedger(),
             )
