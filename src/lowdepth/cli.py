@@ -4,10 +4,10 @@ Subcommands: ``run`` (one experiment), ``scale`` (depth/query sweep over an
 epsilon-beta grid) and ``params`` (print computed plans and estimator knobs
 without running anything).
 
-``run``, ``scale`` and ``params`` read each setting the same way: the flag,
-else (``run`` only) the ``--config`` file entry, else one shared default
-(epsilon 0.05, delta 0.05, beta 0.5, 100 trials, seed 0, json format).
-``scale`` without ``--algorithm`` or ``--truth`` sweeps type1 at truth 0.3.
+Each setting is its flag, else (``run`` only) the ``--config`` file entry,
+parsed as that flag, else the flag's default (epsilon 0.05, delta 0.05,
+beta 0.5, 100 trials, seed 0, json format).  ``scale`` without
+``--algorithm`` or ``--truth`` sweeps type1 at truth 0.3.
 
 Exit codes: 0 success, 2 configuration error, 3 inner algorithm error.
 """
@@ -25,6 +25,7 @@ from .core import derive_stream  # noqa: F401
 from .harness import (
     ALGORITHMS,
     EXPORT_FORMATS,
+    TRIAL_FORMATS,
     ConfigError,
     ExperimentConfig,
     export_report,
@@ -34,7 +35,7 @@ from .harness import (
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat `key = value` config text; later CLI flags override its entries."""
+    """Flat `key = value` config text, one entry per line."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -58,7 +59,8 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from err
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The ``lowdepth`` parser and its ``run`` subparser."""
     parser = argparse.ArgumentParser(prog="lowdepth", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -66,20 +68,20 @@ def build_parser() -> argparse.ArgumentParser:
         if with_algorithm:
             sub.add_argument("--algorithm", choices=ALGORITHMS)
             sub.add_argument("--truth", type=float)
-        sub.add_argument("--epsilon", type=float)
-        sub.add_argument("--delta", type=float)
-        sub.add_argument("--beta", type=float)
+        sub.add_argument("--epsilon", type=float, default=0.05)
+        sub.add_argument("--delta", type=float, default=0.05)
+        sub.add_argument("--beta", type=float, default=0.5)
         sub.add_argument("--r", type=float, dest="r", help="bias fraction of epsilon")
         sub.add_argument("--s", type=float, dest="s", help="variance / tail fraction")
         sub.add_argument("--cap-C", type=float, dest="cap_c", help="output cap of the black box")
 
     run = commands.add_parser("run", help="run one experiment and export its report")
     add_target_flags(run)
-    run.add_argument("--trials", type=int)
-    run.add_argument("--seed", type=int)
+    run.add_argument("--trials", type=int, default=100)
+    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", type=str)
-    run.add_argument("--format", choices=EXPORT_FORMATS)
-    run.add_argument("--parallel", action="store_true", default=None)
+    run.add_argument("--format", choices=EXPORT_FORMATS, default="json")
+    run.add_argument("--parallel", action="store_true")
     run.add_argument("--bias-scale", type=float, dest="bias_scale")
     run.add_argument("--tail-magnitude", type=float, dest="tail_magnitude")
     run.add_argument("--config", type=str, help="flat key = value config file")
@@ -88,133 +90,92 @@ def build_parser() -> argparse.ArgumentParser:
     add_target_flags(scale)
     scale.add_argument("--epsilon-grid", type=_float_list, default=[0.1, 0.05, 0.02, 0.01])
     scale.add_argument("--beta-grid", type=_float_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
-    scale.add_argument("--seed", type=int)
+    scale.add_argument("--seed", type=int, default=0)
     scale.add_argument("--out", type=str)
-    scale.add_argument("--format", choices=EXPORT_FORMATS)
+    scale.add_argument("--format", choices=EXPORT_FORMATS, default="json")
+    scale.set_defaults(algorithm="type1", truth=0.3)
 
     params = commands.add_parser("params", help="print computed parameter settings")
     add_target_flags(params, with_algorithm=False)
 
-    return parser
+    return parser, run
 
 
-def _yes_no(text: str) -> bool:
-    """A config-file yes/no value; any text but the listed spellings is an error."""
+def _switch_on(key: str, text: str) -> bool:
+    """A config-file switch entry; any text but the listed spellings is an error."""
     value = text.strip().lower()
     if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise ValueError(f"expected 1, true, yes, on, 0, false, no or off, got {text!r}")
+        raise ConfigError(
+            f"config file value for {key!r}: "
+            f"expected 1, true, yes, on, 0, false, no or off, got {text!r}"
+        )
     return value in ("1", "true", "yes", "on")
 
 
-# Every setting a subcommand reads: its type (to parse config-file text) and
-# the default used when neither a flag nor the config file gives it.  One
-# table for all subcommands, so they share the same defaults.
-_SETTINGS = {
-    "algorithm": (str, None),
-    "truth": (float, None),
-    "epsilon": (float, 0.05),
-    "delta": (float, 0.05),
-    "beta": (float, 0.5),
-    "trials": (int, 100),
-    "seed": (int, 0),
-    "out": (str, None),
-    "format": (str, "json"),
-    "parallel": (_yes_no, False),
-    "r": (float, None),
-    "s": (float, None),
-    "cap_c": (float, None),
-    "bias_scale": (float, None),
-    "tail_magnitude": (float, None),
-}
+def _config_tokens(run: argparse.ArgumentParser, path: str) -> list[str]:
+    """The ``--config`` file's entries as ``run`` flag tokens.  A key is its
+    flag's destination (``cap_c`` for ``--cap-C``).  A switch's entry says
+    whether to pass the bare flag; any other entry is ``--flag=value``, so a
+    value starting with ``-`` is not read as a flag."""
+    actions = {action.dest: action for action in run._actions
+               if action.dest not in ("help", "config")}
+    entries = load_config_file(path)
+    unknown = set(entries) - set(actions)
+    if unknown:
+        raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
+    tokens = []
+    for key, value in entries.items():
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif _switch_on(key, value):
+            tokens.append(flag)
+    return tokens
+
 
 # Settings passed to the harness as estimator constants, by constant name.
 _CONSTANT_KEYS = {"r": "r", "s": "s", "cap_c": "C", "bias_scale": "bias_scale",
                   "tail_magnitude": "tail_magnitude"}
 
 
-def _settings(args):
-    """Lookup of one setting: its flag, else its ``--config`` file entry,
-    else its default in ``_SETTINGS`` (``default`` where the table has none)."""
-    config = getattr(args, "config", None)
-    file_values = load_config_file(config) if config else {}
-    unknown = set(file_values) - set(_SETTINGS)
-    if unknown:
-        raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
-
-    def setting(key: str, default=None):
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            return flag_value
-        caster, shared_default = _SETTINGS[key]
-        if key in file_values:
-            try:
-                return caster(file_values[key])
-            except ValueError as err:
-                raise ConfigError(f"config file value for {key!r}: {err}") from err
-        return default if shared_default is None else shared_default
-
-    return setting
-
-
-def _target_and_constants(setting) -> tuple[TargetSpec, dict]:
+def _target_and_constants(args) -> tuple[TargetSpec, dict]:
     try:
-        target = TargetSpec(setting("epsilon"), setting("delta"), setting("beta"))
+        target = TargetSpec(args.epsilon, args.delta, args.beta)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    constants = {}
-    for key, name in _CONSTANT_KEYS.items():
-        value = setting(key)
-        if value is not None:
-            constants[name] = value
+    constants = {name: getattr(args, key) for key, name in _CONSTANT_KEYS.items()
+                 if getattr(args, key, None) is not None}
     return target, constants
 
 
-def _build_run_config(args) -> ExperimentConfig:
-    setting = _settings(args)
-    algorithm = setting("algorithm")
-    truth = setting("truth")
-    if algorithm is None or truth is None:
-        raise ConfigError("--algorithm and --truth are required (flag or config file)")
-    target, constants = _target_and_constants(setting)
-    return ExperimentConfig(
-        algorithm=algorithm,
-        truth=truth,
-        target=target,
-        constants=constants,
-        trials=setting("trials"),
-        master_seed=setting("seed"),
-        output_path=setting("out"),
-        output_format=setting("format"),
-        parallel=setting("parallel"),
-    )
+def _experiment(args, **fields) -> ExperimentConfig:
+    """The experiment ``args`` set up, with ``fields`` for the rest."""
+    target, constants = _target_and_constants(args)
+    return ExperimentConfig(algorithm=args.algorithm, truth=args.truth, target=target,
+                            constants=constants, master_seed=args.seed, **fields)
 
 
 def _cmd_run(args) -> int:
-    config = _build_run_config(args)
-    report = run_experiment(config)
+    if args.algorithm is None or args.truth is None:
+        raise ConfigError("--algorithm and --truth are required (flag or config file)")
+    if args.format not in TRIAL_FORMATS:
+        raise ConfigError(f"a trial report is csv or json, not {args.format!r}")
+    report = run_experiment(_experiment(args, trials=args.trials, parallel=args.parallel))
+    if args.out is not None:
+        export_report(report, args.format, args.out)
     print(
-        f"algorithm={config.algorithm} trials={config.trials} "
+        f"algorithm={args.algorithm} trials={args.trials} "
         f"success={report.empirical_success:.4f} bias={report.empirical_bias:.3e} "
         f"variance={report.empirical_variance:.3e} "
         f"max_depth={report.max_depth} total_queries={report.total_queries}"
     )
-    if config.output_path:
-        print(f"report written to {config.output_path}")
+    if args.out is not None:
+        print(f"report written to {args.out}")
     return 0
 
 
 def _cmd_scale(args) -> int:
-    setting = _settings(args)
-    target, constants = _target_and_constants(setting)
-    base = ExperimentConfig(
-        algorithm=setting("algorithm", "type1"),
-        truth=setting("truth", 0.3),
-        target=target,
-        constants=constants,
-        trials=1,
-        master_seed=setting("seed"),
-    )
-    study = scaling_study(base, args.epsilon_grid, args.beta_grid)
+    study = scaling_study(_experiment(args), args.epsilon_grid, args.beta_grid)
     for beta in sorted(study.slopes):
         fits = study.slopes[beta]
         print(
@@ -227,15 +188,14 @@ def _cmd_scale(args) -> int:
     for error in study.errors:
         if "epsilon" not in error:
             print(f"beta={error['beta']:g}: no fit ({error['error']})", file=sys.stderr)
-    out = setting("out")
-    if out:
-        export_report(study, setting("format"), out)
-        print(f"study written to {out}")
+    if args.out:
+        export_report(study, args.format, args.out)
+        print(f"study written to {args.out}")
     return 0
 
 
 def _cmd_params(args) -> int:
-    target, constants = _target_and_constants(_settings(args))
+    target, constants = _target_and_constants(args)
     # every plan is built before the first line, so a configuration error
     # prints nothing; phase alone may be out of range where the others run
     plan1 = ALGORITHMS["type1"].build_plan(target, constants)
@@ -283,19 +243,22 @@ def _cmd_params(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_request:
-        code = exit_request.code
-        return 0 if code in (0, None) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, run = build_parser()
     handlers = {
         "run": _cmd_run,
         "scale": _cmd_scale,
         "params": _cmd_params,
     }
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # argv[0] is "run"; the file's entries go ahead of its own flags,
+            # so the command line's flags win
+            args = parser.parse_args(["run", *_config_tokens(run, args.config), *argv[1:]])
         return handlers[args.command](args)
+    except SystemExit as exit_request:
+        return 0 if exit_request.code in (0, None) else 2
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -1,8 +1,7 @@
 """Experiment orchestration: seeded trial loops, scaling sweeps, reporting.
 
 A report is a pure function of its :class:`ExperimentConfig`; re-running
-with the same master seed reproduces it byte for byte (wall time is
-measured but never serialised).
+with the same master seed reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import statistics
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -144,6 +142,23 @@ class Algorithm:
         return estimate - truth
 
 
+def _type2_plan(target, c):
+    if c["tail_magnitude"] is not None and c["tail_magnitude"] < 0:
+        raise ValueError("tail_magnitude must be nonnegative")
+    return aggregate.Type2Plan.from_target(target, c["r"], c["s"], c["C"])
+
+
+def _phase_plan(target, c):
+    tail = c["tail_magnitude"]
+    if tail < 0:
+        raise ValueError("tail_magnitude must be nonnegative")
+    # the reference stage's contracted bias is epsilon, the larger of the two
+    # stages', so this is the sampler's own check at its widest bias setting
+    if abs(c["bias_scale"] * target.epsilon) + tail > math.pi:
+        raise ValueError("offsets must stay below pi for unambiguous circular bias")
+    return circphase.PhasePlan.from_target(target, c["r"], c["s"])
+
+
 # ``bias_scale`` is the fraction of the contracted bias the synthetic sampler
 # applies (1.0 is the adversarial worst case); ``tail_magnitude`` is its tail
 # offset, where None means the largest the output cap allows.
@@ -168,7 +183,7 @@ ALGORITHMS = {record.name: record for record in (
             "tail_magnitude": None,
         },
         trial=_type2_trial,
-        plan=lambda target, c: aggregate.Type2Plan.from_target(target, c["r"], c["s"], c["C"]),
+        plan=_type2_plan,
     ),
     Algorithm(
         "phase",
@@ -179,7 +194,7 @@ ALGORITHMS = {record.name: record for record in (
             "tail_magnitude": math.pi / 2.0,
         },
         trial=_phase_trial,
-        plan=lambda target, c: circphase.PhasePlan.from_target(target, c["r"], c["s"]),
+        plan=_phase_plan,
         circular=True,
     ),
     Algorithm("rallfuller", constants={}, trial=_rallfuller_trial),
@@ -212,8 +227,6 @@ class ExperimentConfig:
     constants: dict = field(default_factory=dict)
     trials: int = 1
     master_seed: int = 0
-    output_path: str | None = None
-    output_format: str = "json"
     parallel: bool = False
 
     def __post_init__(self) -> None:
@@ -224,8 +237,6 @@ class ExperimentConfig:
         record = ALGORITHMS[self.algorithm]
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if self.output_format not in TRIAL_FORMATS:
-            raise ConfigError(f"a trial report is csv or json, not {self.output_format!r}")
         if record.circular:
             if not 0.0 <= self.truth < TWO_PI:
                 raise ConfigError("phase truth must lie in [0, 2 pi)")
@@ -266,11 +277,7 @@ class ExperimentConfig:
 
 @dataclass
 class TrialReport:
-    """Estimates and resource accounting for one experiment.
-
-    ``wall_time`` is observational metadata: it is excluded from equality
-    and from serialisation so replayed reports compare byte-identical.
-    """
+    """Estimates and resource accounting for one experiment."""
 
     config: dict
     estimates: list[float]
@@ -281,7 +288,6 @@ class TrialReport:
     total_queries: int
     trial_depths: list[int]
     trial_queries: list[int]
-    wall_time: float | None = field(default=None, compare=False)
 
 
 def _run_one(args) -> tuple[int, float, int, int]:
@@ -296,7 +302,7 @@ def _run_one(args) -> tuple[int, float, int, int]:
 
 
 def run_experiment(config: ExperimentConfig) -> TrialReport:
-    """Run all trials on one plan and assemble (optionally export) the report."""
+    """Run all trials on one plan and assemble the report."""
     record = ALGORITHMS[config.algorithm]
     constants = config.resolved_constants()
     plan = record.build_plan(config.target, constants)
@@ -304,7 +310,6 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
         (config.algorithm, config.truth, config.target, constants, plan, config.master_seed, index)
         for index in range(config.trials)
     ]
-    started = time.perf_counter()
     if config.parallel and config.trials > 1:
         # imported here: the process pool loads multiprocessing, which a
         # serial call never needs
@@ -314,7 +319,6 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
             outcomes = sorted(pool.map(_run_one, jobs, chunksize=16))
     else:
         outcomes = [_run_one(job) for job in jobs]
-    wall = time.perf_counter() - started
 
     _, estimates, depths, queries = map(list, zip(*outcomes))
     deviations = [record.deviation(estimate, config.truth) for estimate in estimates]
@@ -323,7 +327,7 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
     # pvariance is exact (rational arithmetic), so a constant estimator
     # reports a variance of exactly zero.
     variance = statistics.pvariance(deviations) if len(deviations) > 1 else 0.0
-    report = TrialReport(
+    return TrialReport(
         config=config.provenance(),
         estimates=estimates,
         empirical_success=successes / config.trials,
@@ -333,11 +337,7 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
         total_queries=sum(queries),
         trial_depths=depths,
         trial_queries=queries,
-        wall_time=wall,
     )
-    if config.output_path is not None:
-        export_report(report, config.output_format, config.output_path)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +434,6 @@ def scaling_study(
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
-
-
-def _trial_report_to_dict(report: TrialReport) -> dict:
-    # vars, not dataclasses.asdict, which deep-copies every value: about
-    # 0.4 ms for an 80-trial report
-    payload = {**vars(report), "kind": "trial_report"}
-    del payload["wall_time"]
-    return payload
 
 
 def _scaling_to_dict(study: ScalingStudy) -> dict:
@@ -571,7 +563,10 @@ def export_report(report, fmt: str, path) -> Path:
     destination = Path(path)
     if isinstance(report, TrialReport):
         if fmt == "json":
-            text = json.dumps(_trial_report_to_dict(report), sort_keys=True, indent=2) + "\n"
+            # vars, not dataclasses.asdict, which deep-copies every value:
+            # about 0.4 ms for an 80-trial report
+            payload = {**vars(report), "kind": "trial_report"}
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         elif fmt == "csv":
             text = _trial_csv(report)
         else:

@@ -32,11 +32,10 @@ MASTER_SEED = 20240601
 
 def _report(tmp_path_factory, config_kwargs, name):
     directory = tmp_path_factory.mktemp(name)
-    config = ExperimentConfig(**config_kwargs, output_path=str(directory / "report.json"))
     started = time.perf_counter()
-    report = run_experiment(config)
+    report = run_experiment(ExperimentConfig(**config_kwargs))
     elapsed = time.perf_counter() - started
-    return report, directory / "report.json", elapsed
+    return report, export_report(report, "json", directory / "report.json"), elapsed
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -12,8 +13,8 @@ import pytest
 
 from lowdepth import aggregate, circphase
 from lowdepth.circphase import circ_diff
-from lowdepth.cli import main
-from lowdepth.core import SeedSpec, TargetSpec, derive_stream
+from lowdepth.cli import build_parser, main
+from lowdepth.core import ResourceLedger, SeedSpec, TargetSpec, derive_stream
 from lowdepth.harness import (
     ALGORITHMS,
     AlgorithmError,
@@ -129,23 +130,6 @@ class TestRunExperiment:
         assert report.max_depth == max(report.trial_depths)
         assert report.total_queries == sum(report.trial_queries)
 
-    def test_wall_time_measured_but_not_compared(self):
-        report = run_experiment(quick_config(trials=5))
-        assert report.wall_time is not None and report.wall_time > 0
-        clone = TrialReport(
-            config=report.config,
-            estimates=report.estimates,
-            empirical_success=report.empirical_success,
-            empirical_bias=report.empirical_bias,
-            empirical_variance=report.empirical_variance,
-            max_depth=report.max_depth,
-            total_queries=report.total_queries,
-            trial_depths=report.trial_depths,
-            trial_queries=report.trial_queries,
-            wall_time=None,
-        )
-        assert clone == report
-
     def test_deterministic_reports(self):
         first = run_experiment(quick_config(trials=40))
         second = run_experiment(quick_config(trials=40))
@@ -164,17 +148,41 @@ class TestRunExperiment:
         assert "trial 0" in str(info.value)
 
     def test_phase_reads_tail_magnitude(self):
-        # a tail offset above pi breaks the phase sampler's circular contract
+        # a tail offset above pi breaks the phase sampler's circular contract,
+        # whatever the truth, so the plan rejects it before any trial
         config = quick_config(
             algorithm="phase", truth=1.0, constants={"tail_magnitude": 4.0}, trials=1
         )
-        with pytest.raises(AlgorithmError, match="offsets must stay below pi"):
+        with pytest.raises(ConfigError, match="offsets must stay below pi"):
             run_experiment(config)
+
+    @pytest.mark.parametrize("bias_scale", [1.0, -0.5, 0.0])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.01])
+    def test_phase_tail_rejected_exactly_where_a_trial_would_raise(self, epsilon, bias_scale):
+        # tails one ulp either side of pi - |bias_scale| * epsilon: a plan that
+        # builds runs a trial, and a rejected tail breaks the sampler
+        edge = math.pi - abs(bias_scale * epsilon)
+        tails = {math.nextafter(edge, 0.0), edge, math.nextafter(edge, 4.0)}
+        record = ALGORITHMS["phase"]
+        target = TargetSpec(epsilon, 0.1, 0.5)
+        for tail in sorted(tails):
+            constants = {**record.constants, "bias_scale": bias_scale, "tail_magnitude": tail}
+            fits = abs(bias_scale * epsilon) + tail <= math.pi
+            try:
+                plan = record.build_plan(target, constants)
+            except ConfigError:
+                assert not fits
+                plan = circphase.PhasePlan.from_target(target)
+                with pytest.raises(ValueError, match="offsets must stay below pi"):
+                    record.trial(1.0, target, constants, plan, SeedSpec(1, 0), ResourceLedger())
+            else:
+                assert fits
+                record.trial(1.0, target, constants, plan, SeedSpec(1, 0), ResourceLedger())
 
     def test_byte_identical_report_files(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
-            run_experiment(quick_config(trials=25, output_path=str(path)))
+            export_report(run_experiment(quick_config(trials=25)), "json", path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -311,11 +319,10 @@ class TestExport:
         assert successes == round(report.empirical_success * report.config["trials"])
 
     def test_json_round_trip(self, tmp_path):
-        # the export carries every report field except the wall time
+        # the export carries every report field
         report = run_experiment(quick_config(trials=12))
         path = export_report(report, "json", tmp_path / "r.json")
         expected = {f.name: getattr(report, f.name) for f in fields(report)}
-        expected.pop("wall_time")
         assert json.loads(path.read_text()) == {**expected, "kind": "trial_report"}
 
     def test_svg_rejected_for_trial_reports(self, tmp_path):
@@ -410,6 +417,106 @@ class TestScalingStudy:
             scaling_study(base, [], [0.5])
 
 
+# Two values of each ``run`` option; a config file sets the first and a flag
+# the second over it.  A new option needs an entry here before its tests pass.
+RUN_OPTION_VALUES = {
+    "algorithm": ("type1", "type2"),
+    "truth": ("0.4", "0.3"),
+    "epsilon": ("0.04", "0.05"),
+    "delta": ("0.1", "0.05"),
+    "beta": ("0.4", "0.5"),
+    "r": ("0.2", "0.25"),
+    "s": ("0.3", "0.25"),
+    "cap_c": ("1.5", "1"),
+    "trials": ("3", "2"),
+    "seed": ("7", "1"),
+    # a value starting with "-" still reads as a value, not a flag
+    "out": ("-b.json", "a.json"),
+    "format": ("csv", "json"),
+    # a flag can switch --parallel on, not off
+    "parallel": ("no", "yes"),
+    "bias_scale": ("-0.5", "1"),
+    "tail_magnitude": ("0.2", "0.1"),
+}
+RUN_OPTIONS = {
+    action.dest: action
+    for action in build_parser()[1]._actions
+    if action.option_strings and action.dest not in ("help", "config")
+}
+
+
+def run_tokens(key: str, value: str) -> list[str]:
+    """The command-line tokens giving option ``key`` ``value``."""
+    flag = RUN_OPTIONS[key].option_strings[0]
+    if RUN_OPTIONS[key].nargs == 0:
+        return [flag] if value == "yes" else []
+    return [f"{flag}={value}"]
+
+
+class TestConfigFile:
+    """A ``run --config`` entry acts as its flag, and a flag overrides it."""
+
+    BASE = {"algorithm": "type2", "truth": "0.3", "trials": "2", "out": "a.json"}
+
+    @pytest.fixture
+    def outcome(self, tmp_path, monkeypatch, capsys):
+        pools = []
+
+        class SerialPool:
+            # records each pool a parallel run opens and runs its jobs in order
+            def __init__(self):
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, function, jobs, chunksize=1):
+                return map(function, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        runs = iter(range(100))
+
+        def outcome(flags: dict, entries: dict | None = None):
+            """Exit code, stdout, pools opened and files written by one run."""
+            workdir = tmp_path / f"run{next(runs)}"
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            argv = ["run", *(token for key, value in flags.items()
+                             for token in run_tokens(key, value))]
+            if entries is not None:
+                config = tmp_path / f"{workdir.name}.cfg"
+                config.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+                argv += ["--config", str(config)]
+            del pools[:]
+            code = main(argv)
+            files = {path.name: path.read_bytes() for path in workdir.iterdir()}
+            return code, capsys.readouterr().out, len(pools), files
+
+        return outcome
+
+    @pytest.mark.parametrize("key", sorted(RUN_OPTIONS))
+    def test_entry_acts_as_its_flag_and_a_flag_overrides_it(self, key, outcome):
+        file_value, flag_value = RUN_OPTION_VALUES[key]
+        others = {name: value for name, value in self.BASE.items() if name != key}
+        by_flag = {}
+        for value in (file_value, flag_value):
+            by_flag[value] = outcome({**others, key: value})
+            assert by_flag[value][0] == 0 and by_flag[value][3]
+            assert outcome(others, {key: value}) == by_flag[value]
+        assert by_flag[file_value] != by_flag[flag_value]
+        assert outcome({**others, key: flag_value}, {key: file_value}) == by_flag[flag_value]
+
+    @pytest.mark.parametrize("key", ["config", "help"])
+    def test_keys_without_a_setting_exit_two(self, key, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"algorithm = type1\ntruth = 0.3\ntrials = 1\n{key} = {config}\n")
+        assert main(["run", "--config", str(config)]) == 2
+        assert "unknown config file keys" in capsys.readouterr().err
+
+
 class TestCli:
     def test_run_writes_report(self, tmp_path, capsys):
         out = tmp_path / "cli.json"
@@ -495,10 +602,12 @@ class TestCli:
             ["--algorithm", "phase", "--truth", "1.0", "--r", "0.6", "--s", "0.5"],
             ["--algorithm", "type2", "--truth", "0.3", "--cap-C", "0.5"],
             ["--algorithm", "phase", "--truth", "1.0", "--epsilon", "0.5"],
+            ["--algorithm", "phase", "--truth", "1.0", "--tail-magnitude", "3.2"],
+            ["--algorithm", "type2", "--truth", "0.3", "--tail-magnitude=-0.1"],
         ],
         ids=[
             "bias-scale", "type2-fractions", "type1-floor", "phase-fractions", "type2-cap",
-            "phase-epsilon",
+            "phase-epsilon", "phase-tail", "type2-negative-tail",
         ],
     )
     def test_input_that_can_never_run_exits_two_before_any_trial(self, flags, capsys):
