@@ -256,6 +256,9 @@ def main(argv=None) -> int:
             # argv[0] is "run"; the file's entries go ahead of its own flags,
             # so the command line's flags win
             args = parser.parse_args(["run", *_config_tokens(run, args.config), *argv[1:]])
+        out = getattr(args, "out", None)  # checked before any trial or cell
+        if out is not None and (not out or Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise ConfigError(f"--out {out!r} is not a file in an existing directory")
         return handlers[args.command](args)
     except SystemExit as exit_request:
         return 0 if exit_request.code in (0, None) else 2

@@ -11,7 +11,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class AlgorithmError(SimulationError):
 _REF_SPREAD = math.pi / 10.0
 
 
-def _type1_trial(truth, target, constants, plan, seed, ledger) -> float:
+def _type1_trials(truth, target, constants, plan, seeds, ledgers):
     amplitude = Amplitude(truth)
     bias_scale = constants["bias_scale"]
 
@@ -55,10 +55,11 @@ def _type1_trial(truth, target, constants, plan, seed, ledger) -> float:
             amplitude, contract, bias_scale * contract.bias_bound, rng, run_ledger, size=size
         )
 
-    return aggregate.aggregate_type1(sampler, plan, seed=seed, ledger=ledger)
+    return (aggregate.aggregate_type1(sampler, plan, seed=seed, ledger=ledger)
+            for seed, ledger in zip(seeds, ledgers))
 
 
-def _type2_trial(truth, target, constants, plan, seed, ledger) -> float:
+def _type2_trials(truth, target, constants, plan, seeds, ledgers):
     amplitude = Amplitude(truth)
     bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
@@ -69,10 +70,11 @@ def _type2_trial(truth, target, constants, plan, seed, ledger) -> float:
             amplitude, contract, bias_setting, run_tail, rng, run_ledger, size=size
         )
 
-    return aggregate.aggregate_type2(sampler, plan, seed=seed, ledger=ledger)
+    return (aggregate.aggregate_type2(sampler, plan, seed=seed, ledger=ledger)
+            for seed, ledger in zip(seeds, ledgers))
 
 
-def _phase_trial(truth, target, constants, plan, seed, ledger) -> float:
+def _phase_trials(truth, target, constants, plan, seeds, ledgers):
     bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
     def sampler(contract, rng, run_ledger, size):
@@ -84,19 +86,17 @@ def _phase_trial(truth, target, constants, plan, seed, ledger) -> float:
             truth, contract, bias_setting, tail, rng, run_ledger, good_spread=spread, size=size
         )
 
-    return circphase.lowdepth_phase_estimate(sampler, target, plan, seed=seed, ledger=ledger).value
+    return (circphase.lowdepth_phase_estimate(sampler, target, plan, seed=seed, ledger=ledger).value
+            for seed, ledger in zip(seeds, ledgers))
 
 
-def _rallfuller_trial(truth, target, constants, plan, seed, ledger) -> float:
+def _rallfuller_trials(truth, target, constants, plan, seeds, ledgers):
     amplitude = Amplitude(truth)
-
-    def factory(poly):
-        return oracle.PolyOracle(poly, amplitude)
-
-    return rallfuller.rall_fuller_estimate(factory, target, seed=seed, ledger=ledger)
+    return rallfuller.rall_fuller_lockstep(
+        lambda poly: oracle.PolyOracle(poly, amplitude), target, seeds, ledgers)
 
 
-def _monkey_trial(truth, target, constants, plan, seed, ledger) -> float:
+def _monkey_trials(truth, target, constants, plan, seeds, ledgers):
     # aggregation cannot help a deterministic, maximally biased estimator;
     # the report shows bias exactly epsilon and zero variance
     amplitude = Amplitude(truth)
@@ -104,7 +104,8 @@ def _monkey_trial(truth, target, constants, plan, seed, ledger) -> float:
     def sampler(_contract, _rng, _run_ledger, size):
         return np.full(size, blackbox.monkey_sample(amplitude, target.epsilon))
 
-    return aggregate.aggregate_type1(sampler, plan, seed=seed, ledger=ledger)
+    return (aggregate.aggregate_type1(sampler, plan, seed=seed, ledger=ledger)
+            for seed, ledger in zip(seeds, ledgers))
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,16 @@ class Algorithm:
     rejects every constant outside that table.  ``plan``, when given, builds
     the algorithm's schedule from a target and the resolved constants,
     raising ``ValueError`` for constants that can never run.  ``trial`` runs
-    one trial on that schedule, ``(truth, target, constants, plan, seed,
-    ledger) -> estimate``.  A ``circular`` algorithm estimates an angle in
-    [0, 2 pi), and its deviations are circular differences.
+    a batch of trials on that schedule, ``(truth, target, constants, plan,
+    seeds, ledgers) -> estimates``, trial i on ``seeds[i]`` and ``ledgers[i]``
+    alone; it yields the estimates in order, so an error raised while
+    iterating is the first trial's not yet yielded.  A ``circular`` algorithm
+    estimates an angle in [0, 2 pi), and its deviations are circular differences.
     """
 
     name: str
     constants: dict
-    trial: Callable[[float, TargetSpec, dict, object, SeedSpec, ResourceLedger], float]
+    trial: Callable[..., Iterable[float]]
     plan: Callable[[TargetSpec, dict], object] | None = None
     circular: bool = False
 
@@ -170,7 +173,7 @@ ALGORITHMS = {record.name: record for record in (
             "s": aggregate.DEFAULT_VARIANCE_FRACTION_BV,
             "bias_scale": 1.0,
         },
-        trial=_type1_trial,
+        trial=_type1_trials,
         plan=lambda target, c: aggregate.Type1Plan.from_target(target, c["r"], c["s"]),
     ),
     Algorithm(
@@ -182,7 +185,7 @@ ALGORITHMS = {record.name: record for record in (
             "bias_scale": 1.0,
             "tail_magnitude": None,
         },
-        trial=_type2_trial,
+        trial=_type2_trials,
         plan=_type2_plan,
     ),
     Algorithm(
@@ -193,15 +196,15 @@ ALGORITHMS = {record.name: record for record in (
             "bias_scale": 1.0,
             "tail_magnitude": math.pi / 2.0,
         },
-        trial=_phase_trial,
+        trial=_phase_trials,
         plan=_phase_plan,
         circular=True,
     ),
-    Algorithm("rallfuller", constants={}, trial=_rallfuller_trial),
+    Algorithm("rallfuller", constants={}, trial=_rallfuller_trials),
     Algorithm(
         "monkey-demo",
         constants={},
-        trial=_monkey_trial,
+        trial=_monkey_trials,
         plan=lambda target, c: aggregate.Type1Plan.from_target(target),
     ),
 )}
@@ -290,37 +293,39 @@ class TrialReport:
     trial_queries: list[int]
 
 
-def _run_one(args) -> tuple[int, float, int, int]:
-    algorithm, truth, target, constants, plan, master_seed, index = args
-    trial_seed = derive_stream(SeedSpec(master_seed, 0), index)
-    ledger = ResourceLedger()
+def _run_batch(args) -> list[tuple[float, int, int]]:
+    algorithm, truth, target, constants, plan, master_seed, indices = args
+    seeds = [derive_stream(SeedSpec(master_seed, 0), index) for index in indices]
+    ledgers = [ResourceLedger() for _ in indices]
+    estimates = []
     try:
-        estimate = ALGORITHMS[algorithm].trial(truth, target, constants, plan, trial_seed, ledger)
+        for estimate in ALGORITHMS[algorithm].trial(truth, target, constants, plan, seeds, ledgers):
+            estimates.append(estimate)
     except (SimulationError, ValueError) as err:
-        raise AlgorithmError(f"trial {index}: {err}") from err
-    return index, estimate, ledger.max_depth, ledger.total_queries
+        raise AlgorithmError(f"trial {indices[len(estimates)]}: {err}") from err
+    return [(estimate, ledger.max_depth, ledger.total_queries)
+            for estimate, ledger in zip(estimates, ledgers)]
 
 
 def run_experiment(config: ExperimentConfig) -> TrialReport:
-    """Run all trials on one plan and assemble the report."""
+    """Run all trials on one plan, in batches of 16 under ``parallel``, and report."""
     record = ALGORITHMS[config.algorithm]
     constants = config.resolved_constants()
     plan = record.build_plan(config.target, constants)
-    jobs = [
-        (config.algorithm, config.truth, config.target, constants, plan, config.master_seed, index)
-        for index in range(config.trials)
-    ]
+    batch = (config.algorithm, config.truth, config.target, constants, plan, config.master_seed)
+    indices = range(config.trials)
     if config.parallel and config.trials > 1:
         # imported here: the process pool loads multiprocessing, which a
         # serial call never needs
         from concurrent.futures import ProcessPoolExecutor
 
+        chunks = [(*batch, indices[start:start + 16]) for start in indices[::16]]
         with ProcessPoolExecutor() as pool:
-            outcomes = sorted(pool.map(_run_one, jobs, chunksize=16))
+            outcomes = [row for rows in pool.map(_run_batch, chunks) for row in rows]
     else:
-        outcomes = [_run_one(job) for job in jobs]
+        outcomes = _run_batch((*batch, indices))
 
-    _, estimates, depths, queries = map(list, zip(*outcomes))
+    estimates, depths, queries = map(list, zip(*outcomes))
     deviations = [record.deviation(estimate, config.truth) for estimate in estimates]
     successes = sum(1 for d in deviations if abs(d) <= config.target.epsilon)
     mean_deviation = math.fsum(deviations) / len(deviations)
@@ -376,8 +381,8 @@ def scaling_study(
     epsilon_grid: list[float],
     beta_grid: list[float],
 ) -> ScalingStudy:
-    """Runs each grid point as trial ``index`` of ``run_experiment`` and fits
-    log-log depth/query slopes per beta.  A repeated grid point, or a plan that
+    """Runs each grid point alone as trial ``index`` of ``run_experiment`` and
+    fits log-log depth/query slopes per beta.  A repeated grid point, or a plan that
     can never run, is a ConfigError before the first cell; a failed cell run is
     a cell error."""
     if not epsilon_grid or not beta_grid:
@@ -395,7 +400,7 @@ def scaling_study(
     constants = base_config.resolved_constants()
     jobs = [
         (record.name, base_config.truth, target, constants, record.build_plan(target, constants),
-         base_config.master_seed, index)
+         base_config.master_seed, [index])
         for index, target in enumerate(targets)
     ]
     rows: list[ScalingCell] = []
@@ -403,7 +408,7 @@ def scaling_study(
     for target, job in zip(targets, jobs):
         epsilon, beta = target.epsilon, target.beta
         try:
-            _, _, depth, queries = _run_one(job)
+            [(_, depth, queries)] = _run_batch(job)
         except AlgorithmError as err:
             errors.append({"epsilon": epsilon, "beta": beta, "error": str(err.__cause__)})
             continue

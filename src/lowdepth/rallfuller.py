@@ -12,9 +12,10 @@ full-depth fallback scaling like 1/width before that.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,8 @@ _DRIFT_TOL = 1e-12
 # tail of 500 floor-level entries stays far below it, and the kept degree
 # follows the series' true decay.
 _TRIM_BUDGET = 0.1 * CERT_TOL
+# Certified semi-Pellians by (tau, eta, k, gamma, a_min, width), oldest first.
+_semi_pellians: dict[tuple, SemiPellianPoly] = {}
 
 
 class PolynomialConstructionError(SimulationError):
@@ -304,6 +307,7 @@ def _sized_terms(scale: float, accuracy: float) -> int:
     return min(int(small[0]) + 2, j_half.size) if small.size else j_half.size
 
 
+@lru_cache(maxsize=256)
 def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
     """Odd polynomial within ``accuracy`` of erf(scale x) on [-2, 2].
 
@@ -336,11 +340,6 @@ def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
         f"no odd polynomial of degree <= {_DEGREE_CAP} reached accuracy {accuracy} "
         f"for erf({scale} x); best sup error {float(bound[-1])}"
     )
-
-
-@lru_cache(maxsize=256)
-def _erf_poly_cached(scale: float, accuracy: float) -> ErfApproximant:
-    return erf_poly(scale, accuracy)
 
 
 @dataclass(frozen=True)
@@ -415,14 +414,14 @@ def semi_pellian(
     segment from above and (2 + 2 eta - 2 s + f(a_max - width/10)) / D
     bounds it on the right from below, each widened by the trimmed sum.
     """
-    return _semi_pellian_cached(tau, eta, k, gamma, interval.a_min, interval.width)
+    key = (tau, eta, k, gamma, interval.a_min, interval.width)
+    _build_semi_pellians([key])
+    return _semi_pellians[key]
 
 
-def _assembled_series(
-    erf_part: ErfApproximant, eta: float, a_mid: float, denominator: float
-) -> np.ndarray:
+def _assembled_series(erf_part: ErfApproximant, eta: float, a_mid, denominator) -> np.ndarray:
     """Untrimmed Chebyshev coefficients of the assembled even polynomial
-    ((1 + eta + e(a - mid)) + (1 + eta + e(-a - mid))) / D.
+    ((1 + eta + e(a - mid)) + (1 + eta + e(-a - mid))) / D, a row per entry of column ``a_mid``.
 
     The sum of the two mirrored odd parts is an even polynomial of at most
     the erf approximant's degree n, so interpolating at the n + 1 Chebyshev
@@ -438,22 +437,33 @@ def _assembled_series(
     # numpy's chebpts1 formula, bit for bit, without importing numpy.polynomial
     nodes = np.sin(0.5 * np.pi / points * np.arange(-points + 1, points + 1, 2))
     shifted = 1.0 + eta + erf_part.evaluate(nodes - a_mid)
-    values = (shifted + shifted[::-1]) / denominator
-    spectrum = np.fft.rfft(np.concatenate((values, values)))[:points]
+    values = (shifted + shifted[..., ::-1]) / denominator
+    spectrum = np.fft.rfft(np.concatenate((values, values), axis=-1))[..., :points]
     coef = (spectrum * np.exp(-0.5j * np.pi / points * np.arange(points))).real / points
-    coef[0] *= 0.5
-    coef[1::2] = 0.0
+    coef[..., 0] *= 0.5
+    coef[..., 1::2] = 0.0
     return coef
 
 
-@lru_cache(maxsize=4096)
-def _semi_pellian_cached(
-    tau: float, eta: float, k: float, gamma: float, a_min: float, width: float
-) -> SemiPellianPoly:
-    erf_part = _erf_poly_cached(k, eta)
+def _build_semi_pellians(keys) -> None:
+    """Certify and cache the semi-Pellians at ``keys`` not yet cached, those sharing
+    an erf approximant from one evaluation of it at their stacked node sets."""
+    groups: dict[tuple, list] = {}
+    for key in set(keys) - _semi_pellians.keys():
+        groups.setdefault(key[1:3], []).append(key)
+    for (eta, k), group in groups.items():
+        erf_part = erf_poly(k, eta)
+        a_mids = np.array([[a_min + 0.5 * width] for *_, a_min, width in group])
+        denominators = np.array([[4.0 * eta + tau + 2.0] for tau, *_ in group])
+        for key, coef in zip(group, _assembled_series(erf_part, eta, a_mids, denominators)):
+            if len(_semi_pellians) >= 4096:
+                del _semi_pellians[next(iter(_semi_pellians))]
+            _semi_pellians[key] = _certified(erf_part, coef, *key)
+
+
+def _certified(erf_part, coef, tau, eta, k, gamma, a_min, width) -> SemiPellianPoly:
     a_mid = a_min + 0.5 * width
     denominator = 4.0 * eta + tau + 2.0
-    coef = _assembled_series(erf_part, eta, a_mid, denominator)
     # tail[i] is the absolute sum of coef[i:]; drop the longest tail within
     # the budget, keeping at least the constant term.
     tail = np.append(np.cumsum(np.abs(coef[::-1]))[::-1], 0.0)
@@ -548,16 +558,50 @@ def rall_fuller_estimate(
     The steps draw their head counts in order from one generator,
     ``derive_stream(seed, 0).rng()``.
     """
+    return next(rall_fuller_lockstep(oracle_factory, target, [seed], [ledger], [trace]))
+
+
+def rall_fuller_lockstep(oracle_factory, target, seeds, ledgers, traces=None) -> Iterator[float]:
+    """:func:`rall_fuller_estimate` per seed (with ``ledgers[i]``, ``traces[i]``), the trials
+    stepping together: each step builds their semi-Pellians at once and one oracle per
+    polynomial.  Yields the midpoints in order, raising a failed trial's error in its place."""
+    oracles: dict[tuple, PolyOracle] = {}
+    loops = [_shrinking_loop(oracle_factory, oracles, target, *trial)
+             for trial in zip(seeds, ledgers, traces or [None] * len(seeds))]
+    outcomes, pending = [None] * len(loops), range(len(loops))
+    while pending:
+        keys = {}
+        for index in pending:
+            try:
+                keys[index] = next(loops[index])
+            except StopIteration as finished:
+                outcomes[index] = finished.value
+            except (SimulationError, ValueError) as err:
+                outcomes[index] = err
+        with suppress(SimulationError, ValueError):  # a failed build raises in its trial
+            _build_semi_pellians(keys.values())
+        pending = list(keys)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
+
+
+def _shrinking_loop(oracle_factory, oracles, target, seed, ledger, trace):
+    """One trial, yielding each step's semi-Pellian key before building it."""
     steps = ceil_int(math.log(target.epsilon) / math.log(SHRINK_FACTOR))
     step_fail = target.delta / steps
     interval = ConfidenceInterval(0.0, 1.0)
     rng = derive_stream(seed, 0).rng()
     for step in range(steps):
         params = rf_params(interval, target.beta)
+        key = (params.tau, params.eta, params.k, params.gamma, interval.a_min, interval.width)
+        yield key
         poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
         tosses = coin_tosses(params.gamma, step_fail)
-        oracle = oracle_factory(poly)
-        heads = poly_sample(oracle, tosses, rng, ledger)
+        if key not in oracles:  # the truth, and so the oracle, is the batch's
+            oracles[key] = oracle_factory(poly)
+        heads = poly_sample(oracles[key], tosses, rng, ledger)
         truth_on_right = coin_test(heads, tosses, params.gamma)
         if trace is not None:
             trace.append(

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from lowdepth import aggregate, circphase
+from lowdepth import aggregate, circphase, rallfuller
 from lowdepth.circphase import circ_diff
 from lowdepth.cli import build_parser, main
-from lowdepth.core import ResourceLedger, SeedSpec, TargetSpec, derive_stream
+from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec, derive_stream
+from lowdepth.oracle import PolyOracle
 from lowdepth.harness import (
     ALGORITHMS,
     AlgorithmError,
@@ -168,16 +170,17 @@ class TestRunExperiment:
         for tail in sorted(tails):
             constants = {**record.constants, "bias_scale": bias_scale, "tail_magnitude": tail}
             fits = abs(bias_scale * epsilon) + tail <= math.pi
+            batch = ([SeedSpec(1, 0)], [ResourceLedger()])
             try:
                 plan = record.build_plan(target, constants)
             except ConfigError:
                 assert not fits
                 plan = circphase.PhasePlan.from_target(target)
                 with pytest.raises(ValueError, match="offsets must stay below pi"):
-                    record.trial(1.0, target, constants, plan, SeedSpec(1, 0), ResourceLedger())
+                    list(record.trial(1.0, target, constants, plan, *batch))
             else:
                 assert fits
-                record.trial(1.0, target, constants, plan, SeedSpec(1, 0), ResourceLedger())
+                list(record.trial(1.0, target, constants, plan, *batch))
 
     def test_byte_identical_report_files(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -261,6 +264,129 @@ class TestOnePlanPerRun:
         assert [(target.epsilon, target.beta) for target in built] == [
             (0.1, 0.5), (0.05, 0.5), (0.1, 1.0), (0.05, 1.0)
         ]
+
+
+class TestBatches:
+    """A trial's result depends only on its own stream, not on the batch it
+    runs in, and a failed batch reports its lowest failing index."""
+
+    @pytest.mark.parametrize(
+        "algorithm, truth",
+        [("type1", 0.3), ("type2", 0.3), ("phase", 1.0), ("rallfuller", 0.4), ("monkey-demo", 0.5)],
+    )
+    def test_a_trial_does_not_depend_on_its_batch(self, algorithm, truth):
+        config = quick_config(algorithm=algorithm, truth=truth, trials=20)
+        rallfuller._semi_pellians.clear()
+        report = run_experiment(config)
+        record, constants = ALGORITHMS[algorithm], config.resolved_constants()
+        plan = record.build_plan(config.target, constants)
+        for index in range(config.trials):
+            # alone, a trial builds each of its polynomials by itself
+            rallfuller._semi_pellians.clear()
+            ledger = ResourceLedger()
+            seed = derive_stream(SeedSpec(config.master_seed, 0), index)
+            [estimate] = record.trial(truth, config.target, constants, plan, [seed], [ledger])
+            assert (estimate, ledger.max_depth, ledger.total_queries) == (
+                report.estimates[index], report.trial_depths[index], report.trial_queries[index]
+            ), index
+
+    @staticmethod
+    def forced_failures(config, monkeypatch):
+        """Make two Rall-Fuller trials fail, the higher-indexed one at an
+        earlier step, by refusing one polynomial only each of them builds;
+        the lower one is not trial 0, so a trial runs before both.  Returns
+        the lower index, its failing step and each trial's estimate run alone."""
+        amplitude, root = Amplitude(config.truth), SeedSpec(config.master_seed, 0)
+        paths, alone = [], []
+        for index in range(config.trials):
+            trace = []
+            alone.append(rallfuller.rall_fuller_estimate(
+                lambda poly: PolyOracle(poly, amplitude), config.target,
+                seed=derive_stream(root, index), ledger=ResourceLedger(), trace=trace,
+            ))
+            paths.append([(record.a_min, record.width) for record in trace])
+        own = [
+            [step for step, point in enumerate(path)
+             if all(other[step] != point for other in paths if other is not path)]
+            for path in paths
+        ]
+        low = next(index for index in range(1, config.trials) if own[index])
+        high = next(index for index in range(low + 1, config.trials)
+                    if own[index] and own[index][0] < own[low][-1])
+        refused = {paths[low][own[low][-1]]: own[low][-1], paths[high][own[high][0]]: own[high][0]}
+        certified = rallfuller._certified
+
+        def refusing(erf_part, coef, *key):
+            if key[4:] in refused:
+                raise rallfuller.GapCertificateError(f"refused at step {refused[key[4:]]}")
+            return certified(erf_part, coef, *key)
+
+        monkeypatch.setattr(rallfuller, "_certified", refusing)
+        rallfuller._semi_pellians.clear()
+        return low, own[low][-1], alone
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+    def test_a_failed_batch_names_its_lowest_failing_trial(self, parallel, monkeypatch):
+        if parallel and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the refusing builder reaches worker processes only through fork")
+        config = quick_config(algorithm="rallfuller", truth=0.4, trials=20, parallel=parallel)
+        low, step, _ = self.forced_failures(config, monkeypatch)
+        with pytest.raises(AlgorithmError) as info:
+            run_experiment(config)
+        assert str(info.value) == f"trial {low}: refused at step {step}"
+
+    def test_trials_before_a_failed_one_run_to_completion(self, monkeypatch):
+        config = quick_config(algorithm="rallfuller", truth=0.4, trials=20)
+        low, step, alone = self.forced_failures(config, monkeypatch)
+        amplitude = Amplitude(config.truth)
+        root = SeedSpec(config.master_seed, 0)
+        seeds = [derive_stream(root, index) for index in range(config.trials)]
+        traces = [[] for _ in seeds]
+        estimates = []
+        with pytest.raises(rallfuller.GapCertificateError, match=f"refused at step {step}$"):
+            for estimate in rallfuller.rall_fuller_lockstep(
+                lambda poly: PolyOracle(poly, amplitude), config.target, seeds,
+                [ResourceLedger() for _ in seeds], traces,
+            ):
+                estimates.append(estimate)
+        assert estimates == alone[:low]
+        assert [len(trace) for trace in traces[:low]] == [len(traces[0])] * low
+        assert len(traces[low]) == step
+
+
+    def test_one_erf_evaluation_per_step_and_approximant_one_oracle_per_polynomial(
+        self, monkeypatch
+    ):
+        evaluations, oracles, keys = [], [], set()
+        evaluate, construct = rallfuller.ErfApproximant.evaluate, PolyOracle.__init__
+        semi_pellian = rallfuller.semi_pellian
+
+        def counted_evaluate(approximant, x):
+            evaluations.append(approximant)
+            return evaluate(approximant, x)
+
+        def counted_construct(oracle, poly, amplitude):
+            oracles.append(poly)
+            construct(oracle, poly, amplitude)
+
+        def recorded(tau, eta, k, interval, gamma):
+            keys.add((tau, eta, k, gamma, interval.a_min, interval.width))
+            return semi_pellian(tau, eta, k, interval, gamma)
+
+        monkeypatch.setattr(rallfuller.ErfApproximant, "evaluate", counted_evaluate)
+        monkeypatch.setattr(PolyOracle, "__init__", counted_construct)
+        monkeypatch.setattr(rallfuller, "semi_pellian", recorded)
+        rallfuller._semi_pellians.clear()
+        config = ExperimentConfig(
+            "rallfuller", 0.5, TargetSpec(0.01, 0.05, 0.5), trials=16, master_seed=7
+        )
+        run_experiment(config)
+        # a step's polynomials share its width; each branch has one approximant
+        groups = {(width, eta, k) for _, eta, k, _, _, width in keys}
+        steps = math.ceil(math.log(0.01) / math.log(rallfuller.SHRINK_FACTOR))
+        assert len({width for width, _, _ in groups}) == steps
+        assert len(evaluations) == len(groups) < len(keys)
+        assert len(oracles) == len(keys) == len({id(poly) for poly in oracles})
 
 
 class TestHardwareWorkflow:
@@ -656,6 +782,25 @@ class TestCli:
         partial = [line for line in lines if line.startswith("partial table")]
         assert partial == ([f"partial table: {failed} cell(s) failed"] if failed else [])
         assert len([line for line in lines if " no fit (" in line]) == unfitted
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--algorithm", "type1", "--truth", "0.3", "--trials", "3"], ["scale"]],
+        ids=["run", "scale"],
+    )
+    @pytest.mark.parametrize(
+        "out", ["", "missing/r.json", "report.json/r.json", "."],
+        ids=["empty", "missing-parent", "file-parent", "directory"],
+    )
+    def test_unwritable_out_exits_two_before_any_work(
+        self, command, out, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "report.json").write_text("")
+        built = record_generators(monkeypatch)
+        assert main([*command, "--out", out]) == 2
+        assert "configuration error: --out" in capsys.readouterr().err
+        assert built == []
 
     def test_run_rejects_svg_before_any_trial(self, tmp_path, monkeypatch, capsys):
         built = record_generators(monkeypatch)

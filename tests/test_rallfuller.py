@@ -26,7 +26,7 @@ from lowdepth.rallfuller import (
     _erf_series,
     _parity_clenshaw,
     _scaled_bessel,
-    _semi_pellian_cached,
+    _semi_pellians,
     coin_test,
     coin_tosses,
     erf_poly,
@@ -326,6 +326,18 @@ class TestParityClenshaw:
         assert np.all(np.abs(_parity_clenshaw(points, coefficients, parity) - exact) <= bound)
         assert abs(_parity_clenshaw(np.asarray(point), coefficients, parity) - exact[-1]) <= bound
 
+    @pytest.mark.parametrize("degree", [1, 2, 217, 4097])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_stacked_rows_match_one_row_at_a_time_bit_for_bit(self, degree, rows):
+        rng = np.random.default_rng(degree)
+        coefficients = tuple(rng.standard_normal(degree + 1).tolist())
+        points = rng.uniform(-1.0, 1.0, (rows, degree + 1))
+        for parity in (0, 1):
+            stacked = _parity_clenshaw(points, coefficients, parity)
+            assert stacked.shape == points.shape
+            for row, values in zip(points, stacked):
+                assert values.tobytes() == _parity_clenshaw(row, coefficients, parity).tobytes()
+
     def test_erf_approximant_accurate_near_zero(self):
         # Degree 791, whose coefficients alternate in sign, so its terms all
         # add at u = T_2(t) = -1 (t = 0): there a plain recurrence in u loses
@@ -408,6 +420,20 @@ class TestSemiPellian:
         reference = ncheb.chebinterpolate(assembled, erf_part.degree)
         np.testing.assert_allclose(coef, reference, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "scale, eta", [(1.0, 0.01), (44.34280552637824, 0.0011533774164292946)]
+    )
+    def test_stacked_assembly_matches_one_row_at_a_time_bit_for_bit(self, scale, eta):
+        erf_part = erf_poly(scale, eta)
+        rng = np.random.default_rng(1)
+        a_mids = rng.uniform(0.0, 1.0, 6)
+        denominators = 4.0 * eta + rng.uniform(0.001, 0.01, 6) + 2.0
+        stacked = _assembled_series(erf_part, eta, a_mids[:, None], denominators[:, None])
+        assert stacked.shape == (6, erf_part.degree + 1)
+        for row, a_mid, denominator in zip(stacked, a_mids, denominators):
+            single = _assembled_series(erf_part, eta, float(a_mid), float(denominator))
+            assert row.tobytes() == single.tobytes()
+
     def test_nodes_are_chebpts1_bit_for_bit(self):
         # _assembled_series computes chebpts1's formula inline; at a_mid = 0
         # the erf approximant is evaluated at the nodes themselves.
@@ -431,7 +457,7 @@ class TestSemiPellian:
             return evaluate(self, x)
 
         monkeypatch.setattr(ErfApproximant, "evaluate", counted)
-        _semi_pellian_cached.cache_clear()
+        _semi_pellians.clear()
         interval = ConfidenceInterval(0.3 - 0.9**20 / 2, 0.9**20)
         params = rf_params(interval, 0.5)
         poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
