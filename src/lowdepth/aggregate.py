@@ -4,16 +4,15 @@ Running a conforming black box independently and averaging trades query
 count for circuit depth.  Two plans are provided: one driven by bias and
 variance budgets (Chebyshev concentration, success floor above one half),
 one driven by bias, per-run precision and failure probability (Hoeffding
-concentration, explicit failure target).  A median booster lifts any
-above-half success probability toward certainty.
+concentration, explicit failure target).  Both are aggregated by the same
+sample mean.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .blackbox import Sampler, Uqae1Contract, Uqae2Contract, draw_runs
 from .core import ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
@@ -52,10 +51,10 @@ def bias_variance_floor(bias_fraction: float, variance_fraction: float) -> Feasi
 
 @dataclass(frozen=True)
 class Type1Plan:
-    """Aggregation schedule for a bias/variance black box."""
+    """Aggregation schedule for a bias/variance black box; ``success_floor``
+    is the :func:`bias_variance_floor` of the fractions it is built from."""
 
-    bias_fraction: float
-    variance_fraction: float
+    success_floor: float
     bias_bound: float
     variance_bound: float
     runs: int
@@ -75,8 +74,7 @@ class Type1Plan:
             )
         eps, beta = target.epsilon, target.beta
         return cls(
-            bias_fraction=bias_fraction,
-            variance_fraction=variance_fraction,
+            success_floor=check.success_floor,
             bias_bound=bias_fraction * eps,
             variance_bound=variance_fraction * eps ** (2.0 - 2.0 * beta),
             runs=ceil_int(eps ** (-2.0 * beta)),
@@ -112,8 +110,6 @@ class Type2Plan:
     also keeping the conditional bias shift below tail_fraction * eps.
     """
 
-    bias_fraction: float
-    tail_fraction: float
     output_cap: float
     bias_bound: float
     run_precision: float
@@ -134,8 +130,6 @@ class Type2Plan:
         eps, delta, beta = target.epsilon, target.delta, target.beta
         run_fail_prob = min(delta / (2.0 * runs), tail_fraction * eps / output_cap)
         return cls(
-            bias_fraction=bias_fraction,
-            tail_fraction=tail_fraction,
             output_cap=output_cap,
             bias_bound=bias_fraction * eps,
             run_precision=eps ** (1.0 - beta),
@@ -149,43 +143,28 @@ class Type2Plan:
         )
 
 
-def _batched_mean(sampler, plan, seed: SeedSpec, ledger: ResourceLedger) -> float:
+def aggregate_type1(
+    sampler: Sampler, plan: Type1Plan | Type2Plan, *, seed: SeedSpec, ledger: ResourceLedger
+) -> float:
+    """Mean of ``plan.runs`` independent runs honouring ``plan.contract()``.
+
+    On a :class:`Type1Plan` (bias/variance contract) the mean lands within
+    eps of the truth with probability above the plan's ``success_floor``
+    (Chebyshev).  On a :class:`Type2Plan` (precision/failure contract) a
+    good/bad decomposition plus a union bound keeps the bad-run mass below
+    half the failure budget and Hoeffding on the good part covers the rest,
+    so the mean lands within eps with probability at least 1 - delta.
+
+    The sampler is called once, with the generator
+    ``derive_stream(seed, 0).rng()`` and ``size=plan.runs``; run i is the
+    i-th element of each draw, so the result does not depend on the schedule.
+    """
     values = draw_runs(sampler, plan.contract(), derive_stream(seed, 0).rng(), ledger, plan.runs)
     # fsum gives an exactly rounded sum, independent of summation order.
     return math.fsum(values.tolist()) / plan.runs
 
 
-def aggregate_type1(
-    sampler: Sampler, plan: Type1Plan, *, seed: SeedSpec, ledger: ResourceLedger
-) -> float:
-    """Mean of independent bias/variance-contract runs.
-
-    The sampler must honour ``plan.contract()``; the mean of ``plan.runs``
-    such runs then lands within eps of the truth with probability above the
-    plan's :func:`bias_variance_floor`.
-
-    The sampler is called once, with the generator
-    ``derive_stream(seed, 0).rng()`` and ``size=plan.runs``; run i is the
-    i-th element of each draw, so the result does not depend on the schedule.
-    """
-    return _batched_mean(sampler, plan, seed, ledger)
-
-
-def aggregate_type2(
-    sampler: Sampler, plan: Type2Plan, *, seed: SeedSpec, ledger: ResourceLedger
-) -> float:
-    """Mean of independent precision/failure-contract runs.
-
-    Good/bad decomposition plus a union bound keeps the bad-run mass below
-    half the failure budget; Hoeffding on the good part covers the rest, so
-    the mean of ``plan.runs`` runs honouring ``plan.contract()`` lands within
-    eps with probability at least 1 - delta.
-
-    The sampler is called once, with the generator
-    ``derive_stream(seed, 0).rng()`` and ``size=plan.runs``; run i is the
-    i-th element of each draw, so the result does not depend on the schedule.
-    """
-    return _batched_mean(sampler, plan, seed, ledger)
+aggregate_type2 = aggregate_type1
 
 
 def boost_repetitions(success_floor: float, delta_target: float) -> int:
@@ -198,22 +177,3 @@ def boost_repetitions(success_floor: float, delta_target: float) -> int:
     raw = math.log(1.0 / delta_target) / (2.0 * (success_floor - 0.5) ** 2)
     repetitions = max(1, ceil_int(raw))
     return repetitions if repetitions % 2 == 1 else repetitions + 1
-
-
-def median_boost(
-    runner: Callable[[SeedSpec, ResourceLedger], float],
-    repetitions: int,
-    *,
-    seed: SeedSpec,
-    ledger: ResourceLedger,
-) -> float:
-    """Median of an odd number of independent estimates.
-
-    If each run succeeds with probability p > 1/2, the median fails with
-    probability at most exp(-2 * repetitions * (p - 1/2)^2); use
-    :func:`boost_repetitions` to size ``repetitions`` for a failure target.
-    """
-    if repetitions < 1 or repetitions % 2 == 0:
-        raise ValueError("repetitions must be a positive odd integer")
-    estimates = [runner(derive_stream(seed, index), ledger) for index in range(repetitions)]
-    return float(statistics.median(estimates))

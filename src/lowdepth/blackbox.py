@@ -120,7 +120,7 @@ def _uqae2_queries(contract) -> int:
 
 UQAE1_COST = SyntheticCostModel(_uqae1_depth, _uqae1_queries)
 UQAE2_COST = SyntheticCostModel(_uqae2_depth, _uqae2_queries)
-UQPE2_COST = SyntheticCostModel(_uqae2_depth, _uqae2_queries)
+UQPE2_COST = UQAE2_COST  # a phase contract costs what an amplitude one does
 
 
 # A sampler draws ``size`` independent runs of one contract from the trial's
@@ -149,6 +149,22 @@ def draw_runs(
     return values
 
 
+def _run_count(size) -> int:
+    if int(size) < 1:
+        raise ValueError("size must be positive")
+    return int(size)
+
+
+def _mixture_offsets(rng: np.random.Generator, size: int, fail_prob: float, spread: float,
+                     tail_magnitude: float) -> np.ndarray:
+    """``size`` offsets, each +/- tail_magnitude with probability fail_prob and
+    +/- spread otherwise, either sign equally likely (all coins, then all signs)."""
+    n = _run_count(size)
+    coins = rng.random(n)
+    signs = rng.integers(0, 2, size=n) * 2 - 1
+    return ((coins < fail_prob) * (tail_magnitude - spread) + spread) * signs
+
+
 def synth_uqae1_sample(
     a: Amplitude,
     contract: Uqae1Contract,
@@ -166,9 +182,7 @@ def synth_uqae1_sample(
     """
     if abs(bias_setting) > contract.bias_bound + ABS_TOL:
         raise ValueError("bias_setting exceeds the contracted bias bound")
-    n = int(size)
-    if n < 1:
-        raise ValueError("size must be positive")
+    n = _run_count(size)
     signs = rng.integers(0, 2, size=n) * 2 - 1
     values = a.value + bias_setting + math.sqrt(contract.variance_bound) * signs
     UQAE1_COST.charge(contract, ledger, n)
@@ -202,16 +216,10 @@ def synth_uqae2_sample(
         raise ValueError("tail branch would exceed the output cap")
     if abs(a.value) + contract.precision > cap + ABS_TOL:
         raise ValueError("good branch would exceed the output cap")
-    n = int(size)
-    if n < 1:
-        raise ValueError("size must be positive")
-    coins = rng.random(n)
-    signs = rng.integers(0, 2, size=n) * 2 - 1
     spread = contract.precision - abs(bias_setting)
-    magnitudes = (coins < contract.fail_prob) * (tail_magnitude - spread) + spread
-    values = a.value + bias_setting + magnitudes * signs
-    UQAE2_COST.charge(contract, ledger, n)
-    return values
+    offsets = _mixture_offsets(rng, size, contract.fail_prob, spread, tail_magnitude)
+    UQAE2_COST.charge(contract, ledger, offsets.size)
+    return a.value + bias_setting + offsets
 
 
 def synth_uqpe2_sample(
@@ -240,15 +248,9 @@ def synth_uqpe2_sample(
         raise ValueError("tail_magnitude must be nonnegative")
     if abs(bias_setting) + max(spread, tail_magnitude) > math.pi:
         raise ValueError("offsets must stay below pi for unambiguous circular bias")
-    n = int(size)
-    if n < 1:
-        raise ValueError("size must be positive")
-    coins = rng.random(n)
-    signs = rng.integers(0, 2, size=n) * 2 - 1
-    magnitudes = (coins < contract.fail_prob) * (tail_magnitude - spread) + spread
-    values = (theta + bias_setting + magnitudes * signs) % TWO_PI
-    UQPE2_COST.charge(contract, ledger, n)
-    return values
+    offsets = _mixture_offsets(rng, size, contract.fail_prob, spread, tail_magnitude)
+    UQPE2_COST.charge(contract, ledger, offsets.size)
+    return (theta + bias_setting + offsets) % TWO_PI
 
 
 def monkey_sample(a: Amplitude, epsilon: float) -> float:

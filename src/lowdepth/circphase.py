@@ -74,11 +74,9 @@ class PhasePlan:
     """Schedule of the three-stage circular aggregation."""
 
     bias_fraction: float
-    tail_fraction: float
     runs: int
     run_precision: float
     run_fail_prob: float
-    ref_precision: float
 
     @classmethod
     def from_target(
@@ -97,15 +95,13 @@ class PhasePlan:
         run_fail_prob = min(delta / (2.0 * (runs + 1)), tail_fraction * eps / (4.0 * math.pi))
         return cls(
             bias_fraction=bias_fraction,
-            tail_fraction=tail_fraction,
             runs=runs,
             run_precision=eps ** (1.0 - beta),
             run_fail_prob=run_fail_prob,
-            ref_precision=REF_PRECISION,
         )
 
     def ref_contract(self, target: TargetSpec) -> Uqpe2Contract:
-        return Uqpe2Contract(target.epsilon, self.ref_precision, self.run_fail_prob)
+        return Uqpe2Contract(target.epsilon, REF_PRECISION, self.run_fail_prob)
 
     def main_contract(self, target: TargetSpec) -> Uqpe2Contract:
         return Uqpe2Contract(

@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import aggregate, blackbox
+from . import blackbox
 from .core import SimulationError, TargetSpec
 # bound here for bench/tracing.py, which wraps derive_stream in every module holding it
 from .core import derive_stream  # noqa: F401
@@ -211,11 +211,10 @@ def _cmd_params(args) -> int:
             f"run_fail_prob={phase_plan.run_fail_prob:.6g}"
         )
     print(f"target: epsilon={target.epsilon:g} delta={target.delta:g} beta={target.beta:g}")
-    floor = aggregate.bias_variance_floor(plan1.bias_fraction, plan1.variance_fraction)
     print(
         f"bias/variance plan:    bias_bound={plan1.bias_bound:.6g} "
         f"variance_bound={plan1.variance_bound:.6g} runs={plan1.runs} "
-        f"success_floor={floor.success_floor:.6g}"
+        f"success_floor={plan1.success_floor:.6g}"
     )
     print(
         f"precision/failure plan: bias_bound={plan2.bias_bound:.6g} "

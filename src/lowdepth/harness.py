@@ -76,11 +76,14 @@ def _type2_trials(truth, target, constants, plan, seeds, ledgers):
 
 def _phase_trials(truth, target, constants, plan, seeds, ledgers):
     bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
+    # told apart by its bias bound eps (the main stage's is r eps, r < 1):
+    # the run precision may equal the reference precision
+    reference = plan.ref_contract(target)
 
     def sampler(contract, rng, run_ledger, size):
         bias_setting = bias_scale * contract.bias_bound
         spread = None
-        if contract.precision == circphase.REF_PRECISION:
+        if contract == reference:
             spread = max(0.0, _REF_SPREAD - abs(bias_setting))
         return blackbox.synth_uqpe2_sample(
             truth, contract, bias_setting, tail, rng, run_ledger, good_spread=spread, size=size

@@ -194,8 +194,6 @@ class ErfApproximant:
     """
 
     coefficients: tuple[float, ...]
-    scale: float
-    accuracy: float
     # Proved bound on |e - erf(scale x)| over [-2, 2]: the absolute sum of
     # the exact series' terms above the degree (the computed ones summed, the
     # rest bounded geometrically) plus a worst-case bound, first order in
@@ -298,13 +296,13 @@ def _sized_terms(scale: float, accuracy: float) -> int:
     """
     big_k = _ERF_DOMAIN_HALF * scale
     z = 0.5 * big_k * big_k
-    j_half = np.arange(_DEGREE_CAP // 2 + 1) + 0.5
-    ratio = z / (j_half + np.sqrt(j_half * j_half + z * z))
+    j = np.arange(_DEGREE_CAP // 2 + 1)
+    ratio = _amos_ratio(j, z)
     scaled_bessel = np.concatenate(([1.0], np.cumprod(ratio[:-1])))
     prefactor = 2.0 * big_k / math.sqrt(math.pi)
-    remaining = prefactor * scaled_bessel * (1.0 + ratio) / ((1.0 - ratio) * 2.0 * j_half)
+    remaining = prefactor * scaled_bessel * (1.0 + ratio) / ((1.0 - ratio) * (2.0 * j + 1.0))
     (small,) = np.nonzero(remaining <= 0.25 * accuracy)
-    return min(int(small[0]) + 2, j_half.size) if small.size else j_half.size
+    return min(int(small[0]) + 2, j.size) if small.size else j.size
 
 
 @lru_cache(maxsize=256)
@@ -335,7 +333,7 @@ def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
             cut = int(fits[0])
             coefficients = [0.0] * (2 * cut + 2)
             coefficients[1::2] = (float(c) for c in odd[: cut + 1])
-            return ErfApproximant(tuple(coefficients), scale, accuracy, float(bound[cut]))
+            return ErfApproximant(tuple(coefficients), float(bound[cut]))
     raise PolynomialConstructionError(
         f"no odd polynomial of degree <= {_DEGREE_CAP} reached accuracy {accuracy} "
         f"for erf({scale} x); best sup error {float(bound[-1])}"

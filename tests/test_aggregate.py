@@ -10,11 +10,10 @@ from lowdepth.aggregate import (
     aggregate_type2,
     bias_variance_floor,
     boost_repetitions,
-    median_boost,
 )
 from lowdepth.blackbox import monkey_sample, synth_uqae1_sample, synth_uqae2_sample
 from lowdepth.circphase import PhasePlan
-from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec
+from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec, derive_stream
 
 A = Amplitude(0.3)
 
@@ -150,7 +149,7 @@ class TestAggregateType1:
     def test_empirical_success_beats_floor(self):
         target = TargetSpec(0.05, 0.1, 0.5)
         plan = Type1Plan.from_target(target)
-        floor = bias_variance_floor(plan.bias_fraction, plan.variance_fraction).success_floor
+        floor = plan.success_floor
         sampler = worst_bias_sampler(plan)
         trials = 2000
         wins = sum(
@@ -276,16 +275,6 @@ class TestAggregateType2:
 
 
 class TestMedianBoost:
-    def test_single_repetition_is_identity(self):
-        value = median_boost(
-            lambda seed, ledger: 0.42, 1, seed=SeedSpec(40, 0), ledger=ResourceLedger()
-        )
-        assert value == 0.42
-
-    def test_rejects_even_repetitions(self):
-        with pytest.raises(ValueError):
-            median_boost(lambda s, l: 0.0, 4, seed=SeedSpec(40, 1), ledger=ResourceLedger())
-
     def test_repetition_sizing_reference_value(self):
         # documents how much slack the floor needs: a floor of 0.5076 costs
         # tens of thousands of repetitions to reach 5% failure
@@ -295,22 +284,19 @@ class TestMedianBoost:
         success = 0.75
         truth = 0.3
 
-        def runner(seed, ledger):
+        def runner(seed):
             good = seed.rng().random() < success
             return truth if good else truth + 1.0
+
+        def median(seed, repetitions):
+            return float(np.median([runner(derive_stream(seed, index))
+                                    for index in range(repetitions)]))
 
         delta_target = 0.05
         repetitions = boost_repetitions(success, delta_target)
         meta = 500
         failures = sum(
-            abs(
-                median_boost(
-                    runner, repetitions, seed=SeedSpec(41, i), ledger=ResourceLedger()
-                )
-                - truth
-            )
-            > 0.5
-            for i in range(meta)
+            abs(median(SeedSpec(41, i), repetitions) - truth) > 0.5 for i in range(meta)
         )
         assert failures / meta <= delta_target + 3 * math.sqrt(delta_target / meta)
 

@@ -185,6 +185,34 @@ class TestSynthUqpe2:
             )
 
 
+class TestSharedMixture:
+    def test_amplitude_and_phase_samplers_draw_identical_offsets(self):
+        # dyadic settings keep every sum exact, so the offsets compare bit for bit
+        bias, tail, size = 0.125, 0.25, 1000
+        amp_ledger, phase_ledger = ResourceLedger(), ResourceLedger()
+        amp = synth_uqae2_sample(Amplitude(0.25), Uqae2Contract(0.125, 0.5, 0.3), bias, tail,
+                                 SEED.rng(), amp_ledger, size=size)
+        phase = synth_uqpe2_sample(1.0, Uqpe2Contract(0.125, 0.5, 0.3), bias, tail,
+                                   SEED.rng(), phase_ledger, size=size)
+        assert np.array_equal(amp - 0.375, phase - 1.125)
+        assert set(np.abs(amp - 0.375)) == {0.375, 0.25}
+        assert UQPE2_COST is UQAE2_COST
+        assert amp_ledger == phase_ledger
+
+    @pytest.mark.parametrize("draw", [
+        lambda size: synth_uqae1_sample(A, Uqae1Contract(0.1, 0.01), 0.0, SEED.rng(),
+                                        ResourceLedger(), size=size),
+        lambda size: synth_uqae2_sample(A, Uqae2Contract(0.1, 0.2, 0.1), 0.0, 0.1, SEED.rng(),
+                                        ResourceLedger(), size=size),
+        lambda size: synth_uqpe2_sample(1.0, Uqpe2Contract(0.1, 0.2, 0.1), 0.0, 0.1,
+                                        SEED.rng(), ResourceLedger(), size=size),
+    ])
+    def test_every_sampler_rejects_an_empty_draw(self, draw):
+        assert draw(1).shape == (1,)
+        with pytest.raises(ValueError, match="size must be positive"):
+            draw(0)
+
+
 class TestSamplerContracts:
     """Batched draws realise each contract's two-point law exactly: every
     deviation from a + bias_setting is one of the branch magnitudes with a

@@ -10,6 +10,7 @@ from lowdepth.circphase import (
     ARC_TOL,
     Angle,
     PhasePlan,
+    REF_PRECISION,
     circ_diff,
     lowdepth_phase_estimate,
 )
@@ -223,7 +224,7 @@ class TestLowdepthPhaseEstimate:
         offset = side * (PI / 8 + plan.run_precision + margin)
 
         def sampler(contract, rng, ledger, size):
-            at_reference = contract.precision == plan.ref_precision
+            at_reference = contract.precision == REF_PRECISION
             return np.full(size, Angle(reference + (0.0 if at_reference else offset)).value)
 
         estimate = lowdepth_phase_estimate(

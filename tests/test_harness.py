@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lowdepth import aggregate, circphase, rallfuller
+from lowdepth import aggregate, blackbox, circphase, rallfuller
 from lowdepth.circphase import circ_diff
 from lowdepth.cli import build_parser, main
 from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec, derive_stream
@@ -181,6 +181,23 @@ class TestRunExperiment:
             else:
                 assert fits
                 list(record.trial(1.0, target, constants, plan, *batch))
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9193637971580451])
+    def test_phase_narrows_only_the_reference_stage(self, beta, monkeypatch):
+        # at beta = 0.919..., the run precision 0.05^(1 - beta) is exactly the
+        # reference precision pi/4; the main stage still gets its full spread
+        target = TargetSpec(0.05, 0.1, beta)
+        plan = circphase.PhasePlan.from_target(target)
+        calls, sample = [], blackbox.synth_uqpe2_sample
+
+        def spy(*args, good_spread=None, size, **kwargs):
+            calls.append((size, good_spread))
+            return sample(*args, good_spread=good_spread, size=size, **kwargs)
+
+        monkeypatch.setattr(blackbox, "synth_uqpe2_sample", spy)
+        run_experiment(quick_config(algorithm="phase", truth=1.0, target=target, trials=1))
+        assert (plan.run_precision == circphase.REF_PRECISION) == (beta > 0.9)
+        assert calls == [(1, pytest.approx(math.pi / 10 - 0.05)), (plan.runs, None)]
 
     def test_byte_identical_report_files(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
