@@ -11,7 +11,6 @@ sample mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .blackbox import Sampler, Uqae1Contract, Uqae2Contract, draw_runs
@@ -49,8 +48,7 @@ def bias_variance_floor(bias_fraction: float, variance_fraction: float) -> Feasi
     return FeasibilityCheck(valid, 1.0 - variance_fraction / headroom)
 
 
-@dataclass(frozen=True)
-class Type1Plan:
+class Type1Plan(NamedTuple):
     """Aggregation schedule for a bias/variance black box; ``success_floor``
     is the :func:`bias_variance_floor` of the fractions it is built from."""
 
@@ -101,8 +99,7 @@ def hoeffding_runs(target: TargetSpec, bias_fraction: float, tail_fraction: floa
     )
 
 
-@dataclass(frozen=True)
-class Type2Plan:
+class Type2Plan(NamedTuple):
     """Aggregation schedule for a bias/precision/failure black box.
 
     ``runs`` is fixed first from the overall failure budget; the per-run

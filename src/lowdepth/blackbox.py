@@ -12,7 +12,7 @@ package models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -20,67 +20,61 @@ import numpy as np
 from .core import ABS_TOL, TWO_PI, Amplitude, ResourceLedger, TargetSpec, ceil_int
 
 
-@dataclass(frozen=True)
-class Uqae1Contract:
+class Uqae1Contract(namedtuple("Uqae1Contract", "bias_bound variance_bound")):
     """Bias/variance contract: |E[est] - a| <= bias_bound, Var <= variance_bound."""
 
-    bias_bound: float
-    variance_bound: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.bias_bound <= 0:
+    def __new__(cls, bias_bound: float, variance_bound: float):
+        if bias_bound <= 0:
             raise ValueError("bias_bound must be positive")
-        if self.variance_bound < 0:
+        if variance_bound < 0:
             raise ValueError("variance_bound must be nonnegative")
+        return super().__new__(cls, bias_bound, variance_bound)
 
 
-@dataclass(frozen=True)
-class Uqae2Contract:
+class Uqae2Contract(namedtuple("Uqae2Contract", "bias_bound precision fail_prob output_cap")):
     """Bias/precision/failure contract with a hard output cap.
 
     |E[est] - a| <= bias_bound, P[|est - a| <= precision] >= 1 - fail_prob,
     and |est| <= output_cap always.
     """
 
-    bias_bound: float
-    precision: float
-    fail_prob: float
-    output_cap: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.bias_bound <= 0:
+    def __new__(cls, bias_bound: float, precision: float, fail_prob: float,
+                output_cap: float = 1.0):
+        if bias_bound <= 0:
             raise ValueError("bias_bound must be positive")
-        if self.precision <= 0:
+        if precision <= 0:
             raise ValueError("precision must be positive")
-        if not 0.0 <= self.fail_prob < 1.0:
+        if not 0.0 <= fail_prob < 1.0:
             raise ValueError("fail_prob must lie in [0, 1)")
-        if self.output_cap < 1.0:
+        if output_cap < 1.0:
             raise ValueError("output_cap must be at least 1")
+        return super().__new__(cls, bias_bound, precision, fail_prob, output_cap)
 
 
-@dataclass(frozen=True)
-class Uqpe2Contract:
+class Uqpe2Contract(namedtuple("Uqpe2Contract", "bias_bound precision fail_prob")):
     """Circular analogue of :class:`Uqae2Contract` for phase estimators.
 
     Bias and precision are read through the circular difference, so no
     output cap is needed (angles live on the circle).
     """
 
-    bias_bound: float
-    precision: float
-    fail_prob: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.bias_bound <= 0:
+    def __new__(cls, bias_bound: float, precision: float, fail_prob: float):
+        if bias_bound <= 0:
             raise ValueError("bias_bound must be positive")
-        if not 0.0 < self.precision <= math.pi:
+        if not 0.0 < precision <= math.pi:
             raise ValueError("precision must lie in (0, pi]")
-        if not 0.0 <= self.fail_prob < 1.0:
+        if not 0.0 <= fail_prob < 1.0:
             raise ValueError("fail_prob must lie in [0, 1)")
+        return super().__new__(cls, bias_bound, precision, fail_prob)
 
 
-@dataclass(frozen=True)
-class SyntheticCostModel:
+class SyntheticCostModel(NamedTuple):
     """Symbolic depth/query costs charged per synthetic sample."""
 
     depth_fn: Callable[[object], int]
@@ -315,7 +309,6 @@ class PhaseRegisterParams(NamedTuple):
     n_real: float
     depth_scale_real: float
     bias_fraction: float
-    tail_fraction: float
 
 
 def apeldoorn_phase_params(target: TargetSpec) -> PhaseRegisterParams:
@@ -340,6 +333,4 @@ def apeldoorn_phase_params(target: TargetSpec) -> PhaseRegisterParams:
     if n < math.log2(math.pi * m):
         raise ValueError(f"register too small: n = {n} < log2(pi m) = {math.log2(math.pi * m)}")
     bias_fraction = delta / (4.0 * log_term)
-    return PhaseRegisterParams(
-        m, n, depth_scale, n_real, depth_scale_real, bias_fraction, 0.5 - bias_fraction
-    )
+    return PhaseRegisterParams(m, n, depth_scale, n_real, depth_scale_real, bias_fraction)

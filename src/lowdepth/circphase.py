@@ -15,7 +15,8 @@ array inputs an array of the same shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,14 +34,13 @@ _REF_ARC_HALF_WIDTH = math.pi / 8
 # Precision of the preprocessing (reference) call: a quarter circle.
 REF_PRECISION = math.pi / 4
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(namedtuple("Angle", "value")):
     """An angle reduced to its canonical representative in [0, 2 pi)."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(_reduce(self.value)))
+    def __new__(cls, value: float):
+        return super().__new__(cls, float(_reduce(value)))
 
 
 def _reduce(angles):
@@ -69,8 +69,7 @@ def circ_diff(theta, phi):
     return r - TWO_PI * (r >= math.pi)
 
 
-@dataclass(frozen=True)
-class PhasePlan:
+class PhasePlan(NamedTuple):
     """Schedule of the three-stage circular aggregation."""
 
     bias_fraction: float

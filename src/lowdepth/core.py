@@ -19,7 +19,7 @@ taking the i-th element of each draw:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -46,39 +46,36 @@ def ceil_int(value: float) -> int:
     return math.ceil(value - _CEIL_SLACK * max(1.0, abs(value)))
 
 
-@dataclass(frozen=True)
-class Amplitude:
+class Amplitude(namedtuple("Amplitude", "value")):
     """The unknown value in [0, 1] an amplitude-estimation run targets."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"amplitude must lie in [0, 1], got {self.value}")
+    def __new__(cls, value: float):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"amplitude must lie in [0, 1], got {value}")
+        return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
-class TargetSpec:
+class TargetSpec(namedtuple("TargetSpec", "epsilon delta beta")):
     """Requested additive precision, failure probability and depth knob.
 
     ``beta`` interpolates between the full-depth regime (0) and the
     depth-one classical regime (1).
     """
 
-    epsilon: float
-    delta: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+    def __new__(cls, epsilon: float, delta: float, beta: float):
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"beta must lie in [0, 1], got {beta}")
+        return super().__new__(cls, epsilon, delta, beta)
 
 
-@dataclass
 class ResourceLedger:
     """Per-run accounting of circuit depth and oracle queries.
 
@@ -87,12 +84,21 @@ class ResourceLedger:
     over all shots.  Both only ever grow.
     """
 
-    max_depth: int = 0
-    total_queries: int = 0
+    __slots__ = ("max_depth", "total_queries")
 
-    def __post_init__(self) -> None:
-        if self.max_depth < 0 or self.total_queries < 0:
+    def __init__(self, max_depth: int = 0, total_queries: int = 0) -> None:
+        if max_depth < 0 or total_queries < 0:
             raise ValueError("ledger counters must be nonnegative")
+        self.max_depth, self.total_queries = max_depth, total_queries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_depth, self.total_queries) == (other.max_depth, other.total_queries)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(max_depth={self.max_depth}, "
+                f"total_queries={self.total_queries})")
 
     def charge(self, depth: int, queries: int) -> None:
         if depth < 0 or queries < 0:
@@ -101,8 +107,7 @@ class ResourceLedger:
         self.total_queries += int(queries)
 
 
-@dataclass(frozen=True)
-class SeedSpec:
+class SeedSpec(namedtuple("SeedSpec", "master_seed stream_index")):
     """Address of one deterministic random stream.
 
     Identical (master_seed, stream_index) pairs reproduce bit-identical
@@ -110,14 +115,14 @@ class SeedSpec:
     statistically independent streams.
     """
 
-    master_seed: int
-    stream_index: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < _UINT64_SPAN:
+    def __new__(cls, master_seed: int, stream_index: int = 0):
+        if not 0 <= master_seed < _UINT64_SPAN:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if self.stream_index < 0:
+        if stream_index < 0:
             raise ValueError("stream_index must be nonnegative")
+        return super().__new__(cls, master_seed, stream_index)
 
     def rng(self) -> np.random.Generator:
         """Fresh generator for this stream (PCG64 behind a SeedSequence)."""

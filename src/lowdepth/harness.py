@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -111,8 +111,7 @@ def _monkey_trials(truth, target, constants, plan, seeds, ledgers):
             for seed, ledger in zip(seeds, ledgers))
 
 
-@dataclass(frozen=True)
-class Algorithm:
+class Algorithm(NamedTuple):
     """Everything the harness knows about one algorithm.
 
     ``constants`` lists the constants it reads, with their defaults; it
@@ -223,19 +222,19 @@ _TOLERANCE_PROVENANCE = {
 }
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(namedtuple(
+        "ExperimentConfig", "algorithm truth target constants trials master_seed parallel")):
     """One experiment: an algorithm, a hidden truth, a target and a seed."""
 
-    algorithm: str
-    truth: float
-    target: TargetSpec
-    constants: dict = field(default_factory=dict)
-    trials: int = 1
-    master_seed: int = 0
-    parallel: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, algorithm: str, truth: float, target: TargetSpec,
+                constants: dict | None = None, trials: int = 1, master_seed: int = 0,
+                parallel: bool = False):
+        # a fresh dict per config, never one default dict shared by every config
+        constants = {} if constants is None else constants
+        self = super().__new__(cls, algorithm, truth, target, constants, trials, master_seed,
+                               parallel)
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHMS)}"
@@ -262,6 +261,7 @@ class ExperimentConfig:
         if abs(bias_scale) > 1.0:
             # a synthetic sampler applies at most its contracted bias
             raise ConfigError(f"|bias_scale| must be at most 1, got {bias_scale}")
+        return self
 
     def resolved_constants(self) -> dict:
         return {**ALGORITHMS[self.algorithm].constants, **self.constants}
@@ -281,8 +281,7 @@ class ExperimentConfig:
         }
 
 
-@dataclass
-class TrialReport:
+class TrialReport(NamedTuple):
     """Estimates and resource accounting for one experiment."""
 
     config: dict
@@ -353,22 +352,21 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalingCell:
+class ScalingCell(NamedTuple):
     epsilon: float
     beta: float
     max_depth: int
     total_queries: int
 
 
-@dataclass
-class ScalingStudy:
+class ScalingStudy(NamedTuple):
     """Depth/query ledgers over an (epsilon, beta) grid with log-log fits."""
 
     config: dict
     rows: list[ScalingCell]
     slopes: dict[float, dict[str, float]]
-    errors: list[dict] = field(default_factory=list)
+    # a tuple, not a list: a default is shared by every study built without errors
+    errors: list[dict] | tuple = ()
 
     @property
     def partial(self) -> bool:
@@ -446,10 +444,10 @@ def scaling_study(
 
 def _scaling_to_dict(study: ScalingStudy) -> dict:
     return {
-        **vars(study),
+        **study._asdict(),
         "kind": "scaling_study",
         "partial": study.partial,
-        "rows": [vars(row) for row in study.rows],
+        "rows": [row._asdict() for row in study.rows],
         "slopes": {repr(beta): fits for beta, fits in study.slopes.items()},
     }
 
@@ -571,9 +569,9 @@ def export_report(report, fmt: str, path) -> Path:
     destination = Path(path)
     if isinstance(report, TrialReport):
         if fmt == "json":
-            # vars, not dataclasses.asdict, which deep-copies every value:
-            # about 0.4 ms for an 80-trial report
-            payload = {**vars(report), "kind": "trial_report"}
+            # _asdict is shallow; the fields are plain dicts, lists and numbers,
+            # which json writes as they are (a record left in would become a list)
+            payload = {**report._asdict(), "kind": "trial_report"}
             text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         elif fmt == "csv":
             text = _trial_csv(report)

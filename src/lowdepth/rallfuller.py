@@ -12,8 +12,8 @@ full-depth fallback scaling like 1/width before that.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -67,22 +67,21 @@ def kappa(tau: float) -> float:
     return 0.5 * math.sqrt(2.0 * math.log(2.0 / (math.pi * tau * tau)))
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
+class ConfidenceInterval(namedtuple("ConfidenceInterval", "a_min width")):
     """Interval [a_min, a_min + width] tracked by the shrinking loop.
 
     The width is stored directly so that each shrink is a single float
     multiply and the factor 0.9 per step holds exactly.
     """
 
-    a_min: float
-    width: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a_min < 0.0 or self.width <= 0.0:
+    def __new__(cls, a_min: float, width: float):
+        if a_min < 0.0 or width <= 0.0:
             raise ValueError("interval must satisfy a_min >= 0 and width > 0")
-        if self.a_min + self.width > 1.0 + _DRIFT_TOL:
+        if a_min + width > 1.0 + _DRIFT_TOL:
             raise ValueError("interval must stay inside [0, 1]")
+        return super().__new__(cls, a_min, width)
 
     @property
     def a_max(self) -> float:
@@ -109,8 +108,7 @@ class ConfidenceInterval:
         return self._clipped(self.a_min, SHRINK_FACTOR * self.width)
 
 
-@dataclass(frozen=True)
-class RfStepParams:
+class RfStepParams(NamedTuple):
     """Per-step polynomial parameters (approximation accuracies tau and eta,
     decision gap gamma, erf scale k) plus the branch that produced them."""
 
@@ -184,8 +182,7 @@ def _parity_clenshaw(t, coefficients: tuple[float, ...], parity: int):
     return t * (head + (w - 2.0) * b - s) if parity else head + 0.5 * w * b - s
 
 
-@dataclass(frozen=True)
-class ErfApproximant:
+class ErfApproximant(NamedTuple):
     """Odd polynomial approximating erf(scale x) on [-2, 2].
 
     Held as a Chebyshev series (argument scaled to [-1, 1]) because power
@@ -340,8 +337,7 @@ def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
     )
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(NamedTuple):
     """Proved bounds on the polynomial over the two decision segments: its
     maximum on the left segment is at most ``left_max`` and its minimum on
     the right segment at least ``right_min``."""
@@ -351,8 +347,7 @@ class GapCertificate:
     gamma: float
 
 
-@dataclass(frozen=True)
-class SemiPellianPoly:
+class SemiPellianPoly(NamedTuple):
     """Even polynomial with |P| <= 1 on [-1, 1] and a decision gap.
 
     Coefficients are a Chebyshev series on [-1, 1]; parity is structural
@@ -519,8 +514,7 @@ def coin_test(heads: int, tosses: int, gamma: float) -> bool:
     return heads >= tosses * (0.25 + gamma * gamma)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Trace entry for one shrinking step (interval is pre-discard)."""
 
     step: int

@@ -35,8 +35,8 @@ sizes = st.integers(1, 2000)
 class ChargeLog(ResourceLedger):
     """Ledger that also records each charge it receives."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self) -> None:
+        super().__init__()
         self.charges = []
 
     def charge(self, depth: int, queries: int) -> None:

@@ -3,11 +3,11 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -307,6 +307,36 @@ class TestBatches:
                 report.estimates[index], report.trial_depths[index], report.trial_queries[index]
             ), index
 
+    def test_records_a_batch_carries_pickle_as_themselves_and_still_validate(self):
+        # a --parallel batch pickles its target and plan to a worker process;
+        # seeds and contracts are records of the same kind, so they take the
+        # same trip, and each must come back equal and as its own class
+        target = TargetSpec(0.05, 0.1, 0.5)
+        plans = [ALGORITHMS[name].build_plan(target, {}) for name in ("type1", "type2", "phase")]
+        contracts = [plans[0].contract(), plans[1].contract(), plans[2].main_contract(target)]
+        for record in (target, SeedSpec(7, 3), *plans, *contracts):
+            copy = pickle.loads(pickle.dumps(record))
+            assert type(copy) is type(record) and copy == record
+        # the inputs each constructor rejects that no other test builds
+        rejected = [
+            (blackbox.Uqae1Contract, (0.0, 0.1), "bias_bound"),
+            (blackbox.Uqae1Contract, (0.1, -0.1), "variance_bound"),
+            (blackbox.Uqae2Contract, (0.0, 0.1, 0.1), "bias_bound"),
+            (blackbox.Uqae2Contract, (0.1, 0.0, 0.1), "precision"),
+            (blackbox.Uqae2Contract, (0.1, 0.1, 1.0), "fail_prob"),
+            (blackbox.Uqae2Contract, (0.1, 0.1, 0.1, 0.5), "output_cap"),
+            (blackbox.Uqpe2Contract, (0.0, 0.1, 0.1), "bias_bound"),
+            (blackbox.Uqpe2Contract, (0.1, 4.0, 0.1), "precision"),
+            (blackbox.Uqpe2Contract, (0.1, 0.1, -0.1), "fail_prob"),
+            (ResourceLedger, (-1, 0), "nonnegative"),
+            (ResourceLedger, (0, -1), "nonnegative"),
+        ]
+        for record_class, args, message in rejected:
+            with pytest.raises(ValueError, match=message):
+                record_class(*args)
+        # every config gets its own constants, never one shared default
+        assert quick_config(constants=None).constants is not quick_config(constants=None).constants
+
     @staticmethod
     def forced_failures(config, monkeypatch):
         """Make two Rall-Fuller trials fail, the higher-indexed one at an
@@ -465,7 +495,7 @@ class TestExport:
         # the export carries every report field
         report = run_experiment(quick_config(trials=12))
         path = export_report(report, "json", tmp_path / "r.json")
-        expected = {f.name: getattr(report, f.name) for f in fields(report)}
+        expected = {name: getattr(report, name) for name in report._fields}
         assert json.loads(path.read_text()) == {**expected, "kind": "trial_report"}
 
     def test_svg_rejected_for_trial_reports(self, tmp_path):
@@ -697,13 +727,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "module",
-        ["numpy.random", "csv", "concurrent.futures.process", "multiprocessing", "numpy.polynomial"],
+        ["numpy.random", "csv", "concurrent.futures.process", "multiprocessing", "numpy.polynomial",
+         "dataclasses"],
     )
     def test_cli_import_leaves_numpy_random_unloaded(self, module):
         # numpy loads numpy.random on first use; importing the CLI must not
         # move that cost out of the first draw and into start-up; no report
-        # writer uses csv; only --parallel needs the process pool, and the
-        # Chebyshev nodes are computed without numpy.polynomial
+        # writer uses csv; only --parallel needs the process pool, the
+        # Chebyshev nodes are computed without numpy.polynomial, and no record
+        # is a dataclass, whose methods are compiled when its class is built
         root = Path(__file__).resolve().parents[1]
         code = f"import lowdepth.cli, sys; sys.exit({module!r} in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
