@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .blackbox import Sampler, Uqae1Contract, Uqae2Contract, draw_runs
+from .blackbox import Sampler, Uqae1Contract, Uqae2Contract, walk_stages
 from .core import ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
 
 # Bias fraction r and variance fraction s used by default for the
@@ -81,6 +81,10 @@ class Type1Plan(NamedTuple):
     def contract(self) -> Uqae1Contract:
         return Uqae1Contract(self.bias_bound, self.variance_bound)
 
+    def stages(self, target: TargetSpec | None = None) -> tuple:
+        """A mean aggregation's one stage (only a phase plan reads ``target``)."""
+        return (("aggregate", self.contract(), self.runs),)
+
 
 def hoeffding_runs(target: TargetSpec, bias_fraction: float, tail_fraction: float) -> int:
     """Run count of the precision/failure plans (type 2 and circular phase).
@@ -139,6 +143,8 @@ class Type2Plan(NamedTuple):
             self.bias_bound, self.run_precision, self.run_fail_prob, self.output_cap
         )
 
+    stages = Type1Plan.stages
+
 
 def aggregate_type1(
     sampler: Sampler, plan: Type1Plan | Type2Plan, *, seed: SeedSpec, ledger: ResourceLedger
@@ -152,15 +158,14 @@ def aggregate_type1(
     half the failure budget and Hoeffding on the good part covers the rest,
     so the mean lands within eps with probability at least 1 - delta.
 
-    The sampler is called once, with the generator
-    ``derive_stream(seed, 0).rng()`` and ``size=plan.runs``; run i is the
-    i-th element of each draw, so the result does not depend on the schedule.
+    The runs are the plan's one stage, drawn as :mod:`lowdepth.core` lays out.
     """
-    values = draw_runs(sampler, plan.contract(), derive_stream(seed, 0).rng(), ledger, plan.runs)
+    [values] = walk_stages(sampler, plan.stages(), derive_stream(seed, 0).rng(), ledger)
     # fsum gives an exactly rounded sum, independent of summation order.
     return math.fsum(values.tolist()) / plan.runs
 
 
+# bound here for bench/tracing.py, which wraps this name apart from aggregate_type1
 aggregate_type2 = aggregate_type1
 
 

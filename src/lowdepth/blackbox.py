@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ABS_TOL, TWO_PI, Amplitude, ResourceLedger, TargetSpec, ceil_int
+from .core import ABS_TOL, Amplitude, ResourceLedger, TargetSpec, ceil_int, reduce_angle
 
 
 class Uqae1Contract(namedtuple("Uqae1Contract", "bias_bound variance_bound")):
@@ -114,33 +114,32 @@ def _uqae2_queries(contract) -> int:
 
 UQAE1_COST = SyntheticCostModel(_uqae1_depth, _uqae1_queries)
 UQAE2_COST = SyntheticCostModel(_uqae2_depth, _uqae2_queries)
-UQPE2_COST = UQAE2_COST  # a phase contract costs what an amplitude one does
+# bound here for bench/gate.py; a phase contract costs what an amplitude one does
+UQPE2_COST = UQAE2_COST
 
 
 # A sampler draws ``size`` independent runs of one contract from the trial's
-# generator and returns them as a float array (angles for a phase contract);
-# run i is element i of each draw, so the runs do not depend on any schedule
-# they might be computed in.  The generator type is quoted: numpy loads
-# numpy.random on first use, and that cost belongs to the first draw, not to
-# importing this package.
+# generator as a float array (angles for a phase contract); its first argument
+# names the plan stage it serves, the one way it tells stages apart.  The
+# generator type is quoted: numpy loads numpy.random on first use, and that
+# cost belongs to the first draw, not to importing this package.
 Sampler = Callable[
-    [Uqae1Contract | Uqae2Contract | Uqpe2Contract, "np.random.Generator", ResourceLedger, int],
+    [str, Uqae1Contract | Uqae2Contract | Uqpe2Contract, "np.random.Generator", ResourceLedger, int],
     np.ndarray,
 ]
 
 
-def draw_runs(
-    sampler: Sampler, contract, rng: np.random.Generator, ledger: ResourceLedger, size: int
-) -> np.ndarray:
-    """Call a batched sampler for ``size`` runs of one contract drawn from ``rng``.
-
-    Run i is element i of the returned array; a sampler returning any other
-    shape is rejected.
-    """
-    values = np.asarray(sampler(contract, rng, ledger, size), dtype=float)
-    if values.shape != (size,):
-        raise ValueError(f"sampler returned shape {values.shape}, expected ({size},)")
-    return values
+def walk_stages(sampler: Sampler, stages, rng: np.random.Generator, ledger: ResourceLedger):
+    """One sampler call per ``(name, contract, runs)`` stage, in list order,
+    all drawing from ``rng``; returns the draws in that order.  A draw whose
+    shape is not ``(runs,)`` is rejected."""
+    draws = []
+    for name, contract, runs in stages:
+        values = np.asarray(sampler(name, contract, rng, ledger, runs), dtype=float)
+        if values.shape != (runs,):
+            raise ValueError(f"stage {name!r} drew shape {values.shape}, expected ({runs},)")
+        draws.append(values)
+    return draws
 
 
 def _run_count(size) -> int:
@@ -244,7 +243,7 @@ def synth_uqpe2_sample(
         raise ValueError("offsets must stay below pi for unambiguous circular bias")
     offsets = _mixture_offsets(rng, size, contract.fail_prob, spread, tail_magnitude)
     UQPE2_COST.charge(contract, ledger, offsets.size)
-    return (theta + bias_setting + offsets) % TWO_PI
+    return reduce_angle(theta + bias_setting + offsets)
 
 
 def monkey_sample(a: Amplitude, epsilon: float) -> float:

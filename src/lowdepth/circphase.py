@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .aggregate import DEFAULT_BIAS_FRACTION_PF, DEFAULT_TAIL_FRACTION_PF, hoeffding_runs
-from .blackbox import Sampler, Uqpe2Contract, draw_runs
-from .core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec, derive_stream
+from .blackbox import Sampler, Uqpe2Contract, walk_stages
+from .core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec, derive_stream, reduce_angle
 
 # Tolerance on the escape test |offset| <= half-width; an offset is one
 # circular difference, a cancellation of magnitude at most 2 pi.
@@ -44,18 +44,8 @@ class Angle(namedtuple("Angle", "value")):
 
 
 def _reduce(angles):
-    """Canonical representative(s) in [0, 2 pi): a float for a scalar or an
-    :class:`Angle`, an array for an array, both through the same arithmetic."""
-    if isinstance(angles, Angle):
-        return angles.value
-    values = np.asarray(angles, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError(f"angle must be finite, got {angles}")
-    if values.ndim == 0:
-        values = values.item()
-    reduced = values % TWO_PI
-    # float modulo may round up to the divisor itself; that angle is 0
-    return reduced - TWO_PI * (reduced >= TWO_PI)
+    """:func:`~lowdepth.core.reduce_angle`, reading an :class:`Angle` as its value."""
+    return angles.value if isinstance(angles, Angle) else reduce_angle(angles)
 
 
 def circ_diff(theta, phi):
@@ -107,6 +97,10 @@ class PhasePlan(NamedTuple):
             self.bias_fraction * target.epsilon, self.run_precision, self.run_fail_prob
         )
 
+    def stages(self, target: TargetSpec) -> tuple:
+        return (("reference", self.ref_contract(target), 1),
+                ("main", self.main_contract(target), self.runs))
+
 
 def lowdepth_phase_estimate(
     sampler: Sampler,
@@ -130,14 +124,11 @@ def lowdepth_phase_estimate(
     offset exceeds H (by more than ``ARC_TOL``) escapes the arc and aborts
     to the zero angle, which the harness counts as a failure.
 
-    Both stages draw from one generator, ``derive_stream(seed, 0).rng()``,
-    each in one sampler call: first the reference stage with ``size=1``,
-    then the main stage with ``size=plan.runs``.  Main run i is element i of
-    each draw, so the result does not depend on the schedule.
+    The two stages are the plan's, drawn as :mod:`lowdepth.core` lays out.
     """
     rng = derive_stream(seed, 0).rng()
-    reference = Angle(draw_runs(sampler, plan.ref_contract(target), rng, ledger, 1)[0])
-    estimates = draw_runs(sampler, plan.main_contract(target), rng, ledger, plan.runs)
+    [first], estimates = walk_stages(sampler, plan.stages(target), rng, ledger)
+    reference = Angle(first)
     offsets = circ_diff(estimates, reference)
     half_width = _REF_ARC_HALF_WIDTH + plan.run_precision
     if np.abs(offsets).max() > half_width + ARC_TOL:

@@ -6,14 +6,19 @@ master seed and can be replayed bit for bit.
 
 Stream layout: trial (or scaling cell) i gets
 ``derive_stream(SeedSpec(master_seed, 0), i)``, and builds exactly one
-generator, ``derive_stream(trial_seed, 0).rng()``.  Its stages draw from that
-generator in a fixed order, each drawing all its runs in one batch, run i
-taking the i-th element of each draw:
+generator, ``derive_stream(trial_seed, 0).rng()``.  A synthetic trial's plan
+lists its stages, each ``(name, contract, runs)`` and each a batch of
+independent runs:
 
-* a mean aggregation is one stage;
-* phase estimation draws its reference run (``size=1``) and then its
-  ``runs`` main runs;
-* Rall-Fuller draws one head count per shrinking step, step 0 first.
+* a mean aggregation (type1, type2, monkey-demo) has one ``"aggregate"`` stage;
+* phase estimation has a ``"reference"`` stage of one shallow run, then a
+  ``"main"`` stage of ``runs`` runs.
+
+:func:`lowdepth.blackbox.walk_stages` draws them from that generator in list
+order, one sampler call per stage, telling the sampler the stage's name; run
+i takes the i-th element of its stage's draw.  Rall-Fuller, whose steps
+depend on the path and so form no list, draws one head count per shrinking
+step, step 0 first.
 """
 
 from __future__ import annotations
@@ -127,6 +132,19 @@ class SeedSpec(namedtuple("SeedSpec", "master_seed stream_index")):
     def rng(self) -> np.random.Generator:
         """Fresh generator for this stream (PCG64 behind a SeedSequence)."""
         return np.random.default_rng((self.master_seed, self.stream_index))
+
+
+def reduce_angle(angles):
+    """Canonical representative(s) in [0, 2 pi): a float for a scalar, an
+    array for an array, both through the same arithmetic."""
+    values = np.asarray(angles, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"angle must be finite, got {angles}")
+    if values.ndim == 0:
+        values = values.item()
+    reduced = values % TWO_PI
+    # float modulo may round up to the divisor itself; that angle is 0
+    return reduced - TWO_PI * (reduced >= TWO_PI)
 
 
 def derive_stream(seed: SeedSpec, child_index: int) -> SeedSpec:

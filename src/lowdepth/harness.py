@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import statistics
 from collections import namedtuple
 from pathlib import Path
@@ -50,7 +51,7 @@ def _type1_trials(truth, target, constants, plan, seeds, ledgers):
     amplitude = Amplitude(truth)
     bias_scale = constants["bias_scale"]
 
-    def sampler(contract, rng, run_ledger, size):
+    def sampler(_stage, contract, rng, run_ledger, size):
         return blackbox.synth_uqae1_sample(
             amplitude, contract, bias_scale * contract.bias_bound, rng, run_ledger, size=size
         )
@@ -63,7 +64,7 @@ def _type2_trials(truth, target, constants, plan, seeds, ledgers):
     amplitude = Amplitude(truth)
     bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
-    def sampler(contract, rng, run_ledger, size):
+    def sampler(_stage, contract, rng, run_ledger, size):
         bias_setting = bias_scale * contract.bias_bound
         run_tail = contract.output_cap - truth - abs(bias_setting) if tail is None else tail
         return blackbox.synth_uqae2_sample(
@@ -76,15 +77,10 @@ def _type2_trials(truth, target, constants, plan, seeds, ledgers):
 
 def _phase_trials(truth, target, constants, plan, seeds, ledgers):
     bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
-    # told apart by its bias bound eps (the main stage's is r eps, r < 1):
-    # the run precision may equal the reference precision
-    reference = plan.ref_contract(target)
 
-    def sampler(contract, rng, run_ledger, size):
+    def sampler(stage, contract, rng, run_ledger, size):
         bias_setting = bias_scale * contract.bias_bound
-        spread = None
-        if contract == reference:
-            spread = max(0.0, _REF_SPREAD - abs(bias_setting))
+        spread = max(0.0, _REF_SPREAD - abs(bias_setting)) if stage == "reference" else None
         return blackbox.synth_uqpe2_sample(
             truth, contract, bias_setting, tail, rng, run_ledger, good_spread=spread, size=size
         )
@@ -104,7 +100,7 @@ def _monkey_trials(truth, target, constants, plan, seeds, ledgers):
     # the report shows bias exactly epsilon and zero variance
     amplitude = Amplitude(truth)
 
-    def sampler(_contract, _rng, _run_ledger, size):
+    def sampler(_stage, _contract, _rng, _run_ledger, size):
         return np.full(size, blackbox.monkey_sample(amplitude, target.epsilon))
 
     return (aggregate.aggregate_type1(sampler, plan, seed=seed, ledger=ledger)
@@ -255,6 +251,10 @@ class ExperimentConfig(namedtuple(
         if unread:
             raise ConfigError(f"{self.algorithm} does not read constants {sorted(unread)}")
         for name, value in self.constants.items():
+            if value is None and record.constants[name] is None:
+                continue  # the algorithm's own default
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"constant {name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"constant {name} must be finite, got {value}")
         bias_scale = self.constants.get("bias_scale", 0.0)

@@ -144,7 +144,7 @@ def test_criterion_3_monkey_falsification():
     truth = Amplitude(0.3)
     epsilon = 0.05
 
-    def monkey(_contract, _rng, _ledger, size):
+    def monkey(_stage, _contract, _rng, _ledger, size):
         return np.full(size, monkey_sample(truth, epsilon))
 
     observed = []

@@ -19,7 +19,7 @@ A = Amplitude(0.3)
 
 
 def worst_bias_sampler(plan):
-    def sampler(contract, rng, ledger, size):
+    def sampler(_stage, contract, rng, ledger, size):
         return synth_uqae1_sample(A, contract, plan.bias_bound, rng, ledger, size=size)
 
     return sampler
@@ -170,7 +170,7 @@ class TestAggregateType1:
         plan = Type1Plan.from_target(target)
         b = plan.bias_bound
 
-        def alternating(contract, rng, ledger, size):
+        def alternating(_stage, contract, rng, ledger, size):
             # run i carries bias +b when i is even and -b when it is odd
             signs = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
             return synth_uqae1_sample(A, contract, 0.0, rng, ledger, size=size) + signs * b
@@ -194,7 +194,7 @@ class TestAggregateType1:
 
     def test_monkey_falsification(self):
         # deterministic bias epsilon survives aggregation for every run count
-        def monkey(contract, rng, ledger, size):
+        def monkey(_stage, contract, rng, ledger, size):
             return np.full(size, monkey_sample(A, 0.05))
 
         for beta in (0.0, 0.4, 1.0):
@@ -213,7 +213,7 @@ class TestAggregateType1:
     def test_rejects_infeasible_fractions_before_sampling(self):
         calls = {"count": 0}
 
-        def counting(contract, rng, ledger, size):
+        def counting(_stage, contract, rng, ledger, size):
             calls["count"] += 1
             return np.zeros(size)
 
@@ -226,7 +226,7 @@ class TestAggregateType1:
             )
         assert calls["count"] == 0
 
-    # every estimator calls its sampler through blackbox.draw_runs; the phase
+    # every estimator calls its sampler through blackbox.walk_stages; the phase
     # estimator's cases are in test_circphase
     @pytest.mark.parametrize(
         "aggregate, plan_type",
@@ -236,7 +236,7 @@ class TestAggregateType1:
     def test_rejects_sampler_returning_wrong_run_count(self, aggregate, plan_type):
         with pytest.raises(ValueError, match="shape"):
             aggregate(
-                lambda contract, rng, ledger, size: np.zeros(size - 1),
+                lambda _stage, contract, rng, ledger, size: np.zeros(size - 1),
                 plan_type.from_target(TargetSpec(0.1, 0.1, 1.0)),
                 seed=SeedSpec(24, 0),
                 ledger=ResourceLedger(),
@@ -250,7 +250,7 @@ class TestAggregateType2:
         bias = plan.bias_bound
         tail = 1.0 - A.value - bias
 
-        def sampler(contract, rng, ledger, size):
+        def sampler(_stage, contract, rng, ledger, size):
             return synth_uqae2_sample(A, contract, bias, tail, rng, ledger, size=size)
 
         trials = 400
@@ -267,7 +267,7 @@ class TestAggregateType2:
     def test_rejects_overfull_split(self):
         with pytest.raises(ValueError):
             aggregate_type2(
-                lambda contract, rng, ledger, size: np.zeros(size),
+                lambda _stage, contract, rng, ledger, size: np.zeros(size),
                 Type2Plan.from_target(TargetSpec(0.05, 0.1, 0.5), 0.7, 0.4),
                 seed=SeedSpec(31, 0),
                 ledger=ResourceLedger(),

@@ -266,6 +266,8 @@ class TestSamplerContracts:
         st.floats(1e-4, 0.1), st.floats(-1.0, 1.0), st.floats(0.0, 0.999), st.floats(0.0, 0.5),
         seeds, sizes,
     )
+    # 0.7 + 0.1 - 0.8 is a tiny negative float, which float modulo rounds to 2 pi
+    @example(0.7, 0.9, 0.1, 1.0, 0.0, 0.0, SeedSpec(1, 0), 100)
     def test_uqpe2(self, theta, precision, bias_bound, bias_fraction, tail_fraction, fail_prob,
                    seed, size):
         contract = Uqpe2Contract(bias_bound=bias_bound, precision=precision, fail_prob=fail_prob)

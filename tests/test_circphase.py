@@ -10,7 +10,6 @@ from lowdepth.circphase import (
     ARC_TOL,
     Angle,
     PhasePlan,
-    REF_PRECISION,
     circ_diff,
     lowdepth_phase_estimate,
 )
@@ -171,12 +170,10 @@ class TestPhasePlan:
 
 
 def make_sampler(truth, *, ref_spread=PI / 10, tail=PI / 2, bias_scale=1.0):
-    ref_precision = PI / 4
-
-    def sampler(contract, rng, ledger, size):
+    def sampler(stage, contract, rng, ledger, size):
         bias = bias_scale * contract.bias_bound
         spread = None
-        if contract.precision == ref_precision:
+        if stage == "reference":
             spread = max(0.0, ref_spread - bias)
         return synth_uqpe2_sample(
             truth, contract, bias, tail, rng, ledger, good_spread=spread, size=size
@@ -189,7 +186,7 @@ class TestLowdepthPhaseEstimate:
     def test_zero_noise_sampler_recovers_truth_exactly(self):
         truth = 1.234
 
-        def exact(contract, rng, ledger, size):
+        def exact(_stage, contract, rng, ledger, size):
             return np.full(size, truth)
 
         target = TargetSpec(0.01, 0.1, 0.5)
@@ -202,9 +199,9 @@ class TestLowdepthPhaseEstimate:
     def test_arc_escape_outputs_zero_angle(self):
         truth = 1.0
 
-        def escaping(contract, rng, ledger, size):
+        def escaping(stage, contract, rng, ledger, size):
             # reference lands on the truth, main runs land opposite
-            return np.full(size, truth if contract.precision == PI / 4 else truth + PI)
+            return np.full(size, truth if stage == "reference" else truth + PI)
 
         target = TargetSpec(0.01, 0.1, 0.5)
         estimate = lowdepth_phase_estimate(
@@ -223,8 +220,8 @@ class TestLowdepthPhaseEstimate:
         plan = PhasePlan.from_target(target)
         offset = side * (PI / 8 + plan.run_precision + margin)
 
-        def sampler(contract, rng, ledger, size):
-            at_reference = contract.precision == REF_PRECISION
+        def sampler(served, contract, rng, ledger, size):
+            at_reference = served == "reference"
             return np.full(size, Angle(reference + (0.0 if at_reference else offset)).value)
 
         estimate = lowdepth_phase_estimate(
@@ -302,11 +299,28 @@ class TestLowdepthPhaseEstimate:
             per_run(plan.ref_contract(target)) + plan.runs * per_run(plan.main_contract(target))
         )
 
+    def test_stage_names_are_the_only_difference(self):
+        # at this beta the run precision 0.05^(1 - beta) is exactly the
+        # reference precision pi/4, so a sampler tells the stages apart by name
+        target = TargetSpec(0.05, 0.1, 0.9193637971580451)
+        plan = PhasePlan.from_target(target)
+        seen = []
+
+        def recording(stage, contract, rng, ledger, size):
+            seen.append((stage, contract, size))
+            return np.full(size, 1.0)
+
+        lowdepth_phase_estimate(
+            recording, target, plan, seed=SeedSpec(90, 0), ledger=ResourceLedger()
+        )
+        assert [(stage, size) for stage, _, size in seen] == [("reference", 1), ("main", plan.runs)]
+        assert seen[0][1].precision == seen[1][1].precision
+
     @pytest.mark.parametrize("stage", ["reference", "main"])
     def test_rejects_sampler_returning_wrong_run_count(self, stage):
-        def sampler(contract, rng, ledger, size):
+        def sampler(served, contract, rng, ledger, size):
             # one run too many from the chosen stage only
-            extra = (contract.precision == PI / 4) == (stage == "reference")
+            extra = served == stage
             return np.full(size + extra, 1.0)
 
         target = TargetSpec(0.05, 0.1, 0.5)

@@ -11,6 +11,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lowdepth import aggregate, blackbox, circphase, rallfuller
 from lowdepth.circphase import circ_diff
@@ -91,16 +93,26 @@ class TestConfigValidation:
             argv = ["run", "--algorithm", algorithm, "--truth", "0.3", "--trials", "1"]
             assert main(argv + [CONSTANT_FLAGS[name], "0.1"]) == 2
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, None, "0.1"],
+        ids=["nan", "inf", "-inf", "none", "text"],
+    )
     @pytest.mark.parametrize(
         "algorithm, name",
         [(algorithm, name) for algorithm, record in ALGORITHMS.items() for name in record.constants],
     )
     def test_non_finite_constants_exit_two(self, algorithm, name, value, capsys):
-        with pytest.raises(ConfigError, match="must be finite"):
+        if value is None and ALGORITHMS[algorithm].constants[name] is None:
+            # None is this constant's own default (type2's largest tail), so it is honoured
+            config = quick_config(algorithm=algorithm, constants={name: None})
+            assert config.resolved_constants() == ALGORITHMS[algorithm].constants
+            return
+        match = "must be finite" if isinstance(value, float) else "must be a number"
+        with pytest.raises(ConfigError, match=f"constant {name} {match}"):
             quick_config(algorithm=algorithm, constants={name: value})
-        argv = ["run", "--algorithm", algorithm, "--truth", "0.3", "--trials", "1"]
-        assert main(argv + [f"{CONSTANT_FLAGS[name]}={value}"]) == 2
+        if isinstance(value, float):  # the command line parses every constant as a float
+            argv = ["run", "--algorithm", algorithm, "--truth", "0.3", "--trials", "1"]
+            assert main(argv + [f"{CONSTANT_FLAGS[name]}={value}"]) == 2
 
     @pytest.mark.parametrize("algorithm", ["type1", "type2", "phase"])
     def test_bias_scale_beyond_one_rejected(self, algorithm):
@@ -281,6 +293,49 @@ class TestOnePlanPerRun:
         assert [(target.epsilon, target.beta) for target in built] == [
             (0.1, 0.5), (0.05, 0.5), (0.1, 1.0), (0.05, 1.0)
         ]
+
+
+# The cost model each synthetic algorithm's sampler charges; monkey-demo charges nothing.
+STAGE_COSTS = {"type1": blackbox.UQAE1_COST, "type2": blackbox.UQAE2_COST,
+               "phase": blackbox.UQPE2_COST, "monkey-demo": None}
+
+
+class TestStageLedger:
+    """Each synthetic trial's ledger is a closed form of its plan's stages:
+    the deepest stage's depth, and runs x max(depth, queries) summed over the
+    stages, with (depth, queries) from the cost model's own functions."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        algorithm=st.sampled_from(list(STAGE_COSTS)), truth_fraction=st.floats(0.0, 0.999),
+        epsilon=st.floats(0.05, 0.3), delta=st.floats(0.01, 0.5), beta=st.floats(0.0, 1.0),
+        r=st.floats(0.05, 0.45), s=st.floats(0.05, 0.45), C=st.floats(1.0, 2.0),
+        bias_scale=st.floats(-1.0, 1.0), tail=st.floats(0.0, 1.0) | st.none(),
+    )
+    def test_trial_ledger_is_the_stage_closed_form(
+        self, algorithm, truth_fraction, epsilon, delta, beta, r, s, C, bias_scale, tail
+    ):
+        record, target = ALGORITHMS[algorithm], TargetSpec(epsilon, delta, beta)
+        drawn = {"r": r, "s": s, "C": C, "bias_scale": bias_scale, "tail_magnitude": tail}
+        # None stands for a constant's default only where that default is None
+        constants = {name: value for name, value in drawn.items() if name in record.constants
+                     and (value is not None or record.constants[name] is None)}
+        truth = truth_fraction * (2 * math.pi if record.circular else 1.0)
+        try:
+            report = run_experiment(
+                ExperimentConfig(algorithm, truth, target, constants, trials=2, master_seed=9))
+        except (ConfigError, AlgorithmError):
+            assume(False)  # a plan that cannot run, or a sampler whose output cap it breaks
+        cost = STAGE_COSTS[algorithm]
+        if cost is None:
+            assert (report.trial_depths, report.trial_queries) == ([0, 0], [0, 0])
+            return
+        stages = record.build_plan(target, {**record.constants, **constants}).stages(target)
+        depth = max(cost.depth_fn(contract) for _, contract, _ in stages)
+        queries = sum(runs * max(cost.depth_fn(contract), cost.queries_fn(contract))
+                      for _, contract, runs in stages)
+        assert report.trial_depths == [depth, depth]
+        assert report.trial_queries == [queries, queries]
 
 
 class TestBatches:
