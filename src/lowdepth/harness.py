@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import statistics
 from collections import namedtuple
 from pathlib import Path
@@ -253,7 +254,7 @@ class ExperimentConfig(namedtuple(
         for name, value in self.constants.items():
             if value is None and record.constants[name] is None:
                 continue  # the algorithm's own default
-            if not isinstance(value, numbers.Real):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ConfigError(f"constant {name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"constant {name} must be finite, got {value}")
@@ -310,7 +311,7 @@ def _run_batch(args) -> list[tuple[float, int, int]]:
 
 
 def run_experiment(config: ExperimentConfig) -> TrialReport:
-    """Run all trials on one plan, in batches of 16 under ``parallel``, and report."""
+    """Run all trials on one plan, a contiguous range per worker under ``parallel``, and report."""
     record = ALGORITHMS[config.algorithm]
     constants = config.resolved_constants()
     plan = record.build_plan(config.target, constants)
@@ -321,8 +322,12 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
         # serial call never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [(*batch, indices[start:start + 16]) for start in indices[::16]]
-        with ProcessPoolExecutor() as pool:
+        # one contiguous range of trials per worker, so that a worker's
+        # Rall-Fuller lockstep builds each polynomial its trials share once
+        workers = min(os.cpu_count() or 1, config.trials)
+        size = math.ceil(config.trials / workers)
+        chunks = [(*batch, indices[start:start + size]) for start in indices[::size]]
+        with ProcessPoolExecutor(workers) as pool:
             outcomes = [row for rows in pool.map(_run_batch, chunks) for row in rows]
     else:
         outcomes = _run_batch((*batch, indices))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from contextlib import suppress
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -408,8 +407,10 @@ def semi_pellian(
     bounds it on the right from below, each widened by the trimmed sum.
     """
     key = (tau, eta, k, gamma, interval.a_min, interval.width)
-    _build_semi_pellians([key])
-    return _semi_pellians[key]
+    poly = _build_semi_pellians([key])[key]
+    if isinstance(poly, Exception):
+        raise poly
+    return poly
 
 
 def _assembled_series(erf_part: ErfApproximant, eta: float, a_mid, denominator) -> np.ndarray:
@@ -438,20 +439,29 @@ def _assembled_series(erf_part: ErfApproximant, eta: float, a_mid, denominator) 
     return coef
 
 
-def _build_semi_pellians(keys) -> None:
-    """Certify and cache the semi-Pellians at ``keys`` not yet cached, those sharing
-    an erf approximant from one evaluation of it at their stacked node sets."""
+def _build_semi_pellians(keys) -> dict:
+    """The semi-Pellian at each of ``keys``, or the error building it: cached ones read back,
+    new ones certified once and cached, one erf evaluation per approximant they share."""
+    built = {key: _semi_pellians[key] for key in keys if key in _semi_pellians}
     groups: dict[tuple, list] = {}
-    for key in set(keys) - _semi_pellians.keys():
+    for key in set(keys) - built.keys():
         groups.setdefault(key[1:3], []).append(key)
     for (eta, k), group in groups.items():
-        erf_part = erf_poly(k, eta)
+        try:
+            erf_part = erf_poly(k, eta)
+        except (SimulationError, ValueError) as err:
+            built.update(dict.fromkeys(group, err))
+            continue
         a_mids = np.array([[a_min + 0.5 * width] for *_, a_min, width in group])
         denominators = np.array([[4.0 * eta + tau + 2.0] for tau, *_ in group])
         for key, coef in zip(group, _assembled_series(erf_part, eta, a_mids, denominators)):
             if len(_semi_pellians) >= 4096:
                 del _semi_pellians[next(iter(_semi_pellians))]
-            _semi_pellians[key] = _certified(erf_part, coef, *key)
+            try:
+                _semi_pellians[key] = built[key] = _certified(erf_part, coef, *key)
+            except (SimulationError, ValueError) as err:
+                built[key] = err
+    return built
 
 
 def _certified(erf_part, coef, tau, eta, k, gamma, a_min, width) -> SemiPellianPoly:
@@ -555,24 +565,27 @@ def rall_fuller_estimate(
 
 def rall_fuller_lockstep(oracle_factory, target, seeds, ledgers, traces=None) -> Iterator[float]:
     """:func:`rall_fuller_estimate` per seed (with ``ledgers[i]``, ``traces[i]``), the trials
-    stepping together: each step builds their semi-Pellians at once and one oracle per
-    polynomial.  Yields the midpoints in order, raising a failed trial's error in its place."""
+    stepping together: each step builds their semi-Pellians at once, sends each trial its own
+    from that build, and makes one oracle per polynomial.  Yields the midpoints in order,
+    raising a failed trial's error, its own or its polynomial's, in its place."""
     oracles: dict[tuple, PolyOracle] = {}
     loops = [_shrinking_loop(oracle_factory, oracles, target, *trial)
              for trial in zip(seeds, ledgers, traces or [None] * len(seeds))]
+    # a running trial's next polynomial (None before its first step), then its outcome
     outcomes, pending = [None] * len(loops), range(len(loops))
     while pending:
         keys = {}
         for index in pending:
             try:
-                keys[index] = next(loops[index])
+                keys[index] = loops[index].send(outcomes[index])
             except StopIteration as finished:
                 outcomes[index] = finished.value
             except (SimulationError, ValueError) as err:
                 outcomes[index] = err
-        with suppress(SimulationError, ValueError):  # a failed build raises in its trial
-            _build_semi_pellians(keys.values())
-        pending = list(keys)
+        built = _build_semi_pellians(keys.values())
+        for index, key in keys.items():
+            outcomes[index] = built[key]
+        pending = [index for index, key in keys.items() if not isinstance(built[key], Exception)]
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
@@ -580,7 +593,7 @@ def rall_fuller_lockstep(oracle_factory, target, seeds, ledgers, traces=None) ->
 
 
 def _shrinking_loop(oracle_factory, oracles, target, seed, ledger, trace):
-    """One trial, yielding each step's semi-Pellian key before building it."""
+    """One trial, yielding each step's semi-Pellian key and receiving its polynomial."""
     steps = ceil_int(math.log(target.epsilon) / math.log(SHRINK_FACTOR))
     step_fail = target.delta / steps
     interval = ConfidenceInterval(0.0, 1.0)
@@ -588,8 +601,7 @@ def _shrinking_loop(oracle_factory, oracles, target, seed, ledger, trace):
     for step in range(steps):
         params = rf_params(interval, target.beta)
         key = (params.tau, params.eta, params.k, params.gamma, interval.a_min, interval.width)
-        yield key
-        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        poly = yield key
         tosses = coin_tosses(params.gamma, step_fail)
         if key not in oracles:  # the truth, and so the oracle, is the batch's
             oracles[key] = oracle_factory(poly)

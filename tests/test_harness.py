@@ -62,6 +62,31 @@ def quick_config(**overrides):
     return ExperimentConfig(**base)
 
 
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Replace the process pool by one that runs its jobs in order in this
+    process; returns the pools opened, each as (worker count, jobs mapped)."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            self.jobs = []
+            pools.append((max_workers, self.jobs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, function, jobs, chunksize=1):
+            self.jobs.extend(jobs)
+            return map(function, self.jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
 class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
@@ -94,8 +119,8 @@ class TestConfigValidation:
             assert main(argv + [CONSTANT_FLAGS[name], "0.1"]) == 2
 
     @pytest.mark.parametrize(
-        "value", [math.nan, math.inf, -math.inf, None, "0.1"],
-        ids=["nan", "inf", "-inf", "none", "text"],
+        "value", [math.nan, math.inf, -math.inf, None, "0.1", True],
+        ids=["nan", "inf", "-inf", "none", "text", "bool"],
     )
     @pytest.mark.parametrize(
         "algorithm, name",
@@ -153,6 +178,20 @@ class TestRunExperiment:
         serial = run_experiment(quick_config(trials=24))
         parallel = run_experiment(quick_config(trials=24, parallel=True))
         assert serial == parallel
+
+    @pytest.mark.parametrize("cpus, trials, ranges", [
+        (3, 37, [range(0, 13), range(13, 26), range(26, 37)]),
+        (8, 2, [range(0, 1), range(1, 2)]),
+    ])
+    def test_parallel_maps_one_contiguous_range_per_worker(
+        self, cpus, trials, ranges, serial_pools, monkeypatch
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = run_experiment(quick_config(trials=trials, parallel=True))
+        [(workers, jobs)] = serial_pools
+        assert workers == len(ranges)
+        assert [job[-1] for job in jobs] == ranges
+        assert report == run_experiment(quick_config(trials=trials))
 
     def test_inner_error_carries_trial_index(self):
         # a tail this far out passes configuration but breaks the sampler's cap
@@ -397,7 +436,8 @@ class TestBatches:
         """Make two Rall-Fuller trials fail, the higher-indexed one at an
         earlier step, by refusing one polynomial only each of them builds;
         the lower one is not trial 0, so a trial runs before both.  Returns
-        the lower index, its failing step and each trial's estimate run alone."""
+        the lower index, its failing step, each trial's estimate run alone, and
+        how often each refused polynomial has reached ``_certified``."""
         amplitude, root = Amplitude(config.truth), SeedSpec(config.master_seed, 0)
         paths, alone = [], []
         for index in range(config.trials):
@@ -416,30 +456,33 @@ class TestBatches:
         high = next(index for index in range(low + 1, config.trials)
                     if own[index] and own[index][0] < own[low][-1])
         refused = {paths[low][own[low][-1]]: own[low][-1], paths[high][own[high][0]]: own[high][0]}
-        certified = rallfuller._certified
+        certified, refusals = rallfuller._certified, dict.fromkeys(refused, 0)
 
         def refusing(erf_part, coef, *key):
             if key[4:] in refused:
+                refusals[key[4:]] += 1
                 raise rallfuller.GapCertificateError(f"refused at step {refused[key[4:]]}")
             return certified(erf_part, coef, *key)
 
         monkeypatch.setattr(rallfuller, "_certified", refusing)
         rallfuller._semi_pellians.clear()
-        return low, own[low][-1], alone
+        return low, own[low][-1], alone, refusals
 
     @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
     def test_a_failed_batch_names_its_lowest_failing_trial(self, parallel, monkeypatch):
         if parallel and multiprocessing.get_start_method() != "fork":
             pytest.skip("the refusing builder reaches worker processes only through fork")
         config = quick_config(algorithm="rallfuller", truth=0.4, trials=20, parallel=parallel)
-        low, step, _ = self.forced_failures(config, monkeypatch)
+        low, step, _, refusals = self.forced_failures(config, monkeypatch)
         with pytest.raises(AlgorithmError) as info:
             run_experiment(config)
         assert str(info.value) == f"trial {low}: refused at step {step}"
+        if not parallel:  # worker processes count in their own copies
+            assert list(refusals.values()) == [1, 1]
 
     def test_trials_before_a_failed_one_run_to_completion(self, monkeypatch):
         config = quick_config(algorithm="rallfuller", truth=0.4, trials=20)
-        low, step, alone = self.forced_failures(config, monkeypatch)
+        low, step, alone, refusals = self.forced_failures(config, monkeypatch)
         amplitude = Amplitude(config.truth)
         root = SeedSpec(config.master_seed, 0)
         seeds = [derive_stream(root, index) for index in range(config.trials)]
@@ -451,6 +494,7 @@ class TestBatches:
                 [ResourceLedger() for _ in seeds], traces,
             ):
                 estimates.append(estimate)
+        assert list(refusals.values()) == [1, 1]
         assert estimates == alone[:low]
         assert [len(trace) for trace in traces[:low]] == [len(traces[0])] * low
         assert len(traces[low]) == step
@@ -459,9 +503,9 @@ class TestBatches:
     def test_one_erf_evaluation_per_step_and_approximant_one_oracle_per_polynomial(
         self, monkeypatch
     ):
-        evaluations, oracles, keys = [], [], set()
+        evaluations, oracles, certified, one_key_calls = [], [], [], []
         evaluate, construct = rallfuller.ErfApproximant.evaluate, PolyOracle.__init__
-        semi_pellian = rallfuller.semi_pellian
+        certify, semi_pellian = rallfuller._certified, rallfuller.semi_pellian
 
         def counted_evaluate(approximant, x):
             evaluations.append(approximant)
@@ -471,24 +515,33 @@ class TestBatches:
             oracles.append(poly)
             construct(oracle, poly, amplitude)
 
-        def recorded(tau, eta, k, interval, gamma):
-            keys.add((tau, eta, k, gamma, interval.a_min, interval.width))
-            return semi_pellian(tau, eta, k, interval, gamma)
+        def recorded(erf_part, coef, *key):
+            certified.append(key)
+            return certify(erf_part, coef, *key)
+
+        def counted_semi_pellian(*args):
+            one_key_calls.append(args)
+            return semi_pellian(*args)
 
         monkeypatch.setattr(rallfuller.ErfApproximant, "evaluate", counted_evaluate)
         monkeypatch.setattr(PolyOracle, "__init__", counted_construct)
-        monkeypatch.setattr(rallfuller, "semi_pellian", recorded)
+        monkeypatch.setattr(rallfuller, "_certified", recorded)
+        monkeypatch.setattr(rallfuller, "semi_pellian", counted_semi_pellian)
         rallfuller._semi_pellians.clear()
         config = ExperimentConfig(
             "rallfuller", 0.5, TargetSpec(0.01, 0.05, 0.5), trials=16, master_seed=7
         )
         run_experiment(config)
+        keys = set(certified)
         # a step's polynomials share its width; each branch has one approximant
         groups = {(width, eta, k) for _, eta, k, _, _, width in keys}
         steps = math.ceil(math.log(0.01) / math.log(rallfuller.SHRINK_FACTOR))
         assert len({width for width, _, _ in groups}) == steps
         assert len(evaluations) == len(groups) < len(keys)
         assert len(oracles) == len(keys) == len({id(poly) for poly in oracles})
+        # the lockstep hands each trial its polynomial from the step's one build
+        assert len(certified) == len(keys)
+        assert one_key_calls == []
 
 
 class TestHardwareWorkflow:
@@ -687,24 +740,8 @@ class TestConfigFile:
     BASE = {"algorithm": "type2", "truth": "0.3", "trials": "2", "out": "a.json"}
 
     @pytest.fixture
-    def outcome(self, tmp_path, monkeypatch, capsys):
-        pools = []
-
-        class SerialPool:
-            # records each pool a parallel run opens and runs its jobs in order
-            def __init__(self):
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, function, jobs, chunksize=1):
-                return map(function, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def outcome(self, tmp_path, monkeypatch, capsys, serial_pools):
+        pools = serial_pools
         runs = iter(range(100))
 
         def outcome(flags: dict, entries: dict | None = None):

@@ -505,6 +505,22 @@ class TestSemiPellian:
         with pytest.raises((GapCertificateError, PolynomialConstructionError)):
             semi_pellian(0.01, 0.01, 1e-3, interval, 0.01)
 
+    def test_a_batch_build_gives_each_key_its_polynomial_or_its_own_error(self):
+        params = rf_params(ConfidenceInterval(0.0, 1.0), 0.5)
+        good = (params.tau, params.eta, params.k, params.gamma, 0.0, 1.0)
+        no_gap = (0.01, 0.01, 1e-3, 0.01, 0.0, 1.0)  # certification refuses it
+        no_erf = (0.01, 0.001, 600.0, 0.01, 0.0, 1.0)  # its approximant cannot be built
+        _semi_pellians.clear()
+        built = rallfuller._build_semi_pellians([good, no_gap, no_erf, good])
+        assert set(built) == {good, no_gap, no_erf}
+        assert isinstance(built[no_gap], (GapCertificateError, PolynomialConstructionError))
+        assert isinstance(built[no_erf], PolynomialConstructionError)
+        assert list(_semi_pellians) == [good]  # errors are not cached
+        # a cached key is read back as the same object
+        assert rallfuller._build_semi_pellians([good])[good] is built[good]
+        assert semi_pellian(params.tau, params.eta, params.k, ConfidenceInterval(0.0, 1.0),
+                            params.gamma) is built[good]
+
 
 class TestGridReference:
     """The dense grids the constructions no longer sample, kept as checks."""
