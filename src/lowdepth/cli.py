@@ -35,8 +35,9 @@ from .harness import (
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat `key = value` config text, one entry per line."""
+    """Flat `key = value` config text, one entry per line and each key on one line only."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -48,7 +49,9 @@ def load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_number}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
+        if key in lines:
+            raise ConfigError(f"{path}:{line_number}: key {key!r} repeats line {lines[key]}")
+        values[key], lines[key] = value, line_number
     return values
 
 

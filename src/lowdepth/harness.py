@@ -230,8 +230,12 @@ class ExperimentConfig(namedtuple(
                 parallel: bool = False):
         # a fresh dict per config, never one default dict shared by every config
         constants = {} if constants is None else constants
-        self = super().__new__(cls, algorithm, truth, target, constants, trials, master_seed,
-                               parallel)
+        for name, value in (("trials", trials), ("master_seed", master_seed)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # a numpy integer is stored as the int the report's JSON can hold
+        self = super().__new__(cls, algorithm, truth, target, constants, int(trials),
+                               int(master_seed), parallel)
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHMS)}"

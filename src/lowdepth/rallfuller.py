@@ -24,11 +24,11 @@ from .oracle import PolyOracle, poly_sample
 SHRINK_FACTOR = 0.9
 DISCARD_FRACTION = 0.1
 
-# Common prefactor of tau, eta and gamma in both parameter branches.
+# Step scale s of the full-depth branch, and the shallow one's factor of width^beta.
 BASE_SCALE = 0.01
 
 # The shallow branch requires width^beta at or below this cap, which keeps
-# tau small enough that tau * kappa(tau) stays below BASE_SCALE.
+# s small enough that s * kappa(s) stays below BASE_SCALE.
 LOW_DEPTH_WIDTH_CAP = 0.4
 
 BRANCH_LOW_DEPTH = "low_depth"
@@ -47,7 +47,7 @@ _DRIFT_TOL = 1e-12
 # tail of 500 floor-level entries stays far below it, and the kept degree
 # follows the series' true decay.
 _TRIM_BUDGET = 0.1 * CERT_TOL
-# Certified semi-Pellians by (tau, eta, k, gamma, a_min, width), oldest first.
+# Certified semi-Pellians by (scale, k, a_min, width), oldest first.
 _semi_pellians: dict[tuple, SemiPellianPoly] = {}
 
 
@@ -59,11 +59,11 @@ class GapCertificateError(SimulationError):
     """A constructed polynomial misses its required decision gap."""
 
 
-def kappa(tau: float) -> float:
-    """Placement scale 0.5 sqrt(2 ln(2 / (pi tau^2))) of the erf approximant."""
-    if not 0.0 < tau < math.sqrt(2.0 / math.pi):
-        raise ValueError(f"tau must lie in (0, sqrt(2/pi)), got {tau}")
-    return 0.5 * math.sqrt(2.0 * math.log(2.0 / (math.pi * tau * tau)))
+def kappa(scale: float) -> float:
+    """Placement scale 0.5 sqrt(2 ln(2 / (pi s^2))) of the erf approximant."""
+    if not 0.0 < scale < math.sqrt(2.0 / math.pi):
+        raise ValueError(f"scale must lie in (0, sqrt(2/pi)), got {scale}")
+    return 0.5 * math.sqrt(2.0 * math.log(2.0 / (math.pi * scale * scale)))
 
 
 class ConfidenceInterval(namedtuple("ConfidenceInterval", "a_min width")):
@@ -108,12 +108,10 @@ class ConfidenceInterval(namedtuple("ConfidenceInterval", "a_min width")):
 
 
 class RfStepParams(NamedTuple):
-    """Per-step polynomial parameters (approximation accuracies tau and eta,
-    decision gap gamma, erf scale k) plus the branch that produced them."""
+    """Per-step parameters: the scale s, which is the placement accuracy tau, the erf
+    accuracy eta and the decision gap gamma at once, the erf scale k, and the branch."""
 
-    tau: float
-    eta: float
-    gamma: float
+    scale: float
     k: float
     branch: str
 
@@ -131,16 +129,14 @@ def rf_params(interval: ConfidenceInterval, beta: float) -> RfStepParams:
     width, a_mid = interval.width, interval.a_mid
     if a_mid >= 0.5 * width ** (1.0 - beta) and width**beta <= LOW_DEPTH_WIDTH_CAP:
         scale = BASE_SCALE * width**beta
-        params = RfStepParams(scale, scale, scale, 2.0 * kappa(scale) * width ** (beta - 1.0), BRANCH_LOW_DEPTH)
+        params = RfStepParams(scale, 2.0 * kappa(scale) * width ** (beta - 1.0), BRANCH_LOW_DEPTH)
     else:
-        params = RfStepParams(
-            BASE_SCALE, BASE_SCALE, BASE_SCALE, 0.5 * kappa(BASE_SCALE) / width, BRANCH_FULL_DEPTH
-        )
+        params = RfStepParams(BASE_SCALE, 0.5 * kappa(BASE_SCALE) / width, BRANCH_FULL_DEPTH)
     if params.k < 1.0 - CERT_TOL or params.k > (2.0 / width) * (1.0 + CERT_TOL):
         raise SimulationError(
             f"erf scale k={params.k} left [1, 2/width] on the {params.branch} branch"
         )
-    if params.branch == BRANCH_LOW_DEPTH and a_mid < kappa(params.tau) / params.k - CERT_TOL:
+    if params.branch == BRANCH_LOW_DEPTH and a_mid < kappa(params.scale) / params.k - CERT_TOL:
         raise SimulationError("midpoint precondition violated on the shallow branch")
     return params
 
@@ -309,8 +305,10 @@ def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
     since |T_j| <= 1 on [-1, 1], dropping the terms above degree n costs at
     most sum_{j>n} |c_j|, so the result is the smallest odd n whose tail
     bound fits ``accuracy``, and that bound is its ``sup_error``.  The
-    series is computed to the length :func:`_sized_terms` predicts, and to
-    ``_DEGREE_CAP // 2 + 1`` terms if no degree of that fits.  Raises
+    series is computed once, to the length :func:`_sized_terms` predicts,
+    whose remainder is at most accuracy / 4 (so only rounding above three
+    quarters of the accuracy could hide a fitting degree) and which is the
+    full ``_DEGREE_CAP // 2 + 1`` terms when no shorter length fits.  Raises
     :class:`PolynomialConstructionError`, reporting the best bound reached,
     if no degree up to ``_DEGREE_CAP`` fits.
     """
@@ -318,22 +316,20 @@ def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
         raise ValueError("scale must be positive")
     if not 0.0 < accuracy < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
-    # dict.fromkeys: no second pass when the sized series is already the cap.
-    for terms in dict.fromkeys((_sized_terms(scale, accuracy), _DEGREE_CAP // 2 + 1)):
-        odd, left_out = _erf_series(scale, terms)
-        # bound[i]: error after truncating at degree 2i + 1; nonincreasing in i.
-        tail = np.cumsum(np.abs(odd[::-1]))[::-1]
-        bound = np.append(tail[1:], 0.0)[: (_DEGREE_CAP + 1) // 2] + left_out
-        (fits,) = np.nonzero(bound <= accuracy)
-        if fits.size:
-            cut = int(fits[0])
-            coefficients = [0.0] * (2 * cut + 2)
-            coefficients[1::2] = (float(c) for c in odd[: cut + 1])
-            return ErfApproximant(tuple(coefficients), float(bound[cut]))
-    raise PolynomialConstructionError(
-        f"no odd polynomial of degree <= {_DEGREE_CAP} reached accuracy {accuracy} "
-        f"for erf({scale} x); best sup error {float(bound[-1])}"
-    )
+    odd, left_out = _erf_series(scale, _sized_terms(scale, accuracy))
+    # bound[i]: error after truncating at degree 2i + 1; nonincreasing in i.
+    tail = np.cumsum(np.abs(odd[::-1]))[::-1]
+    bound = np.append(tail[1:], 0.0)[: (_DEGREE_CAP + 1) // 2] + left_out
+    (fits,) = np.nonzero(bound <= accuracy)
+    if not fits.size:
+        raise PolynomialConstructionError(
+            f"no odd polynomial of degree <= {_DEGREE_CAP} reached accuracy {accuracy} "
+            f"for erf({scale} x); best sup error {float(bound[-1])}"
+        )
+    cut = int(fits[0])
+    coefficients = [0.0] * (2 * cut + 2)
+    coefficients[1::2] = (float(c) for c in odd[: cut + 1])
+    return ErfApproximant(tuple(coefficients), float(bound[cut]))
 
 
 class GapCertificate(NamedTuple):
@@ -368,54 +364,54 @@ class GapEnvelope(NamedTuple):
     right_lower: float
 
 
-def full_depth_gap_envelope(tau: float, eta: float) -> GapEnvelope:
+def full_depth_gap_envelope() -> GapEnvelope:
     """Worst-case analytic gap endpoints for the full-depth branch.
 
-    With k = kappa(tau) / (2 width), the exact-erf envelope of the
+    With the branch's one scale s = ``BASE_SCALE``, which is tau, eta and gamma
+    at once, and k = kappa(s) / (2 width), the exact-erf envelope of the
     assembled polynomial is largest on the left segment at its right edge
     with the interval flush against zero, and smallest on the right segment
     when the mirrored erf term is floored at -1.  These two constants bound
     the closed-form gap certificate of every full-depth polynomial.
     """
-    kap = kappa(tau)
-    denominator = 4.0 * eta + tau + 2.0
-    left_upper = (2.0 + 4.0 * eta + math.erf(-0.2 * kap) + math.erf(-0.3 * kap)) / denominator
+    kap = kappa(BASE_SCALE)
+    denominator = 5.0 * BASE_SCALE + 2.0
+    left_upper = (2.0 + 4.0 * BASE_SCALE + math.erf(-0.2 * kap) + math.erf(-0.3 * kap)) / denominator
     right_lower = (1.0 + math.erf(0.2 * kap)) / denominator
     return GapEnvelope(left_upper, right_lower)
 
 
-def semi_pellian(
-    tau: float, eta: float, k: float, interval: ConfidenceInterval, gamma: float
-) -> SemiPellianPoly:
+def semi_pellian(scale: float, k: float, interval: ConfidenceInterval) -> SemiPellianPoly:
     """Even unit-bounded polynomial separating the interval's end segments.
 
-    Assembles f0(a - mid) + f0(-a - mid) with
-    f0(x) = (1 + eta + erf_poly(x)) / D, D = 4 eta + tau + 2.  The erf
-    approximant e is odd and within eta of erf, and erf is increasing, so
-    P(a) = (2 + 2 eta + e(a - mid) - e(a + mid)) / D lies in
-    [0, (2 + 4 eta) / D] for |a| <= 1.  Its coefficients come from one
-    evaluation of e at antisymmetric Chebyshev nodes shifted by -mid, whose
-    reversal gives e(-a - mid), and a DCT of the assembled values; trimming
-    negligible coefficients moves P by at most their absolute sum, which
-    the unit bound must absorb.
-    The decision gap, P <= 1/2 - gamma on [a_min, a_min + width/10] and
-    P >= 1/2 + gamma on [a_max - width/10, a_max], is certified in closed
-    form: e is within the approximant's ``sup_error`` s of erf, and
+    The step's one ``scale`` s is its placement accuracy tau, erf accuracy
+    eta and decision gap gamma.  Assembles f0(a - mid) + f0(-a - mid) with
+    f0(x) = (1 + s + erf_poly(x)) / D, D = 5 s + 2.  The erf approximant e
+    is odd and within s of erf, and erf is increasing, so
+    P(a) = (2 + 2 s + e(a - mid) - e(a + mid)) / D lies in [0, (2 + 4 s) / D]
+    for |a| <= 1.  Its coefficients come from one evaluation of e at
+    antisymmetric Chebyshev nodes shifted by -mid, whose reversal gives
+    e(-a - mid), and a DCT of the assembled values; trimming negligible
+    coefficients moves P by at most their absolute sum, which the unit bound
+    must absorb.
+    The decision gap, P <= 1/2 - s on [a_min, a_min + width/10] and
+    P >= 1/2 + s on [a_max - width/10, a_max], is certified in closed
+    form: e is within the approximant's ``sup_error`` u of erf, and
     f(a) = erf(k (a - mid)) - erf(k (a + mid)) is nondecreasing for a >= 0,
-    so (2 + 2 eta + 2 s + f(a_min + width/10)) / D bounds P on the left
-    segment from above and (2 + 2 eta - 2 s + f(a_max - width/10)) / D
+    so (2 + 2 s + 2 u + f(a_min + width/10)) / D bounds P on the left
+    segment from above and (2 + 2 s - 2 u + f(a_max - width/10)) / D
     bounds it on the right from below, each widened by the trimmed sum.
     """
-    key = (tau, eta, k, gamma, interval.a_min, interval.width)
+    key = (scale, k, interval.a_min, interval.width)
     poly = _build_semi_pellians([key])[key]
     if isinstance(poly, Exception):
         raise poly
     return poly
 
 
-def _assembled_series(erf_part: ErfApproximant, eta: float, a_mid, denominator) -> np.ndarray:
+def _assembled_series(erf_part: ErfApproximant, scale: float, a_mid, denominator) -> np.ndarray:
     """Untrimmed Chebyshev coefficients of the assembled even polynomial
-    ((1 + eta + e(a - mid)) + (1 + eta + e(-a - mid))) / D, a row per entry of column ``a_mid``.
+    ((1 + s + e(a - mid)) + (1 + s + e(-a - mid))) / D, a row per entry of column ``a_mid``.
 
     The sum of the two mirrored odd parts is an even polynomial of at most
     the erf approximant's degree n, so interpolating at the n + 1 Chebyshev
@@ -430,7 +426,7 @@ def _assembled_series(erf_part: ErfApproximant, eta: float, a_mid, denominator) 
     points = erf_part.degree + 1
     # numpy's chebpts1 formula, bit for bit, without importing numpy.polynomial
     nodes = np.sin(0.5 * np.pi / points * np.arange(-points + 1, points + 1, 2))
-    shifted = 1.0 + eta + erf_part.evaluate(nodes - a_mid)
+    shifted = 1.0 + scale + erf_part.evaluate(nodes - a_mid)
     values = (shifted + shifted[..., ::-1]) / denominator
     spectrum = np.fft.rfft(np.concatenate((values, values), axis=-1))[..., :points]
     coef = (spectrum * np.exp(-0.5j * np.pi / points * np.arange(points))).real / points
@@ -445,16 +441,15 @@ def _build_semi_pellians(keys) -> dict:
     built = {key: _semi_pellians[key] for key in keys if key in _semi_pellians}
     groups: dict[tuple, list] = {}
     for key in set(keys) - built.keys():
-        groups.setdefault(key[1:3], []).append(key)
-    for (eta, k), group in groups.items():
+        groups.setdefault(key[:2], []).append(key)
+    for (scale, k), group in groups.items():
         try:
-            erf_part = erf_poly(k, eta)
+            erf_part = erf_poly(k, scale)
         except (SimulationError, ValueError) as err:
             built.update(dict.fromkeys(group, err))
             continue
         a_mids = np.array([[a_min + 0.5 * width] for *_, a_min, width in group])
-        denominators = np.array([[4.0 * eta + tau + 2.0] for tau, *_ in group])
-        for key, coef in zip(group, _assembled_series(erf_part, eta, a_mids, denominators)):
+        for key, coef in zip(group, _assembled_series(erf_part, scale, a_mids, 5.0 * scale + 2.0)):
             if len(_semi_pellians) >= 4096:
                 del _semi_pellians[next(iter(_semi_pellians))]
             try:
@@ -464,41 +459,42 @@ def _build_semi_pellians(keys) -> dict:
     return built
 
 
-def _certified(erf_part, coef, tau, eta, k, gamma, a_min, width) -> SemiPellianPoly:
+def _certified(erf_part, coef, scale, k, a_min, width) -> SemiPellianPoly:
+    """:func:`semi_pellian`, certified from its untrimmed ``coef`` at scale s = tau = eta = gamma."""
     a_mid = a_min + 0.5 * width
-    denominator = 4.0 * eta + tau + 2.0
+    denominator = 5.0 * scale + 2.0
     # tail[i] is the absolute sum of coef[i:]; drop the longest tail within
     # the budget, keeping at least the constant term.
     tail = np.append(np.cumsum(np.abs(coef[::-1]))[::-1], 0.0)
     cut = max(1, int(np.argmax(tail <= _TRIM_BUDGET)))
     trimmed = float(tail[cut])
-    bound = (2.0 + 4.0 * eta) / denominator + trimmed
+    bound = (2.0 + 4.0 * scale) / denominator + trimmed
     if bound > 1.0 + CERT_TOL:
         raise PolynomialConstructionError(
             f"assembled polynomial may exceed the unit bound: |P| <= {bound}"
         )
     coef = coef[:cut]
 
-    # P(a) lies within 2 s / D + trimmed of (2 + 2 eta + f(a)) / D, with
+    # P(a) lies within 2 u / D + trimmed of (2 + 2 s + f(a)) / D, u the sup error, with
     # f(a) = erf(k (a - mid)) - erf(k (a + mid)) nondecreasing for a, mid >= 0,
     # so each segment's extreme sits at its inner edge.
     def erf_gap(a: float) -> float:
         return math.erf(k * (a - a_mid)) - math.erf(k * (a + a_mid))
 
     segment = DISCARD_FRACTION * width
-    centre = 2.0 + 2.0 * eta
+    centre = 2.0 + 2.0 * scale
     slack = 2.0 * erf_part.sup_error
     left_max = (centre + slack + erf_gap(a_min + segment)) / denominator + trimmed
     right_min = (centre - slack + erf_gap(a_min + width - segment)) / denominator - trimmed
-    if left_max > 0.5 - gamma + CERT_TOL or right_min < 0.5 + gamma - CERT_TOL:
+    if left_max > 0.5 - scale + CERT_TOL or right_min < 0.5 + scale - CERT_TOL:
         raise GapCertificateError(
             f"decision gap violated: left max {left_max}, right min {right_min}, "
-            f"required {0.5 - gamma} / {0.5 + gamma}"
+            f"required {0.5 - scale} / {0.5 + scale}"
         )
     return SemiPellianPoly(
         coefficients=tuple(coef.tolist()),
         degree=len(coef) - 1,
-        gap_certificate=GapCertificate(left_max, right_min, gamma),
+        gap_certificate=GapCertificate(left_max, right_min, scale),
     )
 
 
@@ -525,12 +521,10 @@ def coin_test(heads: int, tosses: int, gamma: float) -> bool:
 
 
 class StepRecord(NamedTuple):
-    """Trace entry for one shrinking step (interval is pre-discard)."""
+    """Trace entry for one shrinking step (interval is pre-discard; gamma is the step's scale)."""
 
     step: int
     branch: str
-    tau: float
-    eta: float
     k: float
     gamma: float
     tosses: int
@@ -600,22 +594,20 @@ def _shrinking_loop(oracle_factory, oracles, target, seed, ledger, trace):
     rng = derive_stream(seed, 0).rng()
     for step in range(steps):
         params = rf_params(interval, target.beta)
-        key = (params.tau, params.eta, params.k, params.gamma, interval.a_min, interval.width)
+        key = (params.scale, params.k, interval.a_min, interval.width)
         poly = yield key
-        tosses = coin_tosses(params.gamma, step_fail)
+        tosses = coin_tosses(params.scale, step_fail)
         if key not in oracles:  # the truth, and so the oracle, is the batch's
             oracles[key] = oracle_factory(poly)
         heads = poly_sample(oracles[key], tosses, rng, ledger)
-        truth_on_right = coin_test(heads, tosses, params.gamma)
+        truth_on_right = coin_test(heads, tosses, params.scale)
         if trace is not None:
             trace.append(
                 StepRecord(
                     step=step,
                     branch=params.branch,
-                    tau=params.tau,
-                    eta=params.eta,
                     k=params.k,
-                    gamma=params.gamma,
+                    gamma=params.scale,
                     tosses=tosses,
                     heads=heads,
                     poly_degree=poly.degree,

@@ -183,7 +183,7 @@ def test_criterion_4_depth_query_scaling(scaling_run):
 
 def test_criterion_5_gap_and_placement_constants():
     """Full-depth gap endpoints and erf placement constants match references."""
-    envelope = full_depth_gap_envelope(0.01, 0.01)
+    envelope = full_depth_gap_envelope()
     assert envelope.left_upper == pytest.approx(0.472, abs=0.002)
     assert envelope.right_lower == pytest.approx(0.70541, abs=0.002)
     assert kappa(0.01) == pytest.approx(2.1, abs=0.05)

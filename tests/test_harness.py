@@ -10,6 +10,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,13 @@ class TestConfigValidation:
     def test_trials_positive(self):
         with pytest.raises(ConfigError):
             quick_config(trials=0)
+        # trials and master_seed are integers, a bool not among them
+        for field, value in (("trials", 2.5), ("trials", True), ("master_seed", 1.5),
+                             ("master_seed", True)):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                quick_config(**{field: value})
+        config = quick_config(trials=np.int64(2), master_seed=np.uint64(5))
+        assert json.dumps(config.provenance())  # numpy integers are kept as ints
 
     def test_unknown_constants_rejected(self):
         with pytest.raises(ConfigError):
@@ -459,9 +467,9 @@ class TestBatches:
         certified, refusals = rallfuller._certified, dict.fromkeys(refused, 0)
 
         def refusing(erf_part, coef, *key):
-            if key[4:] in refused:
-                refusals[key[4:]] += 1
-                raise rallfuller.GapCertificateError(f"refused at step {refused[key[4:]]}")
+            if key[2:] in refused:
+                refusals[key[2:]] += 1
+                raise rallfuller.GapCertificateError(f"refused at step {refused[key[2:]]}")
             return certified(erf_part, coef, *key)
 
         monkeypatch.setattr(rallfuller, "_certified", refusing)
@@ -534,7 +542,7 @@ class TestBatches:
         run_experiment(config)
         keys = set(certified)
         # a step's polynomials share its width; each branch has one approximant
-        groups = {(width, eta, k) for _, eta, k, _, _, width in keys}
+        groups = {(width, scale, k) for scale, k, _, width in keys}
         steps = math.ceil(math.log(0.01) / math.log(rallfuller.SHRINK_FACTOR))
         assert len({width for width, _, _ in groups}) == steps
         assert len(evaluations) == len(groups) < len(keys)
@@ -780,6 +788,12 @@ class TestConfigFile:
         config.write_text(f"algorithm = type1\ntruth = 0.3\ntrials = 1\n{key} = {config}\n")
         assert main(["run", "--config", str(config)]) == 2
         assert "unknown config file keys" in capsys.readouterr().err
+
+    def test_a_repeated_key_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("algorithm = type1\ntruth = 0.3\ntrials = 1\ntruth = 0.9\n")
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"{config}:4: key 'truth' repeats line 2" in capsys.readouterr().err
 
 
 class TestCli:

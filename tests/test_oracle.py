@@ -47,20 +47,20 @@ class TestPolyOracle:
         # is at least (1/2 + gamma)^2; grid evaluation of P is the oracle.
         interval = ConfidenceInterval(0.0, 1.0)
         params = rf_params(interval, 0.5)
-        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        poly = semi_pellian(params.scale, params.k, interval)
         truth = 0.95  # inside [a_max - 0.1 width, a_max]
         oracle = PolyOracle(poly, Amplitude(truth))
         p_analytic = float(poly.evaluate(np.asarray(truth))) ** 2
-        assert p_analytic >= (0.5 + params.gamma) ** 2
+        assert p_analytic >= (0.5 + params.scale) ** 2
         shots = 100_000
         heads = poly_sample(oracle, shots, SeedSpec(5, 4).rng(), ResourceLedger())
         sigma = math.sqrt(p_analytic * (1 - p_analytic) / shots)
-        assert heads / shots >= (0.5 + params.gamma) ** 2 - 3 * sigma
+        assert heads / shots >= (0.5 + params.scale) ** 2 - 3 * sigma
 
     def test_bounded_certificate_skips_regrid_but_checks_amplitude(self):
         interval = ConfidenceInterval(0.0, 1.0)
         params = rf_params(interval, 0.0)
-        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        poly = semi_pellian(params.scale, params.k, interval)
         oracle = PolyOracle(poly, Amplitude(0.5))
         assert 0.0 <= oracle.head_probability <= 1.0
 

@@ -120,7 +120,7 @@ class TestRfParams:
     def test_full_depth_on_unit_interval(self):
         params = rf_params(ConfidenceInterval(0.0, 1.0), 0.5)
         assert params.branch == BRANCH_FULL_DEPTH
-        assert params.tau == params.eta == params.gamma == 0.01
+        assert params.scale == 0.01
         assert params.k == pytest.approx(0.5 * kappa(0.01), rel=1e-12)
 
     def test_low_depth_branch_selection(self):
@@ -129,8 +129,8 @@ class TestRfParams:
         interval = ConfidenceInterval(0.3 - width / 2, width)
         params = rf_params(interval, 0.5)
         assert params.branch == BRANCH_LOW_DEPTH
-        assert params.tau == pytest.approx(0.01 * width**0.5, rel=1e-12)
-        assert params.k == pytest.approx(2 * kappa(params.tau) * width**-0.5, rel=1e-12)
+        assert params.scale == pytest.approx(0.01 * width**0.5, rel=1e-12)
+        assert params.k == pytest.approx(2 * kappa(params.scale) * width**-0.5, rel=1e-12)
         assert params.k <= 2 / width
 
     def test_beta_zero_always_full_depth(self):
@@ -196,12 +196,12 @@ class TestErfPoly:
         # sup_error must hold off the 40 001-point certification grid: on its
         # midpoints and on a grid ten times finer.
         params = rf_params(interval, beta)
-        approx = erf_poly(params.k, params.eta)
+        approx = erf_poly(params.k, params.scale)
         certification = np.linspace(-2.0, 2.0, 40_001)
         for points in (0.5 * (certification[1:] + certification[:-1]), np.linspace(-2, 2, 400_001)):
             error = np.max(np.abs(approx.evaluate(points) - erf(params.k * points)))
             assert error <= approx.sup_error
-        assert approx.sup_error <= params.eta
+        assert approx.sup_error <= params.scale
 
     @pytest.mark.parametrize("k", [1.0, 5.0, 14.2, 29.8, 37.6, 70.8])
     def test_miller_recurrence_matches_ive(self, k):
@@ -356,7 +356,7 @@ class TestSemiPellian:
     def test_full_depth_unit_interval(self):
         interval = ConfidenceInterval(0.0, 1.0)
         params = rf_params(interval, 0.5)
-        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        poly = semi_pellian(params.scale, params.k, interval)
         # parity is structural: all odd-index entries vanish
         assert all(c == 0.0 for c in poly.coefficients[1::2])
         grid = np.linspace(-1, 1, 20001)
@@ -364,14 +364,14 @@ class TestSemiPellian:
         assert np.max(np.abs(values)) <= 1 + 1e-9
         np.testing.assert_allclose(poly.evaluate(-grid), values, atol=1e-12)
         cert = poly.gap_certificate
-        assert cert.left_max <= 0.5 - params.gamma + 1e-9
-        assert cert.right_min >= 0.5 + params.gamma - 1e-9
+        assert cert.left_max <= 0.5 - params.scale + 1e-9
+        assert cert.right_min >= 0.5 + params.scale - 1e-9
 
     def test_certificate_within_analytic_envelope(self):
         interval = ConfidenceInterval(0.0, 1.0)
         params = rf_params(interval, 0.5)
-        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
-        envelope = full_depth_gap_envelope(params.tau, params.eta)
+        poly = semi_pellian(params.scale, params.k, interval)
+        envelope = full_depth_gap_envelope()
         assert poly.gap_certificate.left_max <= envelope.left_upper + 1e-9
         assert poly.gap_certificate.right_min >= envelope.right_lower - 1e-9
 
@@ -379,10 +379,10 @@ class TestSemiPellian:
         width = 0.9**20
         interval = ConfidenceInterval(0.3 - width / 2, width)
         params = rf_params(interval, 0.5)
-        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        poly = semi_pellian(params.scale, params.k, interval)
         cert = poly.gap_certificate
-        assert cert.left_max <= 0.5 - params.gamma + 1e-9
-        assert cert.right_min >= 0.5 + params.gamma - 1e-9
+        assert cert.left_max <= 0.5 - params.scale + 1e-9
+        assert cert.right_min >= 0.5 + params.scale - 1e-9
 
     def test_charged_degree_stops_where_series_decays(self):
         # Past the series' decay the assembled coefficients sit on the
@@ -391,8 +391,8 @@ class TestSemiPellian:
         width = 0.9**42
         interval = ConfidenceInterval(0.95 - width / 2, width)
         params = rf_params(interval, 0.0)
-        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
-        assert poly.degree <= 0.8 * erf_poly(params.k, params.eta).degree
+        poly = semi_pellian(params.scale, params.k, interval)
+        assert poly.degree <= 0.8 * erf_poly(params.k, params.scale).degree
 
     @PROPERTY
     @given(intervals, st.floats(0.0, 1.0))
@@ -402,20 +402,20 @@ class TestSemiPellian:
             params = rf_params(interval, beta)
         except SimulationError:
             assume(False)
-        erf_part = erf_poly(params.k, params.eta)
+        erf_part = erf_poly(params.k, params.scale)
         nodes = ncheb.chebpts1(erf_part.degree + 1)
         # The one-evaluation construction rests on exactly antisymmetric nodes.
         assert np.array_equal(nodes[::-1], -nodes)
-        eta, a_mid = params.eta, interval.a_mid
-        denominator = 4.0 * eta + params.tau + 2.0
+        scale, a_mid = params.scale, interval.a_mid
+        denominator = 4.0 * scale + scale + 2.0
 
         def assembled(a):
             return (
-                (1.0 + eta + erf_part.evaluate(a - a_mid))
-                + (1.0 + eta + erf_part.evaluate(-a - a_mid))
+                (1.0 + scale + erf_part.evaluate(a - a_mid))
+                + (1.0 + scale + erf_part.evaluate(-a - a_mid))
             ) / denominator
 
-        coef = _assembled_series(erf_part, eta, a_mid, denominator)
+        coef = _assembled_series(erf_part, scale, a_mid, denominator)
         assert np.all(coef[1::2] == 0.0)
         reference = ncheb.chebinterpolate(assembled, erf_part.degree)
         np.testing.assert_allclose(coef, reference, rtol=0.0, atol=1e-12)
@@ -460,8 +460,8 @@ class TestSemiPellian:
         _semi_pellians.clear()
         interval = ConfidenceInterval(0.3 - 0.9**20 / 2, 0.9**20)
         params = rf_params(interval, 0.5)
-        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
-        assert calls == [erf_poly(params.k, params.eta).degree + 1]
+        poly = semi_pellian(params.scale, params.k, interval)
+        assert calls == [erf_poly(params.k, params.scale).degree + 1]
         assert poly.degree < calls[0]
 
     @pytest.mark.skipif(
@@ -478,11 +478,11 @@ class TestSemiPellian:
         ],
     )
     def test_charged_degree_matches_long_double_interpolation(self, step, degree):
-        # Steps (tau = eta = gamma, k, a_min, width) of traced runs where a
+        # Steps (scale, k, a_min, width) of traced runs where a
         # double-precision Vandermonde interpolation charged 2 above the
         # series: its rounding floor, a few 1e-14, crossed the trim budget.
         scale, k, a_min, width = step
-        poly = semi_pellian(scale, scale, k, ConfidenceInterval(a_min, width), scale)
+        poly = semi_pellian(scale, k, ConfidenceInterval(a_min, width))
         ld = np.longdouble
         erf_part = erf_poly(k, scale)
         points = erf_part.degree + 1
@@ -503,13 +503,13 @@ class TestSemiPellian:
         # a deliberately tiny erf scale cannot separate the segments
         interval = ConfidenceInterval(0.0, 1.0)
         with pytest.raises((GapCertificateError, PolynomialConstructionError)):
-            semi_pellian(0.01, 0.01, 1e-3, interval, 0.01)
+            semi_pellian(0.01, 1e-3, interval)
 
     def test_a_batch_build_gives_each_key_its_polynomial_or_its_own_error(self):
         params = rf_params(ConfidenceInterval(0.0, 1.0), 0.5)
-        good = (params.tau, params.eta, params.k, params.gamma, 0.0, 1.0)
-        no_gap = (0.01, 0.01, 1e-3, 0.01, 0.0, 1.0)  # certification refuses it
-        no_erf = (0.01, 0.001, 600.0, 0.01, 0.0, 1.0)  # its approximant cannot be built
+        good = (params.scale, params.k, 0.0, 1.0)
+        no_gap = (0.01, 1e-3, 0.0, 1.0)  # certification refuses it
+        no_erf = (0.001, 600.0, 0.0, 1.0)  # its approximant cannot be built
         _semi_pellians.clear()
         built = rallfuller._build_semi_pellians([good, no_gap, no_erf, good])
         assert set(built) == {good, no_gap, no_erf}
@@ -518,8 +518,7 @@ class TestSemiPellian:
         assert list(_semi_pellians) == [good]  # errors are not cached
         # a cached key is read back as the same object
         assert rallfuller._build_semi_pellians([good])[good] is built[good]
-        assert semi_pellian(params.tau, params.eta, params.k, ConfidenceInterval(0.0, 1.0),
-                            params.gamma) is built[good]
+        assert semi_pellian(params.scale, params.k, ConfidenceInterval(0.0, 1.0)) is built[good]
 
 
 class TestGridReference:
@@ -534,12 +533,12 @@ class TestGridReference:
             params = rf_params(interval, beta)
         except SimulationError:
             assume(False)
-        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        poly = semi_pellian(params.scale, params.k, interval)
         values = poly.evaluate(np.linspace(-1.0, 1.0, 20_001))
-        upper = (2.0 + 4.0 * params.eta) / (4.0 * params.eta + params.tau + 2.0)
+        upper = (2.0 + 4.0 * params.scale) / (4.0 * params.scale + params.scale + 2.0)
         assert np.min(values) >= -CERT_TOL
         assert np.max(values) <= upper + CERT_TOL
-        approx = erf_poly(params.k, params.eta)
+        approx = erf_poly(params.k, params.scale)
         grid = np.linspace(-2.0, 2.0, 40_001)
         assert np.max(np.abs(approx.evaluate(grid) - erf(params.k * grid))) <= approx.sup_error
 
@@ -552,7 +551,7 @@ class TestGridReference:
             params = rf_params(interval, beta)
         except SimulationError:
             assume(False)
-        poly = semi_pellian(params.tau, params.eta, params.k, interval, params.gamma)
+        poly = semi_pellian(params.scale, params.k, interval)
         segment = 0.1 * interval.width
 
         def segment_grid(start):
@@ -566,7 +565,7 @@ class TestGridReference:
 
 class TestGapEnvelope:
     def test_reference_constants(self):
-        envelope = full_depth_gap_envelope(0.01, 0.01)
+        envelope = full_depth_gap_envelope()
         assert envelope.left_upper == pytest.approx(0.472, abs=0.002)
         assert envelope.right_lower == pytest.approx(0.70541, abs=0.002)
 
