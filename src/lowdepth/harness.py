@@ -199,7 +199,8 @@ ALGORITHMS = {record.name: record for record in (
         plan=_phase_plan,
         circular=True,
     ),
-    Algorithm("rallfuller", constants={}, trial=_rallfuller_trials),
+    Algorithm("rallfuller", constants={}, trial=_rallfuller_trials,
+              plan=lambda target, c: rallfuller.check_reachable(target)),
     Algorithm(
         "monkey-demo",
         constants={},

@@ -90,21 +90,25 @@ class ConfidenceInterval(namedtuple("ConfidenceInterval", "a_min width")):
     def a_mid(self) -> float:
         return self.a_min + 0.5 * self.width
 
-    def _clipped(self, new_min: float, new_width: float) -> "ConfidenceInterval":
-        overhang = new_min + new_width - 1.0
-        if overhang > 0.0:
-            if overhang > _DRIFT_TOL:
-                raise SimulationError(f"interval drifted outside [0, 1] by {overhang}")
-            new_min = 1.0 - new_width
-        return ConfidenceInterval(new_min, new_width)
-
     def discard_left(self) -> "ConfidenceInterval":
         """Drop the leftmost tenth, keeping the right 90 percent."""
-        return self._clipped(self.a_min + DISCARD_FRACTION * self.width, SHRINK_FACTOR * self.width)
+        width = SHRINK_FACTOR * self.width
+        return ConfidenceInterval(_clipped(self.a_min + DISCARD_FRACTION * self.width, width), width)
 
     def discard_right(self) -> "ConfidenceInterval":
         """Drop the rightmost tenth, keeping the left 90 percent."""
-        return self._clipped(self.a_min, SHRINK_FACTOR * self.width)
+        width = SHRINK_FACTOR * self.width
+        return ConfidenceInterval(_clipped(self.a_min, width), width)
+
+
+def _clipped(new_min: float, new_width: float) -> float:
+    """``new_min``, moved to 1 - new_width if the interval overhangs 1 by rounding alone."""
+    overhang = new_min + new_width - 1.0
+    if overhang > 0.0:
+        if overhang > _DRIFT_TOL:
+            raise SimulationError(f"interval drifted outside [0, 1] by {overhang}")
+        return 1.0 - new_width
+    return new_min
 
 
 class RfStepParams(NamedTuple):
@@ -124,21 +128,38 @@ def rf_params(interval: ConfidenceInterval, beta: float) -> RfStepParams:
     (k in [1, 2/width], midpoint at least kappa/k on the shallow branch)
     are re-asserted because a violation would invalidate the gap argument.
     """
+    params = _step_rule(interval.width, beta)(interval.a_mid)
+    if isinstance(params, Exception):
+        raise params
+    return params
+
+
+def _step_rule(width: float, beta: float) -> Callable[[float], RfStepParams | Exception]:
+    """:func:`rf_params` at ``width`` as a function of the midpoint that returns its error, each
+    branch's parameters, k-range check and midpoint floor worked out once, here."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    width, a_mid = interval.width, interval.a_mid
-    if a_mid >= 0.5 * width ** (1.0 - beta) and width**beta <= LOW_DEPTH_WIDTH_CAP:
-        scale = BASE_SCALE * width**beta
-        params = RfStepParams(scale, 2.0 * kappa(scale) * width ** (beta - 1.0), BRANCH_LOW_DEPTH)
-    else:
-        params = RfStepParams(BASE_SCALE, 0.5 * kappa(BASE_SCALE) / width, BRANCH_FULL_DEPTH)
-    if params.k < 1.0 - CERT_TOL or params.k > (2.0 / width) * (1.0 + CERT_TOL):
-        raise SimulationError(
-            f"erf scale k={params.k} left [1, 2/width] on the {params.branch} branch"
-        )
-    if params.branch == BRANCH_LOW_DEPTH and a_mid < kappa(params.scale) / params.k - CERT_TOL:
-        raise SimulationError("midpoint precondition violated on the shallow branch")
-    return params
+    shallow_from = 0.5 * width ** (1.0 - beta) if width**beta <= LOW_DEPTH_WIDTH_CAP else math.inf
+    branches = []  # (parameters or error, least midpoint allowed), full-depth branch first
+    for shallow, branch in ((False, BRANCH_FULL_DEPTH), (True, BRANCH_LOW_DEPTH)):
+        scale = BASE_SCALE * width**beta if shallow else BASE_SCALE
+        try:
+            kap = kappa(scale)
+            k = 2.0 * kap * width ** (beta - 1.0) if shallow else 0.5 * kap / width
+            if k < 1.0 - CERT_TOL or k > (2.0 / width) * (1.0 + CERT_TOL):
+                raise SimulationError(f"erf scale k={k} left [1, 2/width] on the {branch} branch")
+            floor = kap / k - CERT_TOL if shallow else -math.inf
+            branches.append((RfStepParams(scale, k, branch), floor))
+        except (SimulationError, ValueError) as err:
+            branches.append((err, -math.inf))
+
+    def params_at(a_mid: float) -> RfStepParams | Exception:
+        params, floor = branches[a_mid >= shallow_from]
+        if a_mid < floor:
+            return SimulationError("midpoint precondition violated on the shallow branch")
+        return params
+
+    return params_at
 
 
 def _parity_clenshaw(t, coefficients: tuple[float, ...], parity: int):
@@ -170,10 +191,10 @@ def _parity_clenshaw(t, coefficients: tuple[float, ...], parity: int):
         w = 4.0 * t * t
         s, b, scratch = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
         for a in rest:
-            np.multiply(w, b, out=scratch)
-            scratch += a
-            np.subtract(scratch, s, out=s)
-            np.subtract(s, b, out=b)
+            np.multiply(w, b, scratch)
+            np.add(scratch, a, scratch)
+            np.subtract(scratch, s, s)
+            np.subtract(s, b, b)
     return t * (head + (w - 2.0) * b - s) if parity else head + 0.5 * w * b - s
 
 
@@ -285,16 +306,21 @@ def _sized_terms(scale: float, accuracy: float) -> int:
     the remainder bound of :func:`_erf_series` for the terms from j on is at
     most accuracy / 4, e^-z I_j being bounded by the product of Amos's
     ratio bounds below j (and e^-z I_0 <= 1); at most ``_DEGREE_CAP // 2 + 1``.
+    Growing prefixes of j are searched, bit for bit the full range's (elementwise maps, cumprod).
     """
     big_k = _ERF_DOMAIN_HALF * scale
     z = 0.5 * big_k * big_k
-    j = np.arange(_DEGREE_CAP // 2 + 1)
-    ratio = _amos_ratio(j, z)
-    scaled_bessel = np.concatenate(([1.0], np.cumprod(ratio[:-1])))
     prefactor = 2.0 * big_k / math.sqrt(math.pi)
-    remaining = prefactor * scaled_bessel * (1.0 + ratio) / ((1.0 - ratio) * (2.0 * j + 1.0))
-    (small,) = np.nonzero(remaining <= 0.25 * accuracy)
-    return min(int(small[0]) + 2, j.size) if small.size else j.size
+    cap = _DEGREE_CAP // 2 + 1
+    for size in (128, 512, cap):
+        j = np.arange(size)
+        ratio = _amos_ratio(j, z)
+        scaled_bessel = np.concatenate(([1.0], np.cumprod(ratio[:-1])))
+        remaining = prefactor * scaled_bessel * (1.0 + ratio) / ((1.0 - ratio) * (2.0 * j + 1.0))
+        (small,) = np.nonzero(remaining <= 0.25 * accuracy)
+        if small.size:
+            return min(int(small[0]) + 2, cap)
+    return cap
 
 
 @lru_cache(maxsize=256)
@@ -328,7 +354,7 @@ def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
         )
     cut = int(fits[0])
     coefficients = [0.0] * (2 * cut + 2)
-    coefficients[1::2] = (float(c) for c in odd[: cut + 1])
+    coefficients[1::2] = odd[: cut + 1].tolist()
     return ErfApproximant(tuple(coefficients), float(bound[cut]))
 
 
@@ -559,64 +585,67 @@ def rall_fuller_estimate(
 
 def rall_fuller_lockstep(oracle_factory, target, seeds, ledgers, traces=None) -> Iterator[float]:
     """:func:`rall_fuller_estimate` per seed (with ``ledgers[i]``, ``traces[i]``), the trials
-    stepping together: each step builds their semi-Pellians at once, sends each trial its own
-    from that build, and makes one oracle per polynomial.  Yields the midpoints in order,
-    raising a failed trial's error, its own or its polynomial's, in its place."""
-    oracles: dict[tuple, PolyOracle] = {}
-    loops = [_shrinking_loop(oracle_factory, oracles, target, *trial)
-             for trial in zip(seeds, ledgers, traces or [None] * len(seeds))]
-    # a running trial's next polynomial (None before its first step), then its outcome
-    outcomes, pending = [None] * len(loops), range(len(loops))
-    while pending:
-        keys = {}
-        for index in pending:
+    stepping together on the batch's width: each step works out both branches and their toss
+    counts once, builds the trials' semi-Pellians at once and makes one oracle per polynomial.
+    Yields the midpoints in order; a failed trial raises its error, or its polynomial's, instead."""
+    steps = ceil_int(math.log(target.epsilon) / math.log(SHRINK_FACTOR))
+    traces = traces or [None] * len(seeds)
+    rngs = [derive_stream(seed, 0).rng() for seed in seeds]
+    a_mins, outcomes, oracles = [0.0] * len(seeds), [None] * len(seeds), {}
+    running, width = range(len(seeds)), 1.0
+    for step in range(steps):
+        params_at, tosses, picked = _step_rule(width, target.beta), {}, {}
+        for index in running:
+            params = params_at(a_mins[index] + 0.5 * width)
+            if isinstance(params, Exception):
+                outcomes[index] = params
+            else:
+                picked[index] = params, (params.scale, params.k, a_mins[index], width)
+        built = _build_semi_pellians([key for _, key in picked.values()])
+        # the kept interval's left end moves by offsets[truth_on_right]
+        offsets, new_width, running = (0.0, DISCARD_FRACTION * width), SHRINK_FACTOR * width, []
+        for index, (params, key) in picked.items():
+            poly = built[key]
+            if isinstance(poly, Exception):
+                outcomes[index] = poly
+                continue
             try:
-                keys[index] = loops[index].send(outcomes[index])
-            except StopIteration as finished:
-                outcomes[index] = finished.value
+                if params.branch not in tosses:
+                    tosses[params.branch] = coin_tosses(params.scale, target.delta / steps)
+                if key not in oracles:  # the truth, and so the oracle, is the batch's
+                    oracles[key] = oracle_factory(poly)
+                count = tosses[params.branch]
+                heads = poly_sample(oracles[key], count, rngs[index], ledgers[index])
+                truth_on_right = coin_test(heads, count, params.scale)
+                if traces[index] is not None:
+                    traces[index].append(StepRecord(
+                        step, params.branch, params.k, params.scale, count, heads, poly.degree,
+                        a_mins[index], width))
+                a_mins[index] = _clipped(a_mins[index] + offsets[truth_on_right], new_width)
+                running.append(index)
             except (SimulationError, ValueError) as err:
                 outcomes[index] = err
-        built = _build_semi_pellians(keys.values())
-        for index, key in keys.items():
-            outcomes[index] = built[key]
-        pending = [index for index, key in keys.items() if not isinstance(built[key], Exception)]
+        width = new_width
+    for index in running:
+        outcomes[index] = a_mins[index] + 0.5 * width
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
         yield outcome
 
 
-def _shrinking_loop(oracle_factory, oracles, target, seed, ledger, trace):
-    """One trial, yielding each step's semi-Pellian key and receiving its polynomial."""
-    steps = ceil_int(math.log(target.epsilon) / math.log(SHRINK_FACTOR))
-    step_fail = target.delta / steps
-    interval = ConfidenceInterval(0.0, 1.0)
-    rng = derive_stream(seed, 0).rng()
-    for step in range(steps):
-        params = rf_params(interval, target.beta)
-        key = (params.scale, params.k, interval.a_min, interval.width)
-        poly = yield key
-        tosses = coin_tosses(params.scale, step_fail)
-        if key not in oracles:  # the truth, and so the oracle, is the batch's
-            oracles[key] = oracle_factory(poly)
-        heads = poly_sample(oracles[key], tosses, rng, ledger)
-        truth_on_right = coin_test(heads, tosses, params.scale)
-        if trace is not None:
-            trace.append(
-                StepRecord(
-                    step=step,
-                    branch=params.branch,
-                    k=params.k,
-                    gamma=params.scale,
-                    tosses=tosses,
-                    heads=heads,
-                    poly_degree=poly.degree,
-                    a_min=interval.a_min,
-                    width=interval.width,
-                )
-            )
-        interval = interval.discard_left() if truth_on_right else interval.discard_right()
-    return interval.a_mid
+def check_reachable(target: TargetSpec) -> None:
+    """Raise ValueError where no trial can finish: at beta = 0 every trial builds the last step's
+    full-depth approximant, the largest, which this builds (and caches) at the trials' width."""
+    if target.beta == 0.0:
+        width = 1.0
+        for _ in range(ceil_int(math.log(target.epsilon) / math.log(SHRINK_FACTOR)) - 1):
+            width = SHRINK_FACTOR * width  # the lockstep's multiplies, bit for bit
+        params = rf_params(ConfidenceInterval(0.0, width), 0.0)
+        try:
+            erf_poly(params.k, params.scale)
+        except PolynomialConstructionError as err:
+            raise ValueError(str(err)) from err
 
 
 class PhaseThreshold(NamedTuple):

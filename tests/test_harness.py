@@ -925,6 +925,27 @@ class TestCli:
         assert built == [] and not out.exists()
 
     @pytest.mark.parametrize(
+        "command",
+        [["run", "--truth", "0.5", "--trials", "2"],
+         ["scale", "--epsilon-grid", "0.05,0.001", "--beta-grid", "0.5,0"]],
+        ids=["run", "scale"],
+    )
+    def test_rallfuller_target_whose_last_step_cannot_be_built_exits_two(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # at beta = 0 every trial takes the full-depth branch at its last step,
+        # whose approximant at epsilon 0.001 no degree up to the cap reaches
+        built = record_generators(monkeypatch)
+        out = tmp_path / "rf.json"
+        argv = [*command, "--algorithm", "rallfuller", "--out", str(out)]
+        if command[0] == "run":
+            argv += ["--epsilon", "0.001", "--beta", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: rallfuller cannot run: no odd polynomial")
+        assert built == [] and not out.exists()
+
+    @pytest.mark.parametrize(
         "algorithm, truth, failed, unfitted",
         [("type2", "0.9", 13, 3), ("monkey-demo", "0.3", 0, 5)],
     )

@@ -8,8 +8,16 @@ from numpy.polynomial import chebyshev as ncheb
 from scipy.special import erf, ive
 
 from lowdepth import rallfuller
-from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, SimulationError, TargetSpec
-from lowdepth.oracle import PolyOracle
+from lowdepth.core import (
+    Amplitude,
+    ResourceLedger,
+    SeedSpec,
+    SimulationError,
+    TargetSpec,
+    ceil_int,
+    derive_stream,
+)
+from lowdepth.oracle import PolyOracle, poly_sample
 from lowdepth.rallfuller import (
     BRANCH_FULL_DEPTH,
     BRANCH_LOW_DEPTH,
@@ -297,6 +305,31 @@ class TestErfPoly:
         with pytest.raises(PolynomialConstructionError) as info:
             erf_poly(600.0, 0.001)
         assert "best sup error" in str(info.value)
+
+    def test_sized_terms_match_one_search_over_every_term(self):
+        # Searching growing prefixes gives, bit for bit, what one search over
+        # all 2 049 terms gives: where the first prefix holds the length,
+        # where only a later one does, and where no length fits.
+        cap = rallfuller._DEGREE_CAP // 2 + 1
+
+        def full_length(scale, accuracy):
+            big_k = 2.0 * scale
+            z = 0.5 * big_k * big_k
+            j = np.arange(cap)
+            ratio = _amos_ratio(j, z)
+            scaled_bessel = np.concatenate(([1.0], np.cumprod(ratio[:-1])))
+            prefactor = 2.0 * big_k / math.sqrt(math.pi)
+            remaining = prefactor * scaled_bessel * (1.0 + ratio) / ((1.0 - ratio) * (2.0 * j + 1.0))
+            (small,) = np.nonzero(remaining <= 0.25 * accuracy)
+            return (min(int(small[0]) + 2, cap), True) if small.size else (cap, False)
+
+        regimes = set()
+        for scale in np.geomspace(0.3, 2000.0, 40):
+            for accuracy in np.geomspace(1e-1, 1e-8, 15):
+                terms, fits = full_length(float(scale), float(accuracy))
+                assert rallfuller._sized_terms(float(scale), float(accuracy)) == terms
+                regimes.add("none fits" if not fits else "first" if terms <= 129 else "later")
+        assert regimes == {"first", "later", "none fits"}
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -682,6 +715,87 @@ class TestRallFullerEstimate:
         second, _, ledger_b = run_traced(0.42, target, 9)
         assert first == second
         assert ledger_a == ledger_b
+
+
+def reference_trial(truth, target, seed, ledger, trace):
+    """One Rall-Fuller trial stepped alone, through the public step functions."""
+    steps = ceil_int(math.log(target.epsilon) / math.log(SHRINK_FACTOR))
+    interval = ConfidenceInterval(0.0, 1.0)
+    rng = derive_stream(seed, 0).rng()
+    for step in range(steps):
+        params = rf_params(interval, target.beta)
+        poly = semi_pellian(params.scale, params.k, interval)
+        tosses = coin_tosses(params.scale, target.delta / steps)
+        heads = poly_sample(PolyOracle(poly, Amplitude(truth)), tosses, rng, ledger)
+        trace.append(StepRecord(step, params.branch, params.k, params.scale, tosses, heads,
+                                poly.degree, interval.a_min, interval.width))
+        on_right = coin_test(heads, tosses, params.scale)
+        interval = interval.discard_left() if on_right else interval.discard_right()
+    return interval.a_mid
+
+
+class TestLockstep:
+    @settings(PROPERTY, max_examples=15)
+    @given(
+        truth=st.one_of(st.sampled_from([0.003, 1.0]), st.floats(0.003, 1.0)),
+        beta=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        epsilon=st.sampled_from([0.1, 0.05, 0.03]),
+        master=st.integers(0, 2**16),
+        trials=st.integers(1, 4),
+    )
+    @example(truth=0.003, beta=0.5, epsilon=0.03, master=1, trials=4)
+    @example(truth=1.0, beta=0.25, epsilon=0.03, master=2, trials=4)
+    # trials 0 and 1 take different branches at step 26
+    @example(truth=0.12784185908520773, beta=0.5, epsilon=0.05, master=1, trials=4)
+    def test_batch_steps_each_trial_as_it_would_step_alone(self, truth, beta, epsilon, master, trials):
+        # The per-step branch parameters, toss counts and discard offsets
+        # give every trial the estimate, ledger and trace it gets alone.
+        target = TargetSpec(epsilon, 0.05, beta)
+        amplitude = Amplitude(truth)
+        seeds = [SeedSpec(master, index) for index in range(trials)]
+        ledgers, traces = [ResourceLedger() for _ in seeds], [[] for _ in seeds]
+        estimates = list(rallfuller.rall_fuller_lockstep(
+            lambda poly: PolyOracle(poly, amplitude), target, seeds, ledgers, traces))
+        for seed, estimate, ledger, trace in zip(seeds, estimates, ledgers, traces):
+            alone, alone_trace = ResourceLedger(), []
+            assert reference_trial(truth, target, seed, alone, alone_trace) == estimate
+            assert (alone, alone_trace) == (ledger, trace)
+
+    def test_kappa_runs_at_most_three_times_a_step(self, monkeypatch):
+        # a 16-trial batch whose trials split between the branches at step 26
+        calls = []
+        monkeypatch.setattr(rallfuller, "kappa",
+                            lambda scale, _kappa=rallfuller.kappa: calls.append(scale) or _kappa(scale))
+        target, amplitude = TargetSpec(0.05, 0.05, 0.5), Amplitude(0.12784185908520773)
+        seeds = [SeedSpec(1, index) for index in range(16)]
+        traces = [[] for _ in seeds]
+        list(rallfuller.rall_fuller_lockstep(lambda poly: PolyOracle(poly, amplitude), target,
+                                             seeds, [ResourceLedger() for _ in seeds], traces))
+        assert {trace[26].branch for trace in traces} == {BRANCH_FULL_DEPTH, BRANCH_LOW_DEPTH}
+        assert len(calls) <= 3 * len(traces[0]) == 3 * 29
+
+
+class TestCheckReachable:
+    def test_builds_the_approximant_the_last_full_depth_step_reads(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rallfuller, "erf_poly",
+                            lambda k, scale, _build=erf_poly: calls.append((k, scale)) or _build(k, scale))
+        target = TargetSpec(0.05, 0.1, 0.0)
+        rallfuller.check_reachable(target)
+        assert len(calls) == 1
+        _, trace, _ = run_traced(0.4, target, 0)
+        assert calls[0] == (trace[-1].k, trace[-1].gamma)
+
+    def test_a_last_step_it_cannot_build_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no odd polynomial of degree <= 4096"):
+            rallfuller.check_reachable(TargetSpec(0.001, 0.05, 0.0))
+
+    def test_beta_above_zero_builds_nothing(self, monkeypatch):
+        # the last step's branch depends on the path, so there is no one approximant to build
+        calls = []
+        monkeypatch.setattr(rallfuller, "erf_poly", lambda *args: calls.append(args))
+        rallfuller.check_reachable(TargetSpec(0.0003, 0.05, 0.25))
+        assert calls == []
 
 
 class TestPhaseThreshold:
