@@ -27,8 +27,12 @@ DISCARD_FRACTION = 0.1
 # Step scale s of the full-depth branch, and the shallow one's factor of width^beta.
 BASE_SCALE = 0.01
 
-# The shallow branch requires width^beta at or below this cap, which keeps
-# s small enough that s * kappa(s) stays below BASE_SCALE.
+# The shallow branch requires width^beta at or below this cap, so the gap
+# argument's preconditions hold by the constants: there k <= 2/width is
+# s * kappa(s) <= BASE_SCALE, s * kappa(s) increasing in s to 0.0092 at
+# s = 0.004, and kappa/k is the branch's midpoint threshold width^(1-beta) / 2;
+# the full-depth k = kappa(BASE_SCALE) / (2 width) is in [1, 2/width] as well.
+# TestStepPreconditions in tests/test_rallfuller.py sweeps both branches.
 LOW_DEPTH_WIDTH_CAP = 0.4
 
 BRANCH_LOW_DEPTH = "low_depth"
@@ -124,42 +128,36 @@ def rf_params(interval: ConfidenceInterval, beta: float) -> RfStepParams:
     """Choose step parameters for the current interval.
 
     The shallow branch applies when the midpoint clears width^(1-beta) / 2
-    and width^beta is at most 0.4; the construction's preconditions
-    (k in [1, 2/width], midpoint at least kappa/k on the shallow branch)
-    are re-asserted because a violation would invalidate the gap argument.
+    and width^beta is at most ``LOW_DEPTH_WIDTH_CAP``.  The construction's
+    preconditions (k in [1, 2/width], midpoint at least kappa/k on the
+    shallow branch) hold by the module's constants, as the comment on
+    ``LOW_DEPTH_WIDTH_CAP`` shows; TestStepPreconditions checks them.
     """
-    params = _step_rule(interval.width, beta)(interval.a_mid)
-    if isinstance(params, Exception):
-        raise params
-    return params
+    shallow_from, table = _step_rule(interval.width, beta)
+    return table[interval.a_mid >= shallow_from]
 
 
-def _step_rule(width: float, beta: float) -> Callable[[float], RfStepParams | Exception]:
-    """:func:`rf_params` at ``width`` as a function of the midpoint that returns its error, each
-    branch's parameters, k-range check and midpoint floor worked out once, here."""
+def _step_rule(width: float, beta: float) -> tuple[float, list[RfStepParams]]:
+    """:func:`rf_params` at ``width`` as a table: the least midpoint of the shallow branch (inf
+    where width^beta exceeds the cap) and the parameters, indexed by a_mid >= that midpoint.
+    The full-depth entry always exists; the shallow one only where the cap admits it."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    shallow_from = 0.5 * width ** (1.0 - beta) if width**beta <= LOW_DEPTH_WIDTH_CAP else math.inf
-    branches = []  # (parameters or error, least midpoint allowed), full-depth branch first
-    for shallow, branch in ((False, BRANCH_FULL_DEPTH), (True, BRANCH_LOW_DEPTH)):
-        scale = BASE_SCALE * width**beta if shallow else BASE_SCALE
-        try:
-            kap = kappa(scale)
-            k = 2.0 * kap * width ** (beta - 1.0) if shallow else 0.5 * kap / width
-            if k < 1.0 - CERT_TOL or k > (2.0 / width) * (1.0 + CERT_TOL):
-                raise SimulationError(f"erf scale k={k} left [1, 2/width] on the {branch} branch")
-            floor = kap / k - CERT_TOL if shallow else -math.inf
-            branches.append((RfStepParams(scale, k, branch), floor))
-        except (SimulationError, ValueError) as err:
-            branches.append((err, -math.inf))
+    table = [RfStepParams(BASE_SCALE, 0.5 * kappa(BASE_SCALE) / width, BRANCH_FULL_DEPTH)]
+    if width**beta > LOW_DEPTH_WIDTH_CAP:
+        return math.inf, table
+    scale = BASE_SCALE * width**beta
+    table.append(RfStepParams(scale, 2.0 * kappa(scale) * width ** (beta - 1.0), BRANCH_LOW_DEPTH))
+    return 0.5 * width ** (1.0 - beta), table
 
-    def params_at(a_mid: float) -> RfStepParams | Exception:
-        params, floor = branches[a_mid >= shallow_from]
-        if a_mid < floor:
-            return SimulationError("midpoint precondition violated on the shallow branch")
-        return params
 
-    return params_at
+def _widths(epsilon: float) -> list[float]:
+    """The shrinking loop's interval widths: 1 at the first step, then SHRINK_FACTOR times the
+    last for each of the ceil(log_0.9 epsilon) steps, so the last entry is the final width."""
+    widths = [1.0]
+    for _ in range(ceil_int(math.log(epsilon) / math.log(SHRINK_FACTOR))):
+        widths.append(SHRINK_FACTOR * widths[-1])
+    return widths
 
 
 def _parity_clenshaw(t, coefficients: tuple[float, ...], parity: int):
@@ -365,7 +363,6 @@ class GapCertificate(NamedTuple):
 
     left_max: float
     right_min: float
-    gamma: float
 
 
 class SemiPellianPoly(NamedTuple):
@@ -520,7 +517,7 @@ def _certified(erf_part, coef, scale, k, a_min, width) -> SemiPellianPoly:
     return SemiPellianPoly(
         coefficients=tuple(coef.tolist()),
         degree=len(coef) - 1,
-        gap_certificate=GapCertificate(left_max, right_min, scale),
+        gap_certificate=GapCertificate(left_max, right_min),
     )
 
 
@@ -585,36 +582,31 @@ def rall_fuller_estimate(
 
 def rall_fuller_lockstep(oracle_factory, target, seeds, ledgers, traces=None) -> Iterator[float]:
     """:func:`rall_fuller_estimate` per seed (with ``ledgers[i]``, ``traces[i]``), the trials
-    stepping together on the batch's width: each step works out both branches and their toss
+    stepping together on the widths of :func:`_widths`: each step reads its branch table and toss
     counts once, builds the trials' semi-Pellians at once and makes one oracle per polynomial.
     Yields the midpoints in order; a failed trial raises its error, or its polynomial's, instead."""
-    steps = ceil_int(math.log(target.epsilon) / math.log(SHRINK_FACTOR))
+    widths = _widths(target.epsilon)
+    steps = len(widths) - 1
     traces = traces or [None] * len(seeds)
     rngs = [derive_stream(seed, 0).rng() for seed in seeds]
     a_mins, outcomes, oracles = [0.0] * len(seeds), [None] * len(seeds), {}
-    running, width = range(len(seeds)), 1.0
-    for step in range(steps):
-        params_at, tosses, picked = _step_rule(width, target.beta), {}, {}
-        for index in running:
-            params = params_at(a_mins[index] + 0.5 * width)
-            if isinstance(params, Exception):
-                outcomes[index] = params
-            else:
-                picked[index] = params, (params.scale, params.k, a_mins[index], width)
-        built = _build_semi_pellians([key for _, key in picked.values()])
+    running = range(len(seeds))
+    for step, (width, new_width) in enumerate(zip(widths, widths[1:])):
+        shallow_from, table = _step_rule(width, target.beta)
+        tosses = {entry.branch: coin_tosses(entry.scale, target.delta / steps) for entry in table}
+        picks = [(index, table[a_mins[index] + 0.5 * width >= shallow_from]) for index in running]
+        keys = [(params.scale, params.k, a_mins[index], width) for index, params in picks]
+        built = _build_semi_pellians(keys)
         # the kept interval's left end moves by offsets[truth_on_right]
-        offsets, new_width, running = (0.0, DISCARD_FRACTION * width), SHRINK_FACTOR * width, []
-        for index, (params, key) in picked.items():
-            poly = built[key]
+        offsets, running = (0.0, DISCARD_FRACTION * width), []
+        for (index, params), key in zip(picks, keys):
+            poly, count = built[key], tosses[params.branch]
             if isinstance(poly, Exception):
                 outcomes[index] = poly
                 continue
             try:
-                if params.branch not in tosses:
-                    tosses[params.branch] = coin_tosses(params.scale, target.delta / steps)
                 if key not in oracles:  # the truth, and so the oracle, is the batch's
                     oracles[key] = oracle_factory(poly)
-                count = tosses[params.branch]
                 heads = poly_sample(oracles[key], count, rngs[index], ledgers[index])
                 truth_on_right = coin_test(heads, count, params.scale)
                 if traces[index] is not None:
@@ -625,9 +617,8 @@ def rall_fuller_lockstep(oracle_factory, target, seeds, ledgers, traces=None) ->
                 running.append(index)
             except (SimulationError, ValueError) as err:
                 outcomes[index] = err
-        width = new_width
     for index in running:
-        outcomes[index] = a_mins[index] + 0.5 * width
+        outcomes[index] = a_mins[index] + 0.5 * widths[-1]
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
@@ -635,17 +626,16 @@ def rall_fuller_lockstep(oracle_factory, target, seeds, ledgers, traces=None) ->
 
 
 def check_reachable(target: TargetSpec) -> None:
-    """Raise ValueError where no trial can finish: at beta = 0 every trial builds the last step's
-    full-depth approximant, the largest, which this builds (and caches) at the trials' width."""
-    if target.beta == 0.0:
-        width = 1.0
-        for _ in range(ceil_int(math.log(target.epsilon) / math.log(SHRINK_FACTOR)) - 1):
-            width = SHRINK_FACTOR * width  # the lockstep's multiplies, bit for bit
-        params = rf_params(ConfidenceInterval(0.0, width), 0.0)
-        try:
-            erf_poly(params.k, params.scale)
-        except PolynomialConstructionError as err:
-            raise ValueError(str(err)) from err
+    """Raise ValueError where no trial can finish.  Whatever its path, every trial takes the
+    full-depth branch at each step whose width^beta exceeds the cap (step 0 always does); this
+    builds (and caches) the approximant of the last such step, whose k is the largest of them, at
+    the trials' width.  At beta = 0 that is the last step."""
+    width = [w for w in _widths(target.epsilon)[:-1] if w**target.beta > LOW_DEPTH_WIDTH_CAP][-1]
+    _, (params,) = _step_rule(width, target.beta)
+    try:
+        erf_poly(params.k, params.scale)
+    except PolynomialConstructionError as err:
+        raise ValueError(str(err)) from err
 
 
 class PhaseThreshold(NamedTuple):

@@ -926,24 +926,38 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command",
-        [["run", "--truth", "0.5", "--trials", "2"],
-         ["scale", "--epsilon-grid", "0.05,0.001", "--beta-grid", "0.5,0"]],
-        ids=["run", "scale"],
+        [["run", "--epsilon", "0.001", "--beta", "0", "--truth", "0.5", "--trials", "2"],
+         ["scale", "--epsilon-grid", "0.05,0.001", "--beta-grid", "0.5,0"],
+         ["run", "--epsilon", "0.001", "--beta", "0.1", "--truth", "0.5", "--trials", "2"],
+         ["scale", "--epsilon-grid", "0.05,0.001", "--beta-grid", "0.5,0.1"]],
+        ids=["run", "scale", "run-beta-0.1", "scale-beta-0.1"],
     )
     def test_rallfuller_target_whose_last_step_cannot_be_built_exits_two(
         self, command, tmp_path, monkeypatch, capsys
     ):
-        # at beta = 0 every trial takes the full-depth branch at its last step,
-        # whose approximant at epsilon 0.001 no degree up to the cap reaches
+        # at beta = 0, and at beta = 0.1 while width^0.1 stays above the
+        # shallow branch's cap (down to width 0.4^10, past epsilon 0.001),
+        # every trial takes the full-depth branch at its last step, whose
+        # approximant at epsilon 0.001 no degree up to the cap reaches
         built = record_generators(monkeypatch)
         out = tmp_path / "rf.json"
-        argv = [*command, "--algorithm", "rallfuller", "--out", str(out)]
-        if command[0] == "run":
-            argv += ["--epsilon", "0.001", "--beta", "0"]
-        assert main(argv) == 2
+        assert main([*command, "--algorithm", "rallfuller", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: rallfuller cannot run: no odd polynomial")
         assert built == [] and not out.exists()
+
+    def test_rallfuller_target_whose_failing_step_depends_on_the_path_exits_three(
+        self, tmp_path, capsys
+    ):
+        # at beta = 0.25 the trials leave the full-depth branch before the step
+        # that fails, so the plan admits the target and trial 0 fails running
+        out = tmp_path / "rf.json"
+        argv = ["run", "--algorithm", "rallfuller", "--truth", "0.5", "--epsilon", "0.0003",
+                "--beta", "0.25", "--trials", "2", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("algorithm error: trial 0: no odd polynomial")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "algorithm, truth, failed, unfitted",

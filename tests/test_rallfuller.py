@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as ncheb
 from scipy.special import erf, ive
@@ -12,7 +12,6 @@ from lowdepth.core import (
     Amplitude,
     ResourceLedger,
     SeedSpec,
-    SimulationError,
     TargetSpec,
     ceil_int,
     derive_stream,
@@ -170,6 +169,28 @@ class TestRfParams:
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             rf_params(ConfidenceInterval(0.0, 1.0), 1.5)
+
+
+class TestStepPreconditions:
+    def test_both_branches_meet_the_gap_arguments_preconditions(self):
+        # k in [1, 2/width] on each branch, and on the shallow one a midpoint
+        # threshold at least kappa/k, over beta on a 0.01 grid and the first
+        # 700 widths of the shrinking loop (down to about 1e-32)
+        widths = rallfuller._widths(1e-32)[:700]
+        assert len(widths) == 700
+        for beta in np.linspace(0.0, 1.0, 101):
+            for width in widths:
+                shallow_from, table = rallfuller._step_rule(width, beta)
+                assert [params.branch for params in table] == (
+                    [BRANCH_FULL_DEPTH, BRANCH_LOW_DEPTH]
+                    if width**beta <= rallfuller.LOW_DEPTH_WIDTH_CAP else [BRANCH_FULL_DEPTH]
+                )
+                for params in table:
+                    assert 1.0 <= params.k <= 2.0 / width
+                if len(table) == 2:
+                    shallow = table[1]
+                    assert shallow_from == 0.5 * width ** (1.0 - beta)
+                    assert kappa(shallow.scale) / shallow.k <= shallow_from + CERT_TOL
 
 
 class TestErfPoly:
@@ -431,10 +452,7 @@ class TestSemiPellian:
     @given(intervals, st.floats(0.0, 1.0))
     @example(ConfidenceInterval(0.7 - 0.9**44 / 2, 0.9**44), 0.0)
     def test_assembled_series_matches_two_evaluation_interpolation(self, interval, beta):
-        try:
-            params = rf_params(interval, beta)
-        except SimulationError:
-            assume(False)
+        params = rf_params(interval, beta)
         erf_part = erf_poly(params.k, params.scale)
         nodes = ncheb.chebpts1(erf_part.degree + 1)
         # The one-evaluation construction rests on exactly antisymmetric nodes.
@@ -562,10 +580,7 @@ class TestGridReference:
     @example(ConfidenceInterval(0.3 - 0.9**40 / 2, 0.9**40), 0.5)
     @example(ConfidenceInterval(0.7 - 0.9**44 / 2, 0.9**44), 0.75)
     def test_unit_bound_and_erf_error_on_dense_grids(self, interval, beta):
-        try:
-            params = rf_params(interval, beta)
-        except SimulationError:
-            assume(False)
+        params = rf_params(interval, beta)
         poly = semi_pellian(params.scale, params.k, interval)
         values = poly.evaluate(np.linspace(-1.0, 1.0, 20_001))
         upper = (2.0 + 4.0 * params.scale) / (4.0 * params.scale + params.scale + 2.0)
@@ -580,10 +595,7 @@ class TestGridReference:
     @example(ConfidenceInterval(0.3 - 0.9**40 / 2, 0.9**40), 0.5)
     @example(ConfidenceInterval(0.7 - 0.9**44 / 2, 0.9**44), 0.75)
     def test_gap_certificate_bounds_segment_grids(self, interval, beta):
-        try:
-            params = rf_params(interval, beta)
-        except SimulationError:
-            assume(False)
+        params = rf_params(interval, beta)
         poly = semi_pellian(params.scale, params.k, interval)
         segment = 0.1 * interval.width
 
@@ -790,12 +802,24 @@ class TestCheckReachable:
         with pytest.raises(ValueError, match="no odd polynomial of degree <= 4096"):
             rallfuller.check_reachable(TargetSpec(0.001, 0.05, 0.0))
 
-    def test_beta_above_zero_builds_nothing(self, monkeypatch):
-        # the last step's branch depends on the path, so there is no one approximant to build
-        calls = []
-        monkeypatch.setattr(rallfuller, "erf_poly", lambda *args: calls.append(args))
-        rallfuller.check_reachable(TargetSpec(0.0003, 0.05, 0.25))
-        assert calls == []
+    def test_beta_above_zero_builds_the_last_forced_step(self, monkeypatch):
+        # width^0.25 exceeds the cap for the first 35 of the 44 steps, so every
+        # trial takes the full-depth branch there, whatever its path
+        calls, widths, rule = [], [], rallfuller._step_rule
+        monkeypatch.setattr(rallfuller, "erf_poly",
+                            lambda k, scale: calls.append((k, scale)) or erf_poly(k, scale))
+        monkeypatch.setattr(rallfuller, "_step_rule",
+                            lambda width, beta: widths.append(width) or rule(width, beta))
+        target = TargetSpec(0.01, 0.1, 0.25)
+        rallfuller.check_reachable(target)
+        monkeypatch.undo()
+        _, trace, _ = run_traced(0.4, target, 0)
+        forced = [record for record in trace if record.width**0.25 > rallfuller.LOW_DEPTH_WIDTH_CAP]
+        assert len(forced) == 35 and len(trace) == 44
+        assert {record.branch for record in forced} == {BRANCH_FULL_DEPTH}
+        assert trace[-1].branch == BRANCH_LOW_DEPTH
+        assert calls == [(forced[-1].k, forced[-1].gamma)]
+        assert widths == [forced[-1].width]
 
 
 class TestPhaseThreshold:
