@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import blackbox
+from . import blackbox, rallfuller
 from .core import SimulationError, TargetSpec
 # bound here for bench/tracing.py, which wraps derive_stream in every module holding it
 from .core import derive_stream  # noqa: F401
@@ -200,7 +200,7 @@ def _cmd_scale(args) -> int:
 def _cmd_params(args) -> int:
     target, constants = _target_and_constants(args)
     # every plan is built before the first line, so a configuration error
-    # prints nothing; phase alone may be out of range where the others run
+    # prints nothing; phase and Rall-Fuller may be out of range where the others run
     plan1 = ALGORITHMS["type1"].build_plan(target, constants)
     plan2 = ALGORITHMS["type2"].build_plan(target, constants)
     try:
@@ -213,6 +213,22 @@ def _cmd_params(args) -> int:
             f"run_precision={phase_plan.run_precision:.6g} "
             f"run_fail_prob={phase_plan.run_fail_prob:.6g}"
         )
+    try:
+        rf_plan = ALGORITHMS["rallfuller"].build_plan(target, constants)
+    except ConfigError as err:
+        rf_line = f"Rall-Fuller plan:      cannot run: {err.__cause__}"
+    else:
+        tosses = {rallfuller.BRANCH_FULL_DEPTH: [], rallfuller.BRANCH_LOW_DEPTH: []}
+        for _, table, counts in rf_plan.steps:
+            for entry, count in zip(table, counts):
+                tosses[entry.branch].append(count)
+        forced_steps = sum(len(table) == 1 for _, table, _ in rf_plan.steps)
+        rf_line = f"Rall-Fuller plan:      steps={len(rf_plan.steps)} forced_full_depth={forced_steps}"
+        for branch, counts in tosses.items():
+            rf_line += f" {branch}_tosses=" + (f"{min(counts)}..{max(counts)}" if counts else "none")
+        # the plan has built the forced approximant, so this reads the cache
+        forced_erf = rallfuller.erf_poly(rf_plan.forced.k, rf_plan.forced.scale)
+        rf_line += f" forced_erf_degree={forced_erf.degree}"
     print(f"target: epsilon={target.epsilon:g} delta={target.delta:g} beta={target.beta:g}")
     print(
         f"bias/variance plan:    bias_bound={plan1.bias_bound:.6g} "
@@ -225,6 +241,7 @@ def _cmd_params(args) -> int:
         f"runs={plan2.runs}"
     )
     print(phase_line)
+    print(rf_line)
     amp = blackbox.cornelissen_amp_params(target)
     print(
         f"amplitude estimator knobs:  depth_scale={amp.depth_scale:.6g} "

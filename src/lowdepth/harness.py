@@ -93,7 +93,7 @@ def _phase_trials(truth, target, constants, plan, seeds, ledgers):
 def _rallfuller_trials(truth, target, constants, plan, seeds, ledgers):
     amplitude = Amplitude(truth)
     return rallfuller.rall_fuller_lockstep(
-        lambda poly: oracle.PolyOracle(poly, amplitude), target, seeds, ledgers)
+        lambda poly: oracle.PolyOracle(poly, amplitude), plan, seeds, ledgers)
 
 
 def _monkey_trials(truth, target, constants, plan, seeds, ledgers):
@@ -112,8 +112,8 @@ class Algorithm(NamedTuple):
     """Everything the harness knows about one algorithm.
 
     ``constants`` lists the constants it reads, with their defaults; it
-    rejects every constant outside that table.  ``plan``, when given, builds
-    the algorithm's schedule from a target and the resolved constants,
+    rejects every constant outside that table.  ``plan`` builds the
+    algorithm's schedule from a target and the resolved constants,
     raising ``ValueError`` for constants that can never run.  ``trial`` runs
     a batch of trials on that schedule, ``(truth, target, constants, plan,
     seeds, ledgers) -> estimates``, trial i on ``seeds[i]`` and ``ledgers[i]``
@@ -125,14 +125,12 @@ class Algorithm(NamedTuple):
     name: str
     constants: dict
     trial: Callable[..., Iterable[float]]
-    plan: Callable[[TargetSpec, dict], object] | None = None
+    plan: Callable[[TargetSpec, dict], object]
     circular: bool = False
 
     def build_plan(self, target: TargetSpec, constants: dict):
-        """The schedule at ``target`` with ``constants`` over the defaults
-        (None without a ``plan``); one that can never run is a ConfigError."""
-        if self.plan is None:
-            return None
+        """The schedule at ``target`` with ``constants`` over the defaults;
+        one that can never run is a ConfigError."""
         try:
             return self.plan(target, {**self.constants, **constants})
         except ValueError as err:
@@ -200,7 +198,7 @@ ALGORITHMS = {record.name: record for record in (
         circular=True,
     ),
     Algorithm("rallfuller", constants={}, trial=_rallfuller_trials,
-              plan=lambda target, c: rallfuller.check_reachable(target)),
+              plan=lambda target, c: rallfuller.RfPlan.from_target(target)),
     Algorithm(
         "monkey-demo",
         constants={},

@@ -151,15 +151,6 @@ def _step_rule(width: float, beta: float) -> tuple[float, list[RfStepParams]]:
     return 0.5 * width ** (1.0 - beta), table
 
 
-def _widths(epsilon: float) -> list[float]:
-    """The shrinking loop's interval widths: 1 at the first step, then SHRINK_FACTOR times the
-    last for each of the ceil(log_0.9 epsilon) steps, so the last entry is the final width."""
-    widths = [1.0]
-    for _ in range(ceil_int(math.log(epsilon) / math.log(SHRINK_FACTOR))):
-        widths.append(SHRINK_FACTOR * widths[-1])
-    return widths
-
-
 def _parity_clenshaw(t, coefficients: tuple[float, ...], parity: int):
     """Chebyshev series ``coefficients`` at t in [-1, 1], given that only
     its entries of index ``parity`` mod 2 are nonzero.
@@ -557,6 +548,35 @@ class StepRecord(NamedTuple):
     width: float
 
 
+class RfPlan(NamedTuple):
+    """The shrinking loop's widths, per step :func:`_step_rule`'s least shallow midpoint and table
+    with each entry's toss count, and the ``forced`` entry, as :meth:`from_target` builds them."""
+
+    widths: tuple[float, ...]
+    steps: tuple[tuple[float, tuple[RfStepParams, ...], tuple[int, ...]], ...]
+    forced: RfStepParams
+
+    @classmethod
+    def from_target(cls, target: TargetSpec) -> "RfPlan":
+        """Widths 1, then SHRINK_FACTOR times the last for each of the ceil(log_0.9 epsilon) steps,
+        and tosses at failure budget delta / steps.  Whatever its path, every trial takes each
+        one-entry table's full-depth entry; the last, ``forced``, has the largest k of them, and its
+        approximant is built (and cached, for the trials) here: a ValueError where it cannot be."""
+        count = ceil_int(math.log(target.epsilon) / math.log(SHRINK_FACTOR))
+        widths, steps = [1.0], []
+        for _ in range(count):
+            shallow_from, table = _step_rule(widths[-1], target.beta)
+            tosses = tuple(coin_tosses(entry.scale, target.delta / count) for entry in table)
+            steps.append((shallow_from, tuple(table), tosses))
+            widths.append(SHRINK_FACTOR * widths[-1])
+        (forced,) = [table for _, table, _ in steps if len(table) == 1][-1]
+        try:
+            erf_poly(forced.k, forced.scale)
+        except PolynomialConstructionError as err:
+            raise ValueError(str(err)) from err
+        return cls(tuple(widths), tuple(steps), forced)
+
+
 def rall_fuller_estimate(
     oracle_factory: Callable[[SemiPellianPoly], PolyOracle],
     target: TargetSpec,
@@ -565,42 +585,36 @@ def rall_fuller_estimate(
     ledger: ResourceLedger,
     trace: list[StepRecord] | None = None,
 ) -> float:
-    """Run the interval-shrinking loop and return the final midpoint.
+    """Run the interval-shrinking loop on ``RfPlan.from_target(target)`` and return the final
+    midpoint, which is within epsilon of the truth with probability at least 1 - delta.
 
-    ``oracle_factory`` turns each step's polynomial into a
-    :class:`PolyOracle` carrying the hidden truth.  The loop runs
-    ceil(log_0.9 epsilon) steps with per-step failure budget delta / steps;
-    the returned midpoint is then within epsilon of the truth with
-    probability at least 1 - delta.  ``trace`` (if given) receives one
-    :class:`StepRecord` per step.
+    ``oracle_factory`` turns each step's polynomial into a :class:`PolyOracle` carrying the
+    hidden truth.  ``trace`` (if given) receives one :class:`StepRecord` per step.
 
     The steps draw their head counts in order from one generator,
     ``derive_stream(seed, 0).rng()``.
     """
-    return next(rall_fuller_lockstep(oracle_factory, target, [seed], [ledger], [trace]))
+    return next(rall_fuller_lockstep(
+        oracle_factory, RfPlan.from_target(target), [seed], [ledger], [trace]))
 
 
-def rall_fuller_lockstep(oracle_factory, target, seeds, ledgers, traces=None) -> Iterator[float]:
-    """:func:`rall_fuller_estimate` per seed (with ``ledgers[i]``, ``traces[i]``), the trials
-    stepping together on the widths of :func:`_widths`: each step reads its branch table and toss
-    counts once, builds the trials' semi-Pellians at once and makes one oracle per polynomial.
-    Yields the midpoints in order; a failed trial raises its error, or its polynomial's, instead."""
-    widths = _widths(target.epsilon)
-    steps = len(widths) - 1
+def rall_fuller_lockstep(oracle_factory, plan, seeds, ledgers, traces=None) -> Iterator[float]:
+    """:func:`rall_fuller_estimate` per seed (with ``ledgers[i]``, ``traces[i]``), stepping together
+    on :class:`RfPlan` ``plan``; each step builds the trials' semi-Pellians at once, one oracle per
+    polynomial.  Yields the midpoints in order; a failed trial raises its error instead."""
     traces = traces or [None] * len(seeds)
     rngs = [derive_stream(seed, 0).rng() for seed in seeds]
     a_mins, outcomes, oracles = [0.0] * len(seeds), [None] * len(seeds), {}
     running = range(len(seeds))
-    for step, (width, new_width) in enumerate(zip(widths, widths[1:])):
-        shallow_from, table = _step_rule(width, target.beta)
-        tosses = {entry.branch: coin_tosses(entry.scale, target.delta / steps) for entry in table}
-        picks = [(index, table[a_mins[index] + 0.5 * width >= shallow_from]) for index in running]
-        keys = [(params.scale, params.k, a_mins[index], width) for index, params in picks]
+    for step, (width, new_width, (shallow_from, table, tosses)) in enumerate(
+            zip(plan.widths, plan.widths[1:], plan.steps)):
+        picks = [(index, a_mins[index] + 0.5 * width >= shallow_from) for index in running]
+        keys = [(table[pick].scale, table[pick].k, a_mins[index], width) for index, pick in picks]
         built = _build_semi_pellians(keys)
         # the kept interval's left end moves by offsets[truth_on_right]
         offsets, running = (0.0, DISCARD_FRACTION * width), []
-        for (index, params), key in zip(picks, keys):
-            poly, count = built[key], tosses[params.branch]
+        for (index, pick), key in zip(picks, keys):
+            params, poly, count = table[pick], built[key], tosses[pick]
             if isinstance(poly, Exception):
                 outcomes[index] = poly
                 continue
@@ -618,24 +632,11 @@ def rall_fuller_lockstep(oracle_factory, target, seeds, ledgers, traces=None) ->
             except (SimulationError, ValueError) as err:
                 outcomes[index] = err
     for index in running:
-        outcomes[index] = a_mins[index] + 0.5 * widths[-1]
+        outcomes[index] = a_mins[index] + 0.5 * plan.widths[-1]
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
         yield outcome
-
-
-def check_reachable(target: TargetSpec) -> None:
-    """Raise ValueError where no trial can finish.  Whatever its path, every trial takes the
-    full-depth branch at each step whose width^beta exceeds the cap (step 0 always does); this
-    builds (and caches) the approximant of the last such step, whose k is the largest of them, at
-    the trials' width.  At beta = 0 that is the last step."""
-    width = [w for w in _widths(target.epsilon)[:-1] if w**target.beta > LOW_DEPTH_WIDTH_CAP][-1]
-    _, (params,) = _step_rule(width, target.beta)
-    try:
-        erf_poly(params.k, params.scale)
-    except PolynomialConstructionError as err:
-        raise ValueError(str(err)) from err
 
 
 class PhaseThreshold(NamedTuple):

@@ -22,6 +22,7 @@ from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec, deriv
 from lowdepth.oracle import PolyOracle
 from lowdepth.harness import (
     ALGORITHMS,
+    Algorithm,
     AlgorithmError,
     ConfigError,
     ExperimentConfig,
@@ -308,7 +309,8 @@ class TestOneGeneratorPerTrial:
 def record_plan_builds(monkeypatch) -> list:
     """Record the target of every plan built through a ``from_target``."""
     built = []
-    for plan_class in (aggregate.Type1Plan, aggregate.Type2Plan, circphase.PhasePlan):
+    for plan_class in (aggregate.Type1Plan, aggregate.Type2Plan, circphase.PhasePlan,
+                       rallfuller.RfPlan):
 
         def from_target(target, *args, _build=plan_class.from_target):
             built.append(target)
@@ -323,7 +325,8 @@ class TestOnePlanPerRun:
     scaling study one per cell, at that cell's target."""
 
     @pytest.mark.parametrize(
-        "algorithm, truth", [("type1", 0.3), ("type2", 0.3), ("phase", 1.0), ("monkey-demo", 0.5)]
+        "algorithm, truth",
+        [("type1", 0.3), ("type2", 0.3), ("phase", 1.0), ("rallfuller", 0.4), ("monkey-demo", 0.5)],
     )
     @pytest.mark.parametrize("trials", [1, 6])
     def test_run_experiment(self, algorithm, truth, trials, monkeypatch):
@@ -331,6 +334,12 @@ class TestOnePlanPerRun:
         config = quick_config(algorithm=algorithm, truth=truth, trials=trials)
         run_experiment(config)
         assert built == [config.target]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_algorithm_has_a_plan(self, algorithm):
+        assert "plan" not in Algorithm._field_defaults
+        # the CLI's default target
+        assert ALGORITHMS[algorithm].build_plan(TargetSpec(0.05, 0.05, 0.5), {}) is not None
 
     def test_scaling_study(self, monkeypatch):
         built = record_plan_builds(monkeypatch)
@@ -498,8 +507,8 @@ class TestBatches:
         estimates = []
         with pytest.raises(rallfuller.GapCertificateError, match=f"refused at step {step}$"):
             for estimate in rallfuller.rall_fuller_lockstep(
-                lambda poly: PolyOracle(poly, amplitude), config.target, seeds,
-                [ResourceLedger() for _ in seeds], traces,
+                lambda poly: PolyOracle(poly, amplitude), rallfuller.RfPlan.from_target(config.target),
+                seeds, [ResourceLedger() for _ in seeds], traces,
             ):
                 estimates.append(estimate)
         assert list(refusals.values()) == [1, 1]
@@ -913,6 +922,24 @@ class TestCli:
         output = capsys.readouterr().out
         assert "circular phase plan:   cannot run: target precision must stay below pi/8" in output
         assert "precision/failure plan" in output
+
+    def test_params_prints_the_rallfuller_plan(self, capsys):
+        # 44 steps; width^0.5 exceeds the cap 0.4 down to 0.9^17, so 18 steps are
+        # forced; ceil(0.5 s^-2 ln(44 / 0.1)) tosses at s = 0.01 on the full-depth branch
+        assert main(["params", "--epsilon", "0.01", "--delta", "0.1", "--beta", "0.5"]) == 0
+        assert (
+            "Rall-Fuller plan:      steps=44 forced_full_depth=18 full_depth_tosses=30434..30434 "
+            "low_depth_tosses=202765..2824421 forced_erf_degree=39\n"
+        ) in capsys.readouterr().out
+        assert main(["params", "--epsilon", "0.5"]) == 0
+        assert "forced_full_depth=7 full_depth_tosses=24709..24709 low_depth_tosses=none " in (
+            capsys.readouterr().out)
+
+    def test_params_prints_why_rallfuller_cannot_run(self, capsys):
+        assert main(["params", "--epsilon", "0.001", "--beta", "0"]) == 0
+        output = capsys.readouterr().out
+        assert "Rall-Fuller plan:      cannot run: no odd polynomial of degree <= 4096" in output
+        assert "register phase estimator" in output
 
     def test_scale_constants_that_can_never_run_exit_two_before_any_cell(
         self, tmp_path, monkeypatch, capsys

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lowdepth.rallfuller import (
     ErfApproximant,
     GapCertificateError,
     PolynomialConstructionError,
+    RfPlan,
     SHRINK_FACTOR,
     StepRecord,
     _TRIM_BUDGET,
@@ -175,9 +177,10 @@ class TestStepPreconditions:
     def test_both_branches_meet_the_gap_arguments_preconditions(self):
         # k in [1, 2/width] on each branch, and on the shallow one a midpoint
         # threshold at least kappa/k, over beta on a 0.01 grid and the first
-        # 700 widths of the shrinking loop (down to about 1e-32)
-        widths = rallfuller._widths(1e-32)[:700]
-        assert len(widths) == 700
+        # 700 widths of the shrinking loop (down to about 1e-32), by its repeated multiply
+        widths = [1.0]
+        while len(widths) < 700:
+            widths.append(SHRINK_FACTOR * widths[-1])
         for beta in np.linspace(0.0, 1.0, 101):
             for width in widths:
                 shallow_from, table = rallfuller._step_rule(width, beta)
@@ -767,22 +770,25 @@ class TestLockstep:
         seeds = [SeedSpec(master, index) for index in range(trials)]
         ledgers, traces = [ResourceLedger() for _ in seeds], [[] for _ in seeds]
         estimates = list(rallfuller.rall_fuller_lockstep(
-            lambda poly: PolyOracle(poly, amplitude), target, seeds, ledgers, traces))
+            lambda poly: PolyOracle(poly, amplitude), RfPlan.from_target(target), seeds, ledgers,
+            traces))
         for seed, estimate, ledger, trace in zip(seeds, estimates, ledgers, traces):
             alone, alone_trace = ResourceLedger(), []
             assert reference_trial(truth, target, seed, alone, alone_trace) == estimate
             assert (alone, alone_trace) == (ledger, trace)
 
     def test_kappa_runs_at_most_three_times_a_step(self, monkeypatch):
-        # a 16-trial batch whose trials split between the branches at step 26
+        # a 16-trial batch whose trials split between the branches at step 26; the
+        # plan is built while kappa is counted, so its calls are all counted
         calls = []
         monkeypatch.setattr(rallfuller, "kappa",
                             lambda scale, _kappa=rallfuller.kappa: calls.append(scale) or _kappa(scale))
         target, amplitude = TargetSpec(0.05, 0.05, 0.5), Amplitude(0.12784185908520773)
         seeds = [SeedSpec(1, index) for index in range(16)]
         traces = [[] for _ in seeds]
-        list(rallfuller.rall_fuller_lockstep(lambda poly: PolyOracle(poly, amplitude), target,
-                                             seeds, [ResourceLedger() for _ in seeds], traces))
+        list(rallfuller.rall_fuller_lockstep(lambda poly: PolyOracle(poly, amplitude),
+                                             RfPlan.from_target(target), seeds,
+                                             [ResourceLedger() for _ in seeds], traces))
         assert {trace[26].branch for trace in traces} == {BRANCH_FULL_DEPTH, BRANCH_LOW_DEPTH}
         assert len(calls) <= 3 * len(traces[0]) == 3 * 29
 
@@ -793,14 +799,14 @@ class TestCheckReachable:
         monkeypatch.setattr(rallfuller, "erf_poly",
                             lambda k, scale, _build=erf_poly: calls.append((k, scale)) or _build(k, scale))
         target = TargetSpec(0.05, 0.1, 0.0)
-        rallfuller.check_reachable(target)
+        RfPlan.from_target(target)
         assert len(calls) == 1
         _, trace, _ = run_traced(0.4, target, 0)
         assert calls[0] == (trace[-1].k, trace[-1].gamma)
 
     def test_a_last_step_it_cannot_build_is_a_value_error(self):
         with pytest.raises(ValueError, match="no odd polynomial of degree <= 4096"):
-            rallfuller.check_reachable(TargetSpec(0.001, 0.05, 0.0))
+            RfPlan.from_target(TargetSpec(0.001, 0.05, 0.0))
 
     def test_beta_above_zero_builds_the_last_forced_step(self, monkeypatch):
         # width^0.25 exceeds the cap for the first 35 of the 44 steps, so every
@@ -811,7 +817,7 @@ class TestCheckReachable:
         monkeypatch.setattr(rallfuller, "_step_rule",
                             lambda width, beta: widths.append(width) or rule(width, beta))
         target = TargetSpec(0.01, 0.1, 0.25)
-        rallfuller.check_reachable(target)
+        plan = RfPlan.from_target(target)
         monkeypatch.undo()
         _, trace, _ = run_traced(0.4, target, 0)
         forced = [record for record in trace if record.width**0.25 > rallfuller.LOW_DEPTH_WIDTH_CAP]
@@ -819,7 +825,52 @@ class TestCheckReachable:
         assert {record.branch for record in forced} == {BRANCH_FULL_DEPTH}
         assert trace[-1].branch == BRANCH_LOW_DEPTH
         assert calls == [(forced[-1].k, forced[-1].gamma)]
-        assert widths == [forced[-1].width]
+        # the rule runs once per step, at the step's width, all while the plan is built
+        assert widths == list(plan.widths[:-1]) == [record.width for record in trace]
+
+
+class TestRfPlan:
+    @settings(PROPERTY, max_examples=25)
+    @given(
+        epsilon=st.floats(0.003, 0.9),
+        delta=st.floats(1e-6, 0.5),
+        beta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example(epsilon=0.003, delta=0.05, beta=0.0)  # the largest forced k drawn
+    @example(epsilon=0.9, delta=0.5, beta=1.0)  # one step
+    def test_holds_the_rule_and_tosses_at_each_width_of_the_schedule(self, epsilon, delta, beta):
+        plan = RfPlan.from_target(TargetSpec(epsilon, delta, beta))
+        steps = ceil_int(math.log(epsilon) / math.log(SHRINK_FACTOR))
+        widths = [1.0]
+        for _ in range(steps):
+            widths.append(SHRINK_FACTOR * widths[-1])
+        assert plan.widths == tuple(widths) and len(plan.steps) == steps
+        for width, (shallow_from, table, tosses) in zip(widths, plan.steps):
+            assert (shallow_from, list(table)) == rallfuller._step_rule(width, beta)
+            assert tosses == tuple(coin_tosses(entry.scale, delta / steps) for entry in table)
+        forced = [table for _, table, _ in plan.steps if len(table) == 1][-1]
+        assert forced == (plan.forced,) and plan.forced.branch == BRANCH_FULL_DEPTH
+        # --parallel ships the plan to its workers
+        copy = pickle.loads(pickle.dumps(plan))
+        assert type(copy) is RfPlan and copy == plan
+
+    def test_the_lockstep_works_out_no_step_rule_or_toss_count(self, monkeypatch):
+        target, amplitude = TargetSpec(0.05, 0.05, 0.5), Amplitude(0.12784185908520773)
+        plan = RfPlan.from_target(target)
+        calls = []
+        for name in ("_step_rule", "coin_tosses"):
+            monkeypatch.setattr(rallfuller, name, lambda *args, name=name: calls.append(name))
+        seeds = [SeedSpec(1, index) for index in range(16)]
+        traces = [[] for _ in seeds]
+        estimates = list(rallfuller.rall_fuller_lockstep(
+            lambda poly: PolyOracle(poly, amplitude), plan, seeds,
+            [ResourceLedger() for _ in seeds], traces))
+        assert calls == [] and len(estimates) == 16
+        # both branches ran, and each step's count is the plan's for the branch it took
+        assert {trace[26].branch for trace in traces} == {BRANCH_FULL_DEPTH, BRANCH_LOW_DEPTH}
+        for trace in traces:
+            for record, (_, table, tosses) in zip(trace, plan.steps):
+                assert record.tosses == dict(zip([e.branch for e in table], tosses))[record.branch]
 
 
 class TestPhaseThreshold:
