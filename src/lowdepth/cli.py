@@ -7,16 +7,18 @@ without running anything).
 Each setting is its flag, else (``run`` only) the ``--config`` file entry,
 parsed as that flag, else the flag's default (epsilon 0.05, delta 0.05,
 beta 0.5, 100 trials, seed 0, json format).  ``scale`` without
-``--algorithm`` or ``--truth`` sweeps type1 at truth 0.3.
+``--algorithm`` or ``--truth`` sweeps type1 at truth 0.3.  A flag is
+spelled out in full, as ``--flag value`` or ``--flag=value``, and the last of
+a repeated flag wins; ``lowdepth <command> -h`` lists a command's flags.
 
 Exit codes: 0 success, 2 configuration error, 3 inner algorithm error.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import blackbox, rallfuller
 from .core import SimulationError, TargetSpec
@@ -56,52 +58,70 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from err
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The ``lowdepth`` parser and its ``run`` subparser."""
-    parser = argparse.ArgumentParser(prog="lowdepth", description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True)
+def _one_of(*choices: str):
+    """A converter that passes only ``choices``; its name shows them in usage."""
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {text!r}")
+        return text
+    convert.__name__ = "{" + ",".join(choices) + "}"
+    return convert
 
-    def add_target_flags(sub, with_algorithm: bool = True) -> None:
-        if with_algorithm:
-            sub.add_argument("--algorithm", choices=ALGORITHMS)
-            sub.add_argument("--truth", type=float)
-        sub.add_argument("--epsilon", type=float, default=0.05)
-        sub.add_argument("--delta", type=float, default=0.05)
-        sub.add_argument("--beta", type=float, default=0.5)
-        sub.add_argument("--r", type=float, dest="r", help="bias fraction of epsilon")
-        sub.add_argument("--s", type=float, dest="s", help="variance / tail fraction")
-        sub.add_argument("--cap-C", type=float, dest="cap_c", help="output cap of the black box")
 
-    run = commands.add_parser("run", help="run one experiment and export its report")
-    add_target_flags(run)
-    run.add_argument("--trials", type=int, default=100)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out", type=str)
-    run.add_argument("--format", choices=EXPORT_FORMATS, default="json")
-    run.add_argument("--parallel", action="store_true")
-    run.add_argument("--bias-scale", type=float, dest="bias_scale")
-    run.add_argument("--tail-magnitude", type=float, dest="tail_magnitude")
-    run.add_argument("--config", type=str, help="flat key = value config file")
+# Each command's flags: flag -> (destination, converter, default).  A converter
+# of None marks a switch, which takes no value and turns its setting on.
+_TARGET_FLAGS = {
+    "--epsilon": ("epsilon", float, 0.05),
+    "--delta": ("delta", float, 0.05),
+    "--beta": ("beta", float, 0.5),
+    "--r": ("r", float, None),  # bias fraction of epsilon
+    "--s": ("s", float, None),  # variance / tail fraction
+    "--cap-C": ("cap_c", float, None),  # output cap of the black box
+}
+_REPORT_FLAGS = {
+    "--seed": ("seed", int, 0),
+    "--out": ("out", str, None),
+    "--format": ("format", _one_of(*EXPORT_FORMATS), "json"),
+}
+FLAGS = {
+    "run": {
+        "--algorithm": ("algorithm", _one_of(*ALGORITHMS), None),
+        "--truth": ("truth", float, None),
+        **_TARGET_FLAGS,
+        "--trials": ("trials", int, 100),
+        **_REPORT_FLAGS,
+        "--parallel": ("parallel", None, False),
+        "--bias-scale": ("bias_scale", float, None),
+        "--tail-magnitude": ("tail_magnitude", float, None),
+        "--config": ("config", str, None),  # flat key = value config file
+    },
+    "scale": {
+        "--algorithm": ("algorithm", _one_of(*ALGORITHMS), "type1"),
+        "--truth": ("truth", float, 0.3),
+        **_TARGET_FLAGS,
+        "--epsilon-grid": ("epsilon_grid", _float_list, [0.1, 0.05, 0.02, 0.01]),
+        "--beta-grid": ("beta_grid", _float_list, [0.0, 0.25, 0.5, 0.75, 1.0]),
+        **_REPORT_FLAGS,
+    },
+    "params": _TARGET_FLAGS,
+}
+_HELP_FLAGS = ("-h", "--help")
 
-    scale = commands.add_parser("scale", help="depth/query scaling sweep")
-    add_target_flags(scale)
-    scale.add_argument("--epsilon-grid", type=_float_list, default=[0.1, 0.05, 0.02, 0.01])
-    scale.add_argument("--beta-grid", type=_float_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
-    scale.add_argument("--seed", type=int, default=0)
-    scale.add_argument("--out", type=str)
-    scale.add_argument("--format", choices=EXPORT_FORMATS, default="json")
-    scale.set_defaults(algorithm="type1", truth=0.3)
 
-    params = commands.add_parser("params", help="print computed parameter settings")
-    add_target_flags(params, with_algorithm=False)
-
-    return parser, run
+def usage(command: str | None) -> str:
+    """The help text: the module's, or ``command``'s flags from its table."""
+    if command is None:
+        return (f"usage: lowdepth {{{','.join(FLAGS)}}} [flags]"
+                f" (lowdepth <command> -h lists its flags)\n\n{__doc__}")
+    lines = [f"usage: lowdepth {command} [--flag value | --flag=value ...]"]
+    for flag, (_, convert, default) in FLAGS[command].items():
+        kind = "" if convert is None else " " + convert.__name__.lstrip("_")
+        shown = "" if convert is None or default is None else f" (default {default})"
+        lines.append(f"  {flag}{kind}{shown}")
+    return "\n".join(lines)
 
 
 def _switch_on(key: str, text: str) -> bool:
@@ -115,25 +135,58 @@ def _switch_on(key: str, text: str) -> bool:
     return value in ("1", "true", "yes", "on")
 
 
-def _config_tokens(run: argparse.ArgumentParser, path: str) -> list[str]:
-    """The ``--config`` file's entries as ``run`` flag tokens.  A key is its
-    flag's destination (``cap_c`` for ``--cap-C``).  A switch's entry says
-    whether to pass the bare flag; any other entry is ``--flag=value``, so a
-    value starting with ``-`` is not read as a flag."""
-    actions = {action.dest: action for action in run._actions
-               if action.dest not in ("help", "config")}
-    entries = load_config_file(path)
-    unknown = set(entries) - set(actions)
-    if unknown:
-        raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
-    tokens = []
-    for key, value in entries.items():
-        flag = actions[key].option_strings[0]
-        if actions[key].nargs != 0:
-            tokens.append(f"{flag}={value}")
-        elif _switch_on(key, value):
-            tokens.append(flag)
-    return tokens
+def _converted(name: str, convert, text: str):
+    """``convert(text)``; a value it refuses is a configuration error."""
+    try:
+        return convert(text)
+    except ValueError as err:
+        raise ConfigError(f"{name}: {err}") from err
+
+
+def parse_argv(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """The command ``argv`` names and its settings: each flag as given (the
+    last wins), else (``run`` only) its ``--config`` file entry, else its
+    default.  A config key is its flag's destination (``cap_c`` for
+    ``--cap-C``).  The settings are None where ``argv`` asks for help, as is
+    the command where that is the top level's."""
+    command, *rest = argv or [None]
+    if command in _HELP_FLAGS:
+        return None, None
+    if command not in FLAGS:
+        raise ConfigError(f"expected a command ({', '.join(FLAGS)}), got {command!r}")
+    flags = FLAGS[command]
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            return command, None
+        flag, has_value, text = token.partition("=")
+        if flag not in flags:
+            raise ConfigError(f"unknown {command} flag {flag!r} (flags are spelled out in full)")
+        dest, convert, _ = flags[flag]
+        if convert is None:
+            if has_value:
+                raise ConfigError(f"{flag} takes no value")
+            given[dest] = True
+            continue
+        if not has_value:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ConfigError(f"{flag} needs a value")
+        given[dest] = _converted(flag, convert, text)
+    if given.get("config"):
+        keys = {dest: convert for dest, convert, _ in flags.values() if dest != "config"}
+        entries = load_config_file(given["config"])
+        unknown = set(entries) - set(keys)
+        if unknown:
+            raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
+        # every entry is checked, even one the command line overrides
+        for key, text in entries.items():
+            value = (_switch_on(key, text) if keys[key] is None
+                     else _converted(f"config file value for {key!r}", keys[key], text))
+            given.setdefault(key, value)
+    return command, SimpleNamespace(**{dest: given.get(dest, default)
+                                       for dest, _, default in flags.values()})
 
 
 # Settings passed to the harness as estimator constants, by constant name.
@@ -263,24 +316,20 @@ def _cmd_params(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, run = build_parser()
     handlers = {
         "run": _cmd_run,
         "scale": _cmd_scale,
         "params": _cmd_params,
     }
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # argv[0] is "run"; the file's entries go ahead of its own flags,
-            # so the command line's flags win
-            args = parser.parse_args(["run", *_config_tokens(run, args.config), *argv[1:]])
+        command, args = parse_argv(argv)
+        if args is None:
+            print(usage(command))
+            return 0
         out = getattr(args, "out", None)  # checked before any trial or cell
         if out is not None and (not out or Path(out).is_dir() or not Path(out).parent.is_dir()):
             raise ConfigError(f"--out {out!r} is not a file in an existing directory")
-        return handlers[args.command](args)
-    except SystemExit as exit_request:
-        return 0 if exit_request.code in (0, None) else 2
+        return handlers[command](args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

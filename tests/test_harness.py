@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from lowdepth import aggregate, blackbox, circphase, rallfuller
 from lowdepth.circphase import circ_diff
-from lowdepth.cli import build_parser, main
+from lowdepth.cli import FLAGS, main
 from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec, derive_stream
 from lowdepth.oracle import PolyOracle
 from lowdepth.harness import (
@@ -736,17 +736,15 @@ RUN_OPTION_VALUES = {
     "bias_scale": ("-0.5", "1"),
     "tail_magnitude": ("0.2", "0.1"),
 }
-RUN_OPTIONS = {
-    action.dest: action
-    for action in build_parser()[1]._actions
-    if action.option_strings and action.dest not in ("help", "config")
-}
+# Each ``run`` setting and its flag, which a switch (converter None) names alone.
+RUN_OPTIONS = {dest: (flag, convert) for flag, (dest, convert, _) in FLAGS["run"].items()
+               if dest != "config"}
 
 
 def run_tokens(key: str, value: str) -> list[str]:
     """The command-line tokens giving option ``key`` ``value``."""
-    flag = RUN_OPTIONS[key].option_strings[0]
-    if RUN_OPTIONS[key].nargs == 0:
+    flag, convert = RUN_OPTIONS[key]
+    if convert is None:
         return [flag] if value == "yes" else []
     return [f"{flag}={value}"]
 
@@ -798,6 +796,17 @@ class TestConfigFile:
         assert main(["run", "--config", str(config)]) == 2
         assert "unknown config file keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["trials = 1.5", "algorithm = bogus", "parallel = ture"])
+    def test_an_entry_its_converter_refuses_exits_two_even_when_overridden(
+        self, entry, tmp_path, capsys
+    ):
+        key = entry.split()[0]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{entry}\n")
+        argv = ["run", *run_tokens(key, RUN_OPTION_VALUES[key][1]), "--config", str(config)]
+        assert main(argv) == 2
+        assert f"config file value for {key!r}" in capsys.readouterr().err
+
     def test_a_repeated_key_exits_two(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("algorithm = type1\ntruth = 0.3\ntrials = 1\ntruth = 0.9\n")
@@ -843,18 +852,48 @@ class TestCli:
     @pytest.mark.parametrize(
         "module",
         ["numpy.random", "csv", "concurrent.futures.process", "multiprocessing", "numpy.polynomial",
-         "dataclasses"],
+         "dataclasses", "argparse"],
     )
     def test_cli_import_leaves_numpy_random_unloaded(self, module):
         # numpy loads numpy.random on first use; importing the CLI must not
         # move that cost out of the first draw and into start-up; no report
         # writer uses csv; only --parallel needs the process pool, the
-        # Chebyshev nodes are computed without numpy.polynomial, and no record
-        # is a dataclass, whose methods are compiled when its class is built
+        # Chebyshev nodes are computed without numpy.polynomial, no record
+        # is a dataclass, whose methods are compiled when its class is built,
+        # and the flags are read from a table, not by argparse
         root = Path(__file__).resolve().parents[1]
         code = f"import lowdepth.cli, sys; sys.exit({module!r} in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         assert subprocess.run([sys.executable, "-c", code], env=env, cwd=root).returncode == 0
+
+    def test_a_session_loads_no_argument_parser_or_locale(self, tmp_path):
+        # argparse's first message lookup imports gettext, which imports locale
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys; from lowdepth.cli import main\n"
+            "assert main(['run', '--algorithm', 'type1', '--truth', '0.3', '--trials', '2',"
+            " '--out', 'run.json']) == 0\n"
+            "assert main(['scale', '--epsilon-grid', '0.1,0.05', '--beta-grid', '0,1',"
+            " '--format', 'svg', '--out', 'scale.svg']) == 0\n"
+            "assert main(['params']) == 0\n"
+            "sys.exit(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)) or None)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        result = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "run.json").is_file() and (tmp_path / "scale.svg").is_file()
+
+    @pytest.mark.parametrize("command", [None, *FLAGS])
+    @pytest.mark.parametrize("help_flag", ["-h", "--help"])
+    def test_help_lists_every_flag_and_exits_zero(self, command, help_flag, capsys):
+        assert main([help_flag] if command is None else [command, help_flag]) == 0
+        printed = capsys.readouterr().out
+        if command is None:
+            assert all(name in printed for name in FLAGS)
+        else:
+            listed = [line.split()[0] for line in printed.splitlines()[1:]]
+            assert listed == list(FLAGS[command])
 
     def test_missing_required_flags_is_config_error(self, capsys):
         assert main(["run", "--epsilon", "0.05"]) == 2
@@ -882,6 +921,26 @@ class TestCli:
         assert main(["params", "--epsilon", "0"]) == 2
         assert main(["scale", "--delta", "0", "--epsilon-grid", "0.1", "--beta-grid", "0"]) == 2
         assert main(["selfcheck"]) == 2
+        # a usage error is a configuration error (exit 2), never an algorithm
+        # error (exit 3), even where a converter raises ValueError
+        for argv in (
+            ["run", "--algorithm", "type1", "--truth", "0.3", "--trials", "1.5"],
+            ["run", "--algorithm", "type1", "--truth", "0.3", "--seed", "x"],
+            ["scale", "--epsilon-grid", "0.1,x"],
+            ["run", "--algorithm", "type1", "--truth"],
+            ["run", "--algorithm", "type1", "--truth", "--trials", "2"],
+            # argparse took an unambiguous prefix; a flag is now spelled out in full
+            ["run", "--algorithm", "type1", "--truth", "0.3", "--eps", "0.1"],
+            ["run", "--algorithm", "type1", "--truth", "0.3", "--parallel=yes"],
+            ["params", "--trials", "5"],
+            ["run", "--algorithm", "type1", "--truth", "0.3", "stray"],
+            ["--epsilon", "0.1", "params"],
+            [],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("configuration error: ") and captured.out == ""
 
     @pytest.mark.parametrize(
         "flags",
