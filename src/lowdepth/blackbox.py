@@ -307,7 +307,6 @@ class PhaseRegisterParams(NamedTuple):
     depth_scale: int
     n_real: float
     depth_scale_real: float
-    bias_fraction: float
 
 
 def apeldoorn_phase_params(target: TargetSpec) -> PhaseRegisterParams:
@@ -331,5 +330,4 @@ def apeldoorn_phase_params(target: TargetSpec) -> PhaseRegisterParams:
     depth_scale = ceil_int(10.0 * (1.0 + 2.0**-n) * eps ** (beta - 1.0))
     if n < math.log2(math.pi * m):
         raise ValueError(f"register too small: n = {n} < log2(pi m) = {math.log2(math.pi * m)}")
-    bias_fraction = delta / (4.0 * log_term)
-    return PhaseRegisterParams(m, n, depth_scale, n_real, depth_scale_real, bias_fraction)
+    return PhaseRegisterParams(m, n, depth_scale, n_real, depth_scale_real)

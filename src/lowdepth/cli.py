@@ -43,7 +43,7 @@ def load_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text()
     except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from err
+        raise ConfigError(f"cannot read config file {path!r}: {err}") from err
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,6 +93,7 @@ FLAGS = {
         **_TARGET_FLAGS,
         "--trials": ("trials", int, 100),
         **_REPORT_FLAGS,
+        "--format": ("format", _one_of(*TRIAL_FORMATS), "json"),  # svg is for scale only
         "--parallel": ("parallel", None, False),
         "--bias-scale": ("bias_scale", float, None),
         "--tail-magnitude": ("tail_magnitude", float, None),
@@ -174,7 +175,7 @@ def parse_argv(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
             if text is None or text.startswith("--"):
                 raise ConfigError(f"{flag} needs a value")
         given[dest] = _converted(flag, convert, text)
-    if given.get("config"):
+    if "config" in given:
         keys = {dest: convert for dest, convert, _ in flags.values() if dest != "config"}
         entries = load_config_file(given["config"])
         unknown = set(entries) - set(keys)
@@ -214,8 +215,6 @@ def _experiment(args, **fields) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     if args.algorithm is None or args.truth is None:
         raise ConfigError("--algorithm and --truth are required (flag or config file)")
-    if args.format not in TRIAL_FORMATS:
-        raise ConfigError(f"a trial report is csv or json, not {args.format!r}")
     report = run_experiment(_experiment(args, trials=args.trials, parallel=args.parallel))
     if args.out is not None:
         export_report(report, args.format, args.out)

@@ -151,13 +151,13 @@ def _step_rule(width: float, beta: float) -> tuple[float, list[RfStepParams]]:
     return 0.5 * width ** (1.0 - beta), table
 
 
-def _parity_clenshaw(t, coefficients: tuple[float, ...], parity: int):
-    """Chebyshev series ``coefficients`` at t in [-1, 1], given that only
-    its entries of index ``parity`` mod 2 are nonzero.
+def _parity_clenshaw(t, series: tuple[float, ...], parity: int):
+    """The Chebyshev series of one parity at t in [-1, 1], ``series`` holding
+    its entries a_j = c_{2j+parity} of index ``parity`` mod 2, the others zero.
 
     The even- and the odd-index T_k(t) each obey T_{k+2} = 2u T_k - T_{k-2}
     with u = T_2(t) = 2t^2 - 1, so one Clenshaw recurrence
-    b_j = a_j + 2u b_{j+1} - b_{j+2} over the entries a_j = c_{2j+parity}
+    b_j = a_j + 2u b_{j+1} - b_{j+2} over ``series``
     sums the series in half the steps: to b_0 - u b_1 when even, and to
     t (b_0 - b_1) when odd, T_1 = t and T_3 = t (2u - 1) starting the odd
     sequence.  The recurrence runs in Reinsch's form about u = -1 (Oliver
@@ -166,7 +166,6 @@ def _parity_clenshaw(t, coefficients: tuple[float, ...], parity: int):
     sums are then a_0 + (w / 2) b_1 - s_1 and t (a_0 + (w - 2) b_1 - s_1).
     A 0-d t is summed in Python floats.
     """
-    series = coefficients[parity::2]
     head, rest = series[0], series[:0:-1]
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
@@ -192,7 +191,8 @@ class ErfApproximant(NamedTuple):
 
     Held as a Chebyshev series (argument scaled to [-1, 1]) because power
     basis coefficients of the degrees needed here overflow and cancel
-    catastrophically.
+    catastrophically.  ``coefficients`` are its odd-index entries c_1, c_3,
+    ..., c_degree; the even-index ones are zero and not stored.
     """
 
     coefficients: tuple[float, ...]
@@ -204,7 +204,7 @@ class ErfApproximant(NamedTuple):
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return 2 * len(self.coefficients) - 1
 
     def evaluate(self, x):
         return _parity_clenshaw(np.asarray(x, dtype=float) / _ERF_DOMAIN_HALF, self.coefficients, 1)
@@ -342,9 +342,7 @@ def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
             f"for erf({scale} x); best sup error {float(bound[-1])}"
         )
     cut = int(fits[0])
-    coefficients = [0.0] * (2 * cut + 2)
-    coefficients[1::2] = odd[: cut + 1].tolist()
-    return ErfApproximant(tuple(coefficients), float(bound[cut]))
+    return ErfApproximant(tuple(odd[: cut + 1].tolist()), float(bound[cut]))
 
 
 class GapCertificate(NamedTuple):
@@ -359,15 +357,18 @@ class GapCertificate(NamedTuple):
 class SemiPellianPoly(NamedTuple):
     """Even polynomial with |P| <= 1 on [-1, 1] and a decision gap.
 
-    Coefficients are a Chebyshev series on [-1, 1]; parity is structural
-    (odd-index entries are identically zero).  The unit bound is proved at
-    construction by :func:`semi_pellian`, so :class:`~lowdepth.oracle.PolyOracle`
-    does not re-check it.
+    ``coefficients`` are the even-index entries c_0, c_2, ..., c_degree of
+    its Chebyshev series on [-1, 1]; the odd-index ones are zero and not
+    stored.  The unit bound is proved at construction by :func:`semi_pellian`,
+    so :class:`~lowdepth.oracle.PolyOracle` does not re-check it.
     """
 
     coefficients: tuple[float, ...]
-    degree: int
     gap_certificate: GapCertificate
+
+    @property
+    def degree(self) -> int:
+        return 2 * len(self.coefficients) - 2
 
     def evaluate(self, x):
         return _parity_clenshaw(x, self.coefficients, 0)
@@ -424,7 +425,7 @@ def semi_pellian(scale: float, k: float, interval: ConfidenceInterval) -> SemiPe
 
 
 def _assembled_series(erf_part: ErfApproximant, scale: float, a_mid, denominator) -> np.ndarray:
-    """Untrimmed Chebyshev coefficients of the assembled even polynomial
+    """Untrimmed even-index Chebyshev coefficients c_0, c_2, ... of the assembled even polynomial
     ((1 + s + e(a - mid)) + (1 + s + e(-a - mid))) / D, a row per entry of column ``a_mid``.
 
     The sum of the two mirrored odd parts is an even polynomial of at most
@@ -435,17 +436,17 @@ def _assembled_series(erf_part: ErfApproximant, scale: float, a_mid, denominator
     of e gives both halves, and the assembled values are symmetric.  The
     coefficients are a DCT-II of the values, computed as the FFT of their
     even extension, which for symmetric values is two copies (Trefethen,
-    Approximation Theory and Approximation Practice, ch. 3).
+    Approximation Theory and Approximation Practice, ch. 3); only its
+    even-index entries are taken, the odd-index ones being zero.
     """
     points = erf_part.degree + 1
     # numpy's chebpts1 formula, bit for bit, without importing numpy.polynomial
     nodes = np.sin(0.5 * np.pi / points * np.arange(-points + 1, points + 1, 2))
     shifted = 1.0 + scale + erf_part.evaluate(nodes - a_mid)
     values = (shifted + shifted[..., ::-1]) / denominator
-    spectrum = np.fft.rfft(np.concatenate((values, values), axis=-1))[..., :points]
-    coef = (spectrum * np.exp(-0.5j * np.pi / points * np.arange(points))).real / points
+    spectrum = np.fft.rfft(np.concatenate((values, values), axis=-1))[..., :points:2]
+    coef = (spectrum * np.exp(-0.5j * np.pi / points * np.arange(0, points, 2))).real / points
     coef[..., 0] *= 0.5
-    coef[..., 1::2] = 0.0
     return coef
 
 
@@ -474,7 +475,7 @@ def _build_semi_pellians(keys) -> dict:
 
 
 def _certified(erf_part, coef, scale, k, a_min, width) -> SemiPellianPoly:
-    """:func:`semi_pellian`, certified from its untrimmed ``coef`` at scale s = tau = eta = gamma."""
+    """:func:`semi_pellian` from its untrimmed even half ``coef``, at s = tau = eta = gamma."""
     a_mid = a_min + 0.5 * width
     denominator = 5.0 * scale + 2.0
     # tail[i] is the absolute sum of coef[i:]; drop the longest tail within
@@ -507,7 +508,6 @@ def _certified(erf_part, coef, scale, k, a_min, width) -> SemiPellianPoly:
         )
     return SemiPellianPoly(
         coefficients=tuple(coef.tolist()),
-        degree=len(coef) - 1,
         gap_certificate=GapCertificate(left_max, right_min),
     )
 

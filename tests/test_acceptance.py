@@ -309,7 +309,7 @@ def test_criterion_9_parameter_calculator_algebra():
                 ) == pytest.approx(epsilon ** (1 - beta), rel=1e-6)
                 assert math.pi * (register.m + 1) * 2.0**-register.n <= rhs / 2.0
                 assert 32.0 * math.pi * (register.m + 1) * 2.0**-register.n <= (
-                    register.bias_fraction * epsilon**2
+                    delta / (4.0 * log_term) * epsilon**2
                 )
                 assert register.n >= math.log2(math.pi * register.m)
                 checked += 1

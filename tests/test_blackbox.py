@@ -393,7 +393,6 @@ class TestApeldoornPhaseParams:
         # bias bound 32 pi (m+1) 2^-n <= r eps^2 with r = delta / (4 log(4/delta))
         bias_fraction = delta / (4.0 * log_term)
         assert 32.0 * math.pi * (params.m + 1) * 2.0**-params.n <= bias_fraction * epsilon**2
-        assert params.bias_fraction == pytest.approx(bias_fraction, rel=1e-12)
         # accuracy: (10 / M)(1 + 2^-n) must not exceed the run precision
         assert (10.0 / params.depth_scale) * (1 + 2.0**-params.n) <= epsilon ** (1 - beta) * (
             1 + 1e-9

@@ -936,6 +936,8 @@ class TestCli:
             ["run", "--algorithm", "type1", "--truth", "0.3", "stray"],
             ["--epsilon", "0.1", "params"],
             [],
+            # an empty config path is an error, as an empty --out is, never "no file"
+            ["run", "--config=", "--algorithm", "type1", "--truth", "0.3", "--trials", "1"],
         ):
             capsys.readouterr()
             assert main(argv) == 2, argv
