@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import blackbox, rallfuller
+from . import blackbox
 from .core import SimulationError, TargetSpec
 # bound here for bench/tracing.py, which wraps derive_stream in every module holding it
 from .core import derive_stream  # noqa: F401
@@ -270,17 +270,7 @@ def _cmd_params(args) -> int:
     except ConfigError as err:
         rf_line = f"Rall-Fuller plan:      cannot run: {err.__cause__}"
     else:
-        tosses = {rallfuller.BRANCH_FULL_DEPTH: [], rallfuller.BRANCH_LOW_DEPTH: []}
-        for _, table, counts in rf_plan.steps:
-            for entry, count in zip(table, counts):
-                tosses[entry.branch].append(count)
-        forced_steps = sum(len(table) == 1 for _, table, _ in rf_plan.steps)
-        rf_line = f"Rall-Fuller plan:      steps={len(rf_plan.steps)} forced_full_depth={forced_steps}"
-        for branch, counts in tosses.items():
-            rf_line += f" {branch}_tosses=" + (f"{min(counts)}..{max(counts)}" if counts else "none")
-        # the plan has built the forced approximant, so this reads the cache
-        forced_erf = rallfuller.erf_poly(rf_plan.forced.k, rf_plan.forced.scale)
-        rf_line += f" forced_erf_degree={forced_erf.degree}"
+        rf_line = f"Rall-Fuller plan:      {rf_plan.summary()}"
     print(f"target: epsilon={target.epsilon:g} delta={target.delta:g} beta={target.beta:g}")
     print(
         f"bias/variance plan:    bias_bound={plan1.bias_bound:.6g} "

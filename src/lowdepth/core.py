@@ -72,6 +72,9 @@ class TargetSpec(namedtuple("TargetSpec", "epsilon delta beta")):
     __slots__ = ()
 
     def __new__(cls, epsilon: float, delta: float, beta: float):
+        for name, value in zip(cls._fields, (epsilon, delta, beta)):
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
         if not 0.0 < delta < 1.0:
@@ -86,15 +89,13 @@ class ResourceLedger:
 
     ``max_depth`` is the largest number of sequential oracle applications in
     any single circuit charged so far; ``total_queries`` sums applications
-    over all shots.  Both only ever grow.
+    over all shots.  Both start at zero and only ever grow.
     """
 
     __slots__ = ("max_depth", "total_queries")
 
-    def __init__(self, max_depth: int = 0, total_queries: int = 0) -> None:
-        if max_depth < 0 or total_queries < 0:
-            raise ValueError("ledger counters must be nonnegative")
-        self.max_depth, self.total_queries = max_depth, total_queries
+    def __init__(self) -> None:
+        self.max_depth, self.total_queries = 0, 0
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -142,19 +142,10 @@ class Algorithm(NamedTuple):
         return estimate - truth
 
 
-def _type2_plan(target, c):
-    if c["tail_magnitude"] is not None and c["tail_magnitude"] < 0:
-        raise ValueError("tail_magnitude must be nonnegative")
-    return aggregate.Type2Plan.from_target(target, c["r"], c["s"], c["C"])
-
-
 def _phase_plan(target, c):
-    tail = c["tail_magnitude"]
-    if tail < 0:
-        raise ValueError("tail_magnitude must be nonnegative")
     # the reference stage's contracted bias is epsilon, the larger of the two
     # stages', so this is the sampler's own check at its widest bias setting
-    if abs(c["bias_scale"] * target.epsilon) + tail > math.pi:
+    if abs(c["bias_scale"] * target.epsilon) + c["tail_magnitude"] > math.pi:
         raise ValueError("offsets must stay below pi for unambiguous circular bias")
     return circphase.PhasePlan.from_target(target, c["r"], c["s"])
 
@@ -183,7 +174,7 @@ ALGORITHMS = {record.name: record for record in (
             "tail_magnitude": None,
         },
         trial=_type2_trials,
-        plan=_type2_plan,
+        plan=lambda target, c: aggregate.Type2Plan.from_target(target, c["r"], c["s"], c["C"]),
     ),
     Algorithm(
         "phase",
@@ -229,6 +220,8 @@ class ExperimentConfig(namedtuple(
                 parallel: bool = False):
         # a fresh dict per config, never one default dict shared by every config
         constants = {} if constants is None else constants
+        if not isinstance(truth, numbers.Real) or isinstance(truth, bool):
+            raise ConfigError(f"truth must be a number, got {truth!r}")
         for name, value in (("trials", trials), ("master_seed", master_seed)):
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -265,6 +258,9 @@ class ExperimentConfig(namedtuple(
         if abs(bias_scale) > 1.0:
             # a synthetic sampler applies at most its contracted bias
             raise ConfigError(f"|bias_scale| must be at most 1, got {bias_scale}")
+        tail = self.constants.get("tail_magnitude")
+        if tail is not None and tail < 0:
+            raise ConfigError(f"tail_magnitude must be nonnegative, got {tail}")
         return self
 
     def resolved_constants(self) -> dict:
@@ -299,13 +295,15 @@ class TrialReport(NamedTuple):
     trial_queries: list[int]
 
 
-def _run_batch(args) -> list[tuple[float, int, int]]:
-    algorithm, truth, target, constants, plan, master_seed, indices = args
-    seeds = [derive_stream(SeedSpec(master_seed, 0), index) for index in indices]
+def _run_batch(job) -> list[tuple[float, int, int]]:
+    """Trials ``indices`` of ``config`` on ``plan``, a ``(config, plan, indices)`` job, in order."""
+    config, plan, indices = job
+    seeds = [derive_stream(SeedSpec(config.master_seed, 0), index) for index in indices]
     ledgers = [ResourceLedger() for _ in indices]
     estimates = []
     try:
-        for estimate in ALGORITHMS[algorithm].trial(truth, target, constants, plan, seeds, ledgers):
+        for estimate in ALGORITHMS[config.algorithm].trial(
+                config.truth, config.target, config.resolved_constants(), plan, seeds, ledgers):
             estimates.append(estimate)
     except (SimulationError, ValueError) as err:
         raise AlgorithmError(f"trial {indices[len(estimates)]}: {err}") from err
@@ -316,9 +314,7 @@ def _run_batch(args) -> list[tuple[float, int, int]]:
 def run_experiment(config: ExperimentConfig) -> TrialReport:
     """Run all trials on one plan, a contiguous range per worker under ``parallel``, and report."""
     record = ALGORITHMS[config.algorithm]
-    constants = config.resolved_constants()
-    plan = record.build_plan(config.target, constants)
-    batch = (config.algorithm, config.truth, config.target, constants, plan, config.master_seed)
+    plan = record.build_plan(config.target, config.resolved_constants())
     indices = range(config.trials)
     if config.parallel and config.trials > 1:
         # imported here: the process pool loads multiprocessing, which a
@@ -329,11 +325,11 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
         # Rall-Fuller lockstep builds each polynomial its trials share once
         workers = min(os.cpu_count() or 1, config.trials)
         size = math.ceil(config.trials / workers)
-        chunks = [(*batch, indices[start:start + size]) for start in indices[::size]]
+        chunks = [(config, plan, indices[start:start + size]) for start in indices[::size]]
         with ProcessPoolExecutor(workers) as pool:
             outcomes = [row for rows in pool.map(_run_batch, chunks) for row in rows]
     else:
-        outcomes = _run_batch((*batch, indices))
+        outcomes = _run_batch((config, plan, indices))
 
     estimates, depths, queries = map(list, zip(*outcomes))
     deviations = [record.deviation(estimate, config.truth) for estimate in estimates]
@@ -407,17 +403,14 @@ def scaling_study(
         raise ConfigError(f"grid point: {err}") from err
     record = ALGORITHMS[base_config.algorithm]
     constants = base_config.resolved_constants()
-    jobs = [
-        (record.name, base_config.truth, target, constants, record.build_plan(target, constants),
-         base_config.master_seed, [index])
-        for index, target in enumerate(targets)
-    ]
+    plans = [record.build_plan(target, constants) for target in targets]
     rows: list[ScalingCell] = []
     errors: list[dict] = []
-    for target, job in zip(targets, jobs):
+    for index, (target, plan) in enumerate(zip(targets, plans)):
         epsilon, beta = target.epsilon, target.beta
         try:
-            [(_, depth, queries)] = _run_batch(job)
+            # _replace skips __new__: the cell's target is a checked TargetSpec
+            [(_, depth, queries)] = _run_batch((base_config._replace(target=target), plan, [index]))
         except AlgorithmError as err:
             errors.append({"epsilon": epsilon, "beta": beta, "error": str(err.__cause__)})
             continue

@@ -576,6 +576,20 @@ class RfPlan(NamedTuple):
             raise ValueError(str(err)) from err
         return cls(tuple(widths), tuple(steps), forced)
 
+    def summary(self) -> str:
+        """The step count, the forced full-depth steps, each branch's toss range (``none`` where
+        no step has that branch) and the forced approximant's degree, as one line of text."""
+        tosses = {BRANCH_FULL_DEPTH: [], BRANCH_LOW_DEPTH: []}
+        for _, table, counts in self.steps:
+            for entry, count in zip(table, counts):
+                tosses[entry.branch].append(count)
+        forced_steps = sum(len(table) == 1 for _, table, _ in self.steps)
+        text = f"steps={len(self.steps)} forced_full_depth={forced_steps}"
+        for branch, counts in tosses.items():
+            text += f" {branch}_tosses=" + (f"{min(counts)}..{max(counts)}" if counts else "none")
+        # from_target has built the forced approximant, so this reads the cache
+        return text + f" forced_erf_degree={erf_poly(self.forced.k, self.forced.scale).degree}"
+
 
 def rall_fuller_estimate(
     oracle_factory: Callable[[SemiPellianPoly], PolyOracle],

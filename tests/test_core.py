@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,10 +35,13 @@ class TestTargetSpec:
     def test_accepts_valid(self):
         TargetSpec(0.01, 0.05, 0.0)
         TargetSpec(0.99, 0.99, 1.0)
+        TargetSpec(np.float64(0.05), np.float32(0.1), np.float64(0.5))
 
     @pytest.mark.parametrize(
         "epsilon,delta,beta",
-        [(0.0, 0.1, 0.5), (1.0, 0.1, 0.5), (0.1, 0.0, 0.5), (0.1, 1.0, 0.5), (0.1, 0.1, -0.1), (0.1, 0.1, 1.1)],
+        [(0.0, 0.1, 0.5), (1.0, 0.1, 0.5), (0.1, 0.0, 0.5), (0.1, 1.0, 0.5), (0.1, 0.1, -0.1), (0.1, 0.1, 1.1),
+         # a bool is no number, even where its value would lie in range
+         (0.1, 0.1, True), (0.1, 0.1, False)],
     )
     def test_rejects_invalid(self, epsilon, delta, beta):
         with pytest.raises(ValueError):

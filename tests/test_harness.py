@@ -100,6 +100,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             quick_config(algorithm="phase", truth=7.0)
         quick_config(algorithm="phase", truth=6.2)  # inside [0, 2 pi)
+        # a truth is a real number, a bool not among them; a numpy float is one
+        for algorithm, truth in (("type1", True), ("phase", False), ("type1", "0.3"),
+                                 ("type1", None)):
+            with pytest.raises(ConfigError, match="truth must be a number"):
+                quick_config(algorithm=algorithm, truth=truth)
+        assert quick_config(truth=np.float64(0.3)).provenance()["truth"] == 0.3
 
     def test_trials_positive(self):
         with pytest.raises(ConfigError):
@@ -196,10 +202,13 @@ class TestRunExperiment:
         self, cpus, trials, ranges, serial_pools, monkeypatch
     ):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        report = run_experiment(quick_config(trials=trials, parallel=True))
+        config = quick_config(trials=trials, parallel=True)
+        report = run_experiment(config)
         [(workers, jobs)] = serial_pools
         assert workers == len(ranges)
-        assert [job[-1] for job in jobs] == ranges
+        # each job is (config, plan, indices): the config itself and the one plan
+        assert [(job[0], job[2]) for job in jobs] == [(config, indices) for indices in ranges]
+        assert len({id(job[1]) for job in jobs}) == 1
         assert report == run_experiment(quick_config(trials=trials))
 
     def test_inner_error_carries_trial_index(self):
@@ -439,8 +448,6 @@ class TestBatches:
             (blackbox.Uqpe2Contract, (0.0, 0.1, 0.1), "bias_bound"),
             (blackbox.Uqpe2Contract, (0.1, 4.0, 0.1), "precision"),
             (blackbox.Uqpe2Contract, (0.1, 0.1, -0.1), "fail_prob"),
-            (ResourceLedger, (-1, 0), "nonnegative"),
-            (ResourceLedger, (0, -1), "nonnegative"),
         ]
         for record_class, args, message in rejected:
             with pytest.raises(ValueError, match=message):
@@ -679,7 +686,7 @@ class TestScalingStudy:
             scaling_study(base, [0.4, 0.1], [0.5])
         assert built == []
 
-    def test_zero_ledgers_reported_instead_of_fitted(self):
+    def test_zero_ledgers_reported_instead_of_fitted(self, tmp_path):
         # monkey-demo charges nothing, so no log-log slope exists to fit
         base = ExperimentConfig(
             "monkey-demo", 0.3, TargetSpec(0.05, 0.1, 0.5), trials=1, master_seed=5
@@ -690,6 +697,10 @@ class TestScalingStudy:
         assert len(study.rows) == 8
         assert study.slopes == {}
         assert [error["beta"] for error in study.errors] == [0.0, 1.0]
+        # its svg plots every cell, and neither a fitted line nor a slope
+        svg = export_report(study, "svg", tmp_path / "m.svg").read_text()
+        assert svg.count("<circle ") == 8 and "stroke-dasharray" not in svg
+        assert ">beta=0</text>" in svg and ">beta=1</text>" in svg and "slope" not in svg
 
     def test_exports(self, study, tmp_path):
         csv_path = export_report(study, "csv", tmp_path / "s.csv")
@@ -812,6 +823,14 @@ class TestConfigFile:
         config.write_text("algorithm = type1\ntruth = 0.3\ntrials = 1\ntruth = 0.9\n")
         assert main(["run", "--config", str(config)]) == 2
         assert f"{config}:4: key 'truth' repeats line 2" in capsys.readouterr().err
+
+    def test_a_line_without_an_equals_sign_exits_two(self, tmp_path, capsys):
+        # comment and blank lines are skipped, and still counted
+        config = tmp_path / "run.cfg"
+        config.write_text("# a comment\nalgorithm = type1  # inline\n\ntruth 0.3\ntrials = 1\n")
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {config}:4: expected 'key = value', got 'truth 0.3'\n")
 
 
 class TestCli:
@@ -955,10 +974,13 @@ class TestCli:
             ["--algorithm", "phase", "--truth", "1.0", "--epsilon", "0.5"],
             ["--algorithm", "phase", "--truth", "1.0", "--tail-magnitude", "3.2"],
             ["--algorithm", "type2", "--truth", "0.3", "--tail-magnitude=-0.1"],
+            ["--algorithm", "phase", "--truth", "1.0", "--tail-magnitude=-0.1"],
+            ["--algorithm", "type2", "--truth", "0.3", "--r", "0"],
         ],
         ids=[
             "bias-scale", "type2-fractions", "type1-floor", "phase-fractions", "type2-cap",
-            "phase-epsilon", "phase-tail", "type2-negative-tail",
+            "phase-epsilon", "phase-tail", "type2-negative-tail", "phase-negative-tail",
+            "type2-zero-fraction",
         ],
     )
     def test_input_that_can_never_run_exits_two_before_any_trial(self, flags, capsys):

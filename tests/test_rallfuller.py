@@ -582,6 +582,16 @@ class TestSemiPellian:
         assert rallfuller._build_semi_pellians([good])[good] is built[good]
         assert semi_pellian(params.scale, params.k, ConfidenceInterval(0.0, 1.0)) is built[good]
 
+    def test_a_full_cache_evicts_its_oldest_key(self, monkeypatch):
+        sentinels = [object() for _ in range(4096)]
+        cache = dict.fromkeys(sentinels)
+        monkeypatch.setattr(rallfuller, "_semi_pellians", cache)
+        params = rf_params(ConfidenceInterval(0.0, 1.0), 0.5)
+        key = (params.scale, params.k, 0.0, 1.0)
+        rallfuller._build_semi_pellians([key])
+        assert len(cache) == 4096
+        assert sentinels[0] not in cache and sentinels[1] in cache and key in cache
+
 
 class TestGridReference:
     """The dense grids the constructions no longer sample, kept as checks."""
