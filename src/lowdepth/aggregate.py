@@ -162,7 +162,7 @@ def aggregate_type1(
     """
     [values] = walk_stages(sampler, plan.stages(), derive_stream(seed, 0).rng(), ledger)
     # fsum gives an exactly rounded sum, independent of summation order.
-    return math.fsum(values.tolist()) / plan.runs
+    return math.fsum(values.data) / plan.runs
 
 
 # bound here for bench/tracing.py, which wraps this name apart from aggregate_type1

@@ -22,7 +22,7 @@ import numpy as np
 
 from .aggregate import DEFAULT_BIAS_FRACTION_PF, DEFAULT_TAIL_FRACTION_PF, hoeffding_runs
 from .blackbox import Sampler, Uqpe2Contract, walk_stages
-from .core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec, derive_stream, reduce_angle
+from .core import ResourceLedger, SeedSpec, TargetSpec, derive_stream, reduce_angle
 
 # Tolerance on the escape test |offset| <= half-width; an offset is one
 # circular difference, a cancellation of magnitude at most 2 pi.
@@ -54,9 +54,8 @@ def circ_diff(theta, phi):
     The unique representative r with theta - phi = r (mod 2 pi); positive
     when the short way from theta back to phi runs clockwise.
     """
-    r = (_reduce(theta) - _reduce(phi) + math.pi) % TWO_PI - math.pi
-    # float modulo rounding at the wrap point can give exactly pi; that is -pi
-    return r - TWO_PI * (r >= math.pi)
+    # reduce_angle returns below 2 pi (a % rounded up to 2 pi becomes 0), so this is below pi
+    return reduce_angle(_reduce(theta) - _reduce(phi) + math.pi) - math.pi
 
 
 class PhasePlan(NamedTuple):
@@ -133,4 +132,4 @@ def lowdepth_phase_estimate(
     half_width = _REF_ARC_HALF_WIDTH + plan.run_precision
     if np.abs(offsets).max() > half_width + ARC_TOL:
         return Angle(0.0)
-    return Angle(reference.value + math.fsum(offsets.tolist()) / plan.runs)
+    return Angle(reference.value + math.fsum(offsets.data) / plan.runs)

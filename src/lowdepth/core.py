@@ -51,6 +51,11 @@ def ceil_int(value: float) -> int:
     return math.ceil(value - _CEIL_SLACK * max(1.0, abs(value)))
 
 
+def plain_number(value):
+    """A numpy scalar as the Python number it holds, which JSON and CSV write; else ``value``."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 class Amplitude(namedtuple("Amplitude", "value")):
     """The unknown value in [0, 1] an amplitude-estimation run targets."""
 
@@ -72,6 +77,7 @@ class TargetSpec(namedtuple("TargetSpec", "epsilon delta beta")):
     __slots__ = ()
 
     def __new__(cls, epsilon: float, delta: float, beta: float):
+        epsilon, delta, beta = map(plain_number, (epsilon, delta, beta))
         for name, value in zip(cls._fields, (epsilon, delta, beta)):
             if isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
@@ -136,14 +142,16 @@ class SeedSpec(namedtuple("SeedSpec", "master_seed stream_index")):
 
 
 def reduce_angle(angles):
-    """Canonical representative(s) in [0, 2 pi): a float for a scalar, an
-    array for an array, both through the same arithmetic."""
+    """Canonical representative(s) in [0, 2 pi), bit for bit float % then the fix below: an
+    array for an array, and a float for a scalar, checked and reduced in Python floats."""
     values = np.asarray(angles, dtype=float)
-    if not np.isfinite(values).all():
+    if not (math.isfinite(values) if values.ndim == 0 else np.isfinite(values).all()):
         raise ValueError(f"angle must be finite, got {angles}")
     if values.ndim == 0:
-        values = values.item()
-    reduced = values % TWO_PI
+        reduced = values.item() % TWO_PI
+    else:  # float % without its floor division, as fmod is exact
+        reduced = np.fmod(values, TWO_PI)
+        reduced += TWO_PI * (reduced < 0)
     # float modulo may round up to the divisor itself; that angle is 0
     return reduced - TWO_PI * (reduced >= TWO_PI)
 

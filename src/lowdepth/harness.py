@@ -27,6 +27,7 @@ from .core import (
     TargetSpec,
     TWO_PI,
     derive_stream,
+    plain_number,
 )
 
 TRIAL_FORMATS = ("csv", "json")
@@ -218,14 +219,15 @@ class ExperimentConfig(namedtuple(
     def __new__(cls, algorithm: str, truth: float, target: TargetSpec,
                 constants: dict | None = None, trials: int = 1, master_seed: int = 0,
                 parallel: bool = False):
-        # a fresh dict per config, never one default dict shared by every config
-        constants = {} if constants is None else constants
+        # a fresh dict per config; numpy scalars are stored as the Python
+        # numbers the report's JSON and CSV can hold, as are numpy integers below
+        constants = {name: plain_number(value) for name, value in (constants or {}).items()}
+        truth = plain_number(truth)
         if not isinstance(truth, numbers.Real) or isinstance(truth, bool):
             raise ConfigError(f"truth must be a number, got {truth!r}")
         for name, value in (("trials", trials), ("master_seed", master_seed)):
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        # a numpy integer is stored as the int the report's JSON can hold
         self = super().__new__(cls, algorithm, truth, target, constants, int(trials),
                                int(master_seed), parallel)
         if self.algorithm not in ALGORITHMS:

@@ -226,6 +226,23 @@ class TestAggregateType1:
             )
         assert calls["count"] == 0
 
+    @pytest.mark.parametrize("draw", [
+        lambda rng, size: np.full(2 * size, 0.3)[::2],
+        lambda rng, size: rng.random(2 * size)[::2],
+        lambda rng, size: np.broadcast_to(0.3, (size,)),
+    ], ids=["constant-strided", "random-strided", "broadcast"])
+    def test_a_strided_draw_sums_as_its_list(self, draw):
+        # fsum reads the draw's buffer, strides and all, and sums what the list holds
+        plan = Type1Plan.from_target(TargetSpec(0.05, 0.1, 0.5))
+        drawn = []
+
+        def sampler(_stage, _contract, rng, _ledger, size):
+            drawn.append(draw(rng, size))
+            return drawn[-1]
+
+        value = aggregate_type1(sampler, plan, seed=SeedSpec(25, 0), ledger=ResourceLedger())
+        assert value == math.fsum(drawn[0].tolist()) / plan.runs
+
     # every estimator calls its sampler through blackbox.walk_stages; the phase
     # estimator's cases are in test_circphase
     @pytest.mark.parametrize(

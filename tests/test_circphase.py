@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowdepth.blackbox import UQPE2_COST, Uqpe2Contract, synth_uqpe2_sample
@@ -13,7 +13,7 @@ from lowdepth.circphase import (
     circ_diff,
     lowdepth_phase_estimate,
 )
-from lowdepth.core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec
+from lowdepth.core import TWO_PI, ResourceLedger, SeedSpec, TargetSpec, reduce_angle
 
 PI = math.pi
 
@@ -41,6 +41,63 @@ class TestAngle:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Angle(math.nan)
+
+
+# Where float modulo is delicate: signed zeros and subnormals, values far
+# beyond 2 pi, the divisor, its multiples and the float just below it, and a
+# tiny negative whose remainder rounds up to 2 pi.
+MODULO_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, TWO_PI, -TWO_PI, 4 * PI, -4 * PI,
+                math.nextafter(TWO_PI, 0.0), -math.nextafter(TWO_PI, 0.0), -1e-18, PI, -PI]
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def modulo_reduce(angles):
+    """The reduction as float % computes it: numpy's % on an array, Python's on a float."""
+    reduced = angles % TWO_PI
+    return reduced - TWO_PI * (reduced >= TWO_PI)
+
+
+def modulo_circ_diff(theta, phi):
+    """The circular difference as float % computes it, with its own fix at pi."""
+    r = (modulo_reduce(theta) - modulo_reduce(phi) + PI) % TWO_PI - PI
+    return r - TWO_PI * (r >= PI)
+
+
+def same_bits(actual, expected):
+    """Bit-identical: int64 views for arrays, sign-aware equal floats for scalars."""
+    if isinstance(expected, np.ndarray):
+        return np.array_equal(actual.view(np.int64), expected.view(np.int64))
+    return (type(actual) is type(expected) is float and actual == expected
+            and math.copysign(1.0, actual) == math.copysign(1.0, expected))
+
+
+class TestFloatModuloBitIdentity:
+    """reduce_angle and circ_diff give bit for bit what float % gives, on
+    arrays (fmod plus a shift) and on scalars (Python's %)."""
+
+    @PROPERTY
+    @given(st.lists(finite, min_size=1, max_size=32))
+    @example(MODULO_EDGES)
+    def test_reduce_angle(self, values):
+        assert same_bits(reduce_angle(np.array(values)), modulo_reduce(np.array(values)))
+        for value in values:
+            assert same_bits(reduce_angle(value), modulo_reduce(value))
+
+    @PROPERTY
+    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=32))
+    @example([(theta, phi) for theta in MODULO_EDGES for phi in MODULO_EDGES])
+    def test_circ_diff(self, pairs):
+        thetas, phis = (np.array(column) for column in zip(*pairs))
+        assert same_bits(circ_diff(thetas, phis), modulo_circ_diff(thetas, phis))
+        for theta, phi in pairs:
+            assert same_bits(circ_diff(theta, phi), modulo_circ_diff(theta, phi))
+
+    def test_dense_sample(self):
+        values = np.random.default_rng(0).uniform(-50.0, 50.0, 200_000)
+        assert same_bits(reduce_angle(values), modulo_reduce(values))
+        thetas, phis = values[::2], values[1::2]
+        assert same_bits(circ_diff(thetas, phis), modulo_circ_diff(thetas, phis))
 
 
 class TestCircDiff:
@@ -195,6 +252,29 @@ class TestLowdepthPhaseEstimate:
             ledger=ResourceLedger(),
         )
         assert abs(circ_diff(estimate, truth)) <= 1e-12
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng, size: np.full(2 * size, TWO_PI - 0.005)[::2],
+        lambda rng, size: (TWO_PI - 0.005 + 0.01 * rng.uniform(-1.0, 1.0, 2 * size))[::2],
+        lambda rng, size: np.broadcast_to(TWO_PI - 0.005, (size,)),
+    ], ids=["constant-strided", "random-strided", "broadcast"])
+    def test_a_strided_draw_estimates_as_its_list(self, draw):
+        # the draws sit at the wrap; a strided or broadcast view is reduced
+        # and averaged as the list of its values is
+        target = TargetSpec(0.01, 0.1, 0.5)
+        plan = PhasePlan.from_target(target)
+        drawn = []
+
+        def sampler(_stage, _contract, rng, _ledger, size):
+            drawn.append(draw(rng, size))
+            return drawn[-1]
+
+        estimate = lowdepth_phase_estimate(sampler, target, plan, seed=SeedSpec(81, 0),
+                                           ledger=ResourceLedger())
+        reference = Angle(drawn[0][0])
+        offsets = circ_diff(np.array(drawn[1].tolist()), reference)
+        assert estimate == Angle(reference.value + math.fsum(offsets.tolist()) / plan.runs)
+        assert estimate != Angle(0.0)
 
     def test_arc_escape_outputs_zero_angle(self):
         truth = 1.0

@@ -630,6 +630,26 @@ class TestExport:
         expected = {name: getattr(report, name) for name in report._fields}
         assert json.loads(path.read_text()) == {**expected, "kind": "trial_report"}
 
+    @pytest.mark.parametrize("field", ["truth", "epsilon", "bias_scale"])
+    def test_numpy_scalar_inputs_export_as_python_numbers(self, field, tmp_path):
+        # a numpy scalar is stored as the Python number it holds, which the
+        # JSON and CSV exports write as they write any number
+        settings = {"truth": 0.3, "epsilon": 0.1, "bias_scale": 1.0}
+        settings[field] = np.float32(settings[field])
+        config = ExperimentConfig(
+            "type1", settings["truth"], TargetSpec(settings["epsilon"], 0.1, 1.0),
+            constants={"bias_scale": settings["bias_scale"]}, trials=2)
+        provenance = config.provenance()
+        stored = {"truth": provenance["truth"], "epsilon": provenance["epsilon"],
+                  "bias_scale": provenance["constants"]["bias_scale"]}
+        assert stored == {**settings, field: float(np.float32(settings[field]))}
+        assert all(type(value) is float for value in stored.values())
+        report = run_experiment(config)
+        text = export_report(report, "json", tmp_path / "r.json").read_text()
+        assert json.loads(text)["config"] == provenance
+        csv_text = export_report(report, "csv", tmp_path / "r.csv").read_text()
+        assert "np." not in csv_text and len(csv_text.splitlines()) == 3
+
     def test_svg_rejected_for_trial_reports(self, tmp_path):
         report = run_experiment(quick_config(trials=2))
         with pytest.raises(ConfigError):
