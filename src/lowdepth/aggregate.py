@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .blackbox import Sampler, Uqae1Contract, Uqae2Contract, walk_stages
-from .core import ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
+from .core import ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream, exact_sum
 
 # Bias fraction r and variance fraction s used by default for the
 # bias/variance plan; they satisfy s < (1 - r)^2 / 2 with modest slack.
@@ -161,8 +161,8 @@ def aggregate_type1(
     The runs are the plan's one stage, drawn as :mod:`lowdepth.core` lays out.
     """
     [values] = walk_stages(sampler, plan.stages(), derive_stream(seed, 0).rng(), ledger)
-    # fsum gives an exactly rounded sum, independent of summation order.
-    return math.fsum(values.data) / plan.runs
+    # an exactly rounded sum, independent of summation order
+    return exact_sum(values) / plan.runs
 
 
 # bound here for bench/tracing.py, which wraps this name apart from aggregate_type1

@@ -39,6 +39,12 @@ _CEIL_SLACK = 1e-9
 
 _UINT64_SPAN = 2**64
 
+# exact_sum's fast path: values scaled below 2^38 split into an integer limb and a
+# 20-bit fraction limb, whose float sums stay exact while below 2^53, so for at most
+# 2^15 values; below 512 values math.fsum is as fast.
+_WHOLE_BITS, _FRACTION_BITS = 38, 20
+_EXACT_SUM_COUNTS = range(512, 2**15 + 1)
+
 
 class SimulationError(Exception):
     """Base class for errors raised by this package."""
@@ -54,6 +60,46 @@ def ceil_int(value: float) -> int:
 def plain_number(value):
     """A numpy scalar as the Python number it holds, which JSON and CSV write; else ``value``."""
     return value.item() if isinstance(value, np.generic) else value
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """``math.fsum`` of a 1-D float64 array, bit for bit: the exactly rounded sum.
+
+    Values scaled by 2^shift (shift >= 0, a power of two, so exact) below 2^38
+    split into an integer limb and a 20-bit fraction limb; numpy sums each
+    limb exactly, and one Python int division by 2^(shift + 20) rounds the
+    total correctly.  Non-finite, all-zero or too large values, a fraction
+    limb that is not integral and a count outside the fast range take fsum.
+    """
+    if values.size not in _EXACT_SUM_COUNTS:
+        return math.fsum(values.data)
+    lo, hi = np.minimum.reduce(values), np.maximum.reduce(values)
+    if not (-(2.0**_WHOLE_BITS) < lo and hi < 2.0**_WHOLE_BITS) or lo == hi == 0.0:
+        return math.fsum(values.data)
+    # capped so 2^shift stays finite; values that need more fail the limb check
+    shift = min(_WHOLE_BITS - math.frexp(max(hi, -lo))[1], 1023)
+    scaled = values * 2.0**shift
+    whole = np.trunc(scaled)
+    high = int(np.add.reduce(whole))
+    scaled -= whole
+    scaled *= 2.0**_FRACTION_BITS
+    if np.count_nonzero(np.not_equal(np.trunc(scaled, out=whole), scaled)):
+        return math.fsum(values.data)
+    return ((high << _FRACTION_BITS) + int(np.add.reduce(scaled))) / (1 << (shift + _FRACTION_BITS))
+
+
+def population_variance(values) -> float:
+    """``statistics.pvariance`` of finite floats, bit for bit, without its Fractions.
+
+    Each value is m / scale over one power-of-two ``scale``, so the variance
+    is (n sum m^2 - (sum m)^2) / (n scale)^2, and one int division rounds it
+    correctly; a constant list gives exactly 0.0.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(denominator for _, denominator in ratios)
+    scaled = [numerator * (scale // denominator) for numerator, denominator in ratios]
+    count = len(scaled)
+    return (count * sum(m * m for m in scaled) - sum(scaled) ** 2) / (count * scale) ** 2
 
 
 class Amplitude(namedtuple("Amplitude", "value")):

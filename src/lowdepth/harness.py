@@ -10,7 +10,6 @@ import json
 import math
 import numbers
 import os
-import statistics
 from collections import namedtuple
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -28,6 +27,7 @@ from .core import (
     TWO_PI,
     derive_stream,
     plain_number,
+    population_variance,
 )
 
 TRIAL_FORMATS = ("csv", "json")
@@ -337,9 +337,8 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
     deviations = [record.deviation(estimate, config.truth) for estimate in estimates]
     successes = sum(1 for d in deviations if abs(d) <= config.target.epsilon)
     mean_deviation = math.fsum(deviations) / len(deviations)
-    # pvariance is exact (rational arithmetic), so a constant estimator
-    # reports a variance of exactly zero.
-    variance = statistics.pvariance(deviations) if len(deviations) > 1 else 0.0
+    # exact integer arithmetic, so a constant estimator reports a variance of exactly zero
+    variance = population_variance(deviations)
     return TrialReport(
         config=config.provenance(),
         estimates=estimates,
@@ -392,12 +391,15 @@ def scaling_study(
     fits log-log depth/query slopes per beta.  A repeated grid point, or a plan that
     can never run, is a ConfigError before the first cell; a failed cell run is
     a cell error."""
+    # numpy scalars or arrays as the Python numbers they hold, which the exports write
+    epsilon_grid = [plain_number(epsilon) for epsilon in epsilon_grid]
+    beta_grid = [plain_number(beta) for beta in beta_grid]
     if not epsilon_grid or not beta_grid:
         raise ConfigError("epsilon_grid and beta_grid must be nonempty")
     for name, grid in (("epsilon_grid", epsilon_grid), ("beta_grid", beta_grid)):
         if len(set(grid)) < len(grid):
             # a slope needs distinct epsilons, and a repeated beta fits twice
-            raise ConfigError(f"{name} repeats a point: {list(grid)}")
+            raise ConfigError(f"{name} repeats a point: {grid}")
     delta = base_config.target.delta
     try:
         targets = [TargetSpec(eps, delta, beta) for beta in beta_grid for eps in epsilon_grid]
@@ -435,8 +437,8 @@ def scaling_study(
             "product": _fit_slope(eps, [c.max_depth * c.total_queries for c in cells]),
         }
     provenance = base_config.provenance()
-    provenance["epsilon_grid"] = list(epsilon_grid)
-    provenance["beta_grid"] = list(beta_grid)
+    provenance["epsilon_grid"] = epsilon_grid
+    provenance["beta_grid"] = beta_grid
     return ScalingStudy(config=provenance, rows=rows, slopes=slopes, errors=errors)
 
 

@@ -50,6 +50,10 @@ MODULO_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, TWO_PI, -TWO_PI, 4 * 
                 math.nextafter(TWO_PI, 0.0), -math.nextafter(TWO_PI, 0.0), -1e-18, PI, -PI]
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# angles already in [0, 2 pi), as the phase sampler draws them; circ_diff passes such
+# an array through unreduced, a -0.0 included
+reduced = st.floats(0.0, TWO_PI, exclude_max=True) | st.just(-0.0)
+BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 
 
 def modulo_reduce(angles):
@@ -85,8 +89,15 @@ class TestFloatModuloBitIdentity:
             assert same_bits(reduce_angle(value), modulo_reduce(value))
 
     @PROPERTY
-    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=32))
+    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=32)
+           | st.lists(st.tuples(reduced, reduced), min_size=1, max_size=32))
     @example([(theta, phi) for theta in MODULO_EDGES for phi in MODULO_EDGES])
+    # the reference reduces a -0.0 to +0.0, which circ_diff leaves in these arrays
+    @example([(-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, PI), (PI, -0.0)])
+    @example([(theta, phi) for theta in (0.0, BELOW_TWO_PI, PI) for phi in (0.0, BELOW_TWO_PI)])
+    # arrays in range but for one value below 0 or at 2 pi, which must still be reduced
+    @example([(-0.2697867137638703, 1.335453407690074), (-1e-18, 0.3), (6.0, -0.25)])
+    @example([(TWO_PI, 0.3), (1.0, TWO_PI), (5.9, 0.7)])
     def test_circ_diff(self, pairs):
         thetas, phis = (np.array(column) for column in zip(*pairs))
         assert same_bits(circ_diff(thetas, phis), modulo_circ_diff(thetas, phis))

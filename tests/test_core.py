@@ -1,8 +1,9 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lowdepth.core import (
@@ -12,6 +13,8 @@ from lowdepth.core import (
     TargetSpec,
     ceil_int,
     derive_stream,
+    exact_sum,
+    population_variance,
 )
 
 # Frozen once from a reference run; guards the cross-run stability of the
@@ -165,3 +168,103 @@ class TestCeilInt:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ceil_int(math.inf)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+# exact_sum's fast path takes 512 to 2^15 values below 2^38 in magnitude
+COUNT_EDGES = [1, 2, 511, 512, 513, 2952, 2**15 - 1, 2**15, 2**15 + 1]
+LIMB_EDGE = math.nextafter(2.0**38, 0.0)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# dyadic values of mixed magnitude, which the limbs hold exactly
+dyadic = st.builds(math.ldexp, st.integers(-2**30, 2**30), st.integers(-60, 10))
+
+
+def outcome(function, values):
+    """A function's value, or the type and text of the exception it raised."""
+    try:
+        return function(values)
+    except (OverflowError, ValueError) as err:
+        return type(err), str(err)
+
+
+def same_outcome(actual, expected):
+    """Sign-aware equal floats, both NaN, or the same exception."""
+    if isinstance(expected, float):
+        return type(actual) is float and (
+            math.isnan(actual) and math.isnan(expected)
+            or actual == expected and math.copysign(1.0, actual) == math.copysign(1.0, expected))
+    return actual == expected
+
+
+@st.composite
+def tiled(draw, elements):
+    """A few drawn values tiled to a drawn count, sometimes as a strided view."""
+    values = draw(st.lists(elements, min_size=1, max_size=8))
+    count = draw(st.sampled_from(COUNT_EDGES) | st.integers(1, 4000))
+    if draw(st.booleans()):
+        return np.resize(np.array(values), 2 * count)[::2]
+    return np.resize(np.array(values), count)
+
+
+@st.composite
+def mixtures(draw):
+    """Draws shaped like the samplers': centre +/- spread, or +/- tail with probability p."""
+    centre = draw(st.floats(-7.0, 7.0))
+    spread, tail = draw(st.floats(0.0, 4.0)), draw(st.floats(0.0, 4.0))
+    p = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    count = draw(st.sampled_from(COUNT_EDGES) | st.integers(1, 4000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.integers(0, 2, size=count) * 2 - 1
+    return centre + ((rng.random(count) < p) * (tail - spread) + spread) * signs
+
+
+def padded(values, count=600):
+    """``values`` followed by zeros up to ``count``, which leave every sum as it is."""
+    return np.concatenate([values, np.zeros(count - len(values))])
+
+
+class TestExactSum:
+    """exact_sum gives what math.fsum gives on the values as a list, bit for bit."""
+
+    @PROPERTY
+    @given(tiled(finite) | tiled(dyadic) | tiled(st.floats(-4.0, 4.0)) | mixtures())
+    @example(np.array([0.0, -0.0] * 300))
+    @example(np.full(600, -0.0))
+    @example(np.zeros(600))
+    @example(padded([5e-324, -5e-324, 2.5e-323]))
+    @example(np.array([1.0, 5e-324] * 300))
+    @example(padded([2.0**-1000, -(2.0**-1000 - 2.0**-1043)]))  # a subnormal sum on the fast path
+    @example(np.full(600, 2.0**38))
+    @example(np.full(600, LIMB_EDGE))
+    @example(np.full(600, -LIMB_EDGE))
+    @example(np.full(2**15 - 1, LIMB_EDGE))
+    @example(np.full(2**15, LIMB_EDGE))
+    @example(np.full(2**15 + 1, LIMB_EDGE))
+    @example(padded([math.nan]))
+    @example(padded([math.inf, 1.0]))
+    @example(padded([-math.inf]))
+    @example(padded([math.inf, -math.inf]))
+    @example(padded([1e308, 1e308]))
+    # 2^947 is half an ulp of 2^1000 and 2^-1000 breaks the tie: fsum gives
+    # 0x1.0000000000001p+1000, and limbs that dropped 2^-1000 would round to even
+    @example(np.array([2.0**1000, 2.0**947, 2.0**-1000]))
+    @example(padded([2.0**1000, 2.0**947, 2.0**-1000]))
+    def test_matches_fsum(self, values):
+        assert same_outcome(outcome(exact_sum, values), outcome(math.fsum, values.tolist()))
+
+
+class TestPopulationVariance:
+    @PROPERTY
+    @given(st.lists(finite | st.floats(-1.0, 1.0), min_size=1, max_size=40))
+    # a constant estimator's variance is exactly +0.0
+    @example([0.3] * 80)
+    @example([-1e-17] * 10)
+    @example([-0.0, 0.0, -0.0])
+    @example([5e-324] * 3)
+    @example([2.5])
+    @example([1e-300, 1.0, 1e300])
+    @example([1e308, -1e308])  # overflows: the same OverflowError
+    def test_matches_pvariance(self, deviations):
+        assert same_outcome(outcome(population_variance, deviations),
+                            outcome(statistics.pvariance, deviations))

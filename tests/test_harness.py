@@ -745,6 +745,24 @@ class TestScalingStudy:
         with pytest.raises(ConfigError):
             scaling_study(base, [], [0.5])
 
+    def test_float32_grid_exports_json(self, tmp_path):
+        base = quick_config(trials=1)
+        study = scaling_study(base, [np.float32(0.1), np.float32(0.05)], [np.float32(0.5)])
+        payload = json.loads(export_report(study, "json", tmp_path / "s.json").read_text())
+        assert payload["config"]["epsilon_grid"] == [float(np.float32(0.1)), float(np.float32(0.05))]
+        assert all(type(value) is float for value in study.config["beta_grid"])
+
+    def test_float64_grid_slope_keys_read_as_numbers(self, tmp_path):
+        base = quick_config(trials=1)
+        study = scaling_study(base, [np.float64(0.1), np.float64(0.05)], [np.float64(0.5)])
+        payload = json.loads(export_report(study, "json", tmp_path / "s.json").read_text())
+        assert list(payload["slopes"]) == ["0.5"]
+
+    def test_array_grid_runs_as_its_list(self):
+        base = quick_config(trials=1)
+        as_arrays = scaling_study(base, np.array([0.1, 0.05]), np.array([0.0, 1.0]))
+        assert as_arrays == scaling_study(base, [0.1, 0.05], [0.0, 1.0])
+
 
 # Two values of each ``run`` option; a config file sets the first and a flag
 # the second over it.  A new option needs an entry here before its tests pass.
@@ -906,7 +924,8 @@ class TestCli:
         assert subprocess.run([sys.executable, "-c", code], env=env, cwd=root).returncode == 0
 
     def test_a_session_loads_no_argument_parser_or_locale(self, tmp_path):
-        # argparse's first message lookup imports gettext, which imports locale
+        # argparse's first message lookup imports gettext, which imports locale;
+        # statistics imports fractions and decimal, which no report needs
         root = Path(__file__).resolve().parents[1]
         code = (
             "import sys; from lowdepth.cli import main\n"
@@ -915,7 +934,8 @@ class TestCli:
             "assert main(['scale', '--epsilon-grid', '0.1,0.05', '--beta-grid', '0,1',"
             " '--format', 'svg', '--out', 'scale.svg']) == 0\n"
             "assert main(['params']) == 0\n"
-            "sys.exit(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)) or None)\n"
+            "unloaded = {'argparse', 'gettext', 'locale', 'statistics', 'fractions', 'decimal'}\n"
+            "sys.exit(sorted(unloaded & set(sys.modules)) or None)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         result = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
