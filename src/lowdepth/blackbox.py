@@ -12,6 +12,7 @@ package models.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from typing import Callable, NamedTuple
 
@@ -143,19 +144,32 @@ def walk_stages(sampler: Sampler, stages, rng: np.random.Generator, ledger: Reso
 
 
 def _run_count(size) -> int:
-    if int(size) < 1:
+    """``size`` as a run count: an integer, not a bool, at least 1."""
+    try:
+        if isinstance(size, bool):
+            raise TypeError
+        n = operator.index(size)
+    except TypeError:
+        raise ValueError(f"size must be an integer, got {size!r}") from None
+    if n < 1:
         raise ValueError("size must be positive")
-    return int(size)
+    return n
+
+
+# The mixture's four outcomes, indexed 2 * tail + (sign > 0): which branch, which sign.
+_OUTCOME_TAIL = np.array([False, False, True, True])
+_OUTCOME_SIGN = np.array([-1, 1, -1, 1])
 
 
 def _mixture_offsets(rng: np.random.Generator, size: int, fail_prob: float, spread: float,
-                     tail_magnitude: float) -> np.ndarray:
-    """``size`` offsets, each +/- tail_magnitude with probability fail_prob and
-    +/- spread otherwise, either sign equally likely (all coins, then all signs)."""
+                     tail_magnitude: float) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` runs, each +/- tail_magnitude with probability fail_prob and +/- spread
+    otherwise, either sign equally likely (all coins, then all signs): each run's outcome
+    index and the four outcome offsets it indexes, each computed as a run's would be."""
     n = _run_count(size)
-    coins = rng.random(n)
-    signs = rng.integers(0, 2, size=n) * 2 - 1
-    return ((coins < fail_prob) * (tail_magnitude - spread) + spread) * signs
+    fails = rng.random(n) < fail_prob
+    index = 2 * fails + rng.integers(0, 2, size=n)
+    return index, (_OUTCOME_TAIL * (tail_magnitude - spread) + spread) * _OUTCOME_SIGN
 
 
 def synth_uqae1_sample(
@@ -210,9 +224,9 @@ def synth_uqae2_sample(
     if abs(a.value) + contract.precision > cap + ABS_TOL:
         raise ValueError("good branch would exceed the output cap")
     spread = contract.precision - abs(bias_setting)
-    offsets = _mixture_offsets(rng, size, contract.fail_prob, spread, tail_magnitude)
-    UQAE2_COST.charge(contract, ledger, offsets.size)
-    return a.value + bias_setting + offsets
+    index, offsets = _mixture_offsets(rng, size, contract.fail_prob, spread, tail_magnitude)
+    UQAE2_COST.charge(contract, ledger, index.size)
+    return (a.value + bias_setting + offsets).take(index)
 
 
 def synth_uqpe2_sample(
@@ -241,9 +255,18 @@ def synth_uqpe2_sample(
         raise ValueError("tail_magnitude must be nonnegative")
     if abs(bias_setting) + max(spread, tail_magnitude) > math.pi:
         raise ValueError("offsets must stay below pi for unambiguous circular bias")
-    offsets = _mixture_offsets(rng, size, contract.fail_prob, spread, tail_magnitude)
-    UQPE2_COST.charge(contract, ledger, offsets.size)
-    return reduce_angle(theta + bias_setting + offsets)
+    n = _run_count(size)
+    if n == 1:
+        # a phase trial's reference stage: scalar draws move the generator as size-1 arrays
+        # do, and one run's float ops on Python floats give the bits they give on arrays
+        fails = rng.random() < contract.fail_prob
+        offset = (fails * (tail_magnitude - spread) + spread) * (int(rng.integers(0, 2)) * 2 - 1)
+        angles = np.array([reduce_angle(theta + bias_setting + offset)])
+    else:
+        index, offsets = _mixture_offsets(rng, n, contract.fail_prob, spread, tail_magnitude)
+        angles = reduce_angle(theta + bias_setting + offsets).take(index)
+    UQPE2_COST.charge(contract, ledger, n)
+    return angles
 
 
 def monkey_sample(a: Amplitude, epsilon: float) -> float:

@@ -22,8 +22,7 @@ import numpy as np
 
 from .aggregate import DEFAULT_BIAS_FRACTION_PF, DEFAULT_TAIL_FRACTION_PF, hoeffding_runs
 from .blackbox import Sampler, Uqpe2Contract, walk_stages
-from .core import (TWO_PI, ResourceLedger, SeedSpec, TargetSpec, derive_stream, exact_sum,
-                   reduce_angle)
+from .core import ResourceLedger, SeedSpec, TargetSpec, derive_stream, exact_sum, reduce_angle
 
 # Tolerance on the escape test |offset| <= half-width; an offset is one
 # circular difference, a cancellation of magnitude at most 2 pi.
@@ -45,15 +44,8 @@ class Angle(namedtuple("Angle", "value")):
 
 
 def _reduce(angles):
-    """:func:`~lowdepth.core.reduce_angle`, reading an :class:`Angle` as its value and passing
-    an array already in [0, 2 pi), as the phase sampler draws them, through as it is."""
-    if isinstance(angles, Angle):
-        return angles.value
-    if (isinstance(angles, np.ndarray) and angles.ndim and angles.size and angles.dtype == float
-            and np.minimum.reduce(angles, axis=None) >= 0.0
-            and np.maximum.reduce(angles, axis=None) < TWO_PI):
-        return angles
-    return reduce_angle(angles)
+    """:func:`~lowdepth.core.reduce_angle`, reading an :class:`Angle` as its value."""
+    return angles.value if isinstance(angles, Angle) else reduce_angle(angles)
 
 
 def circ_diff(theta, phi):
@@ -62,9 +54,7 @@ def circ_diff(theta, phi):
     The unique representative r with theta - phi = r (mod 2 pi); positive
     when the short way from theta back to phi runs clockwise.
     """
-    # a -0.0 passed through changes at most the sign of a zero difference, which adding pi
-    # drops; reduce_angle returns below 2 pi (a % rounded up to 2 pi becomes 0), so this is
-    # below pi
+    # reduce_angle returns below 2 pi (a % rounded up to 2 pi becomes 0), so this is below pi
     return reduce_angle(_reduce(theta) - _reduce(phi) + math.pi) - math.pi
 
 

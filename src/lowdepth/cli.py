@@ -58,7 +58,8 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    # every entry is a number: float('') refuses an empty one
+    return [float(part) for part in text.split(",")]
 
 
 def _one_of(*choices: str):

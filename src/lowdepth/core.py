@@ -189,14 +189,28 @@ class SeedSpec(namedtuple("SeedSpec", "master_seed stream_index")):
 
 def reduce_angle(angles):
     """Canonical representative(s) in [0, 2 pi), bit for bit float % then the fix below: an
-    array for an array, and a float for a scalar, checked and reduced in Python floats."""
+    array for an array, and a float for a scalar, checked and reduced in Python floats.
+
+    An array's min and max pick its path: wholly in [0, 2 pi) it comes back as a copy;
+    wholly in (-2 pi, 4 pi) fmod's remainder is v, or v - 2 pi exactly (Sterbenz), so
+    fmod is skipped; anything else, non-finite or empty included, takes fmod."""
     values = np.asarray(angles, dtype=float)
-    if not (math.isfinite(values) if values.ndim == 0 else np.isfinite(values).all()):
-        raise ValueError(f"angle must be finite, got {angles}")
     if values.ndim == 0:
+        if not math.isfinite(values):
+            raise ValueError(f"angle must be finite, got {angles}")
         reduced = values.item() % TWO_PI
-    else:  # float % without its floor division, as fmod is exact
-        reduced = np.fmod(values, TWO_PI)
+    else:
+        # NaN bounds, an empty array's or any NaN's, fail both range tests
+        lo, hi = ((np.minimum.reduce(values, axis=None), np.maximum.reduce(values, axis=None))
+                  if values.size else (math.nan, math.nan))
+        if 0.0 <= lo and hi < TWO_PI:
+            return values + 0.0  # -0.0 made +0.0, as the fix-up below makes it
+        if -TWO_PI < lo and hi < 2.0 * TWO_PI:
+            reduced = values - TWO_PI * (values >= TWO_PI)
+        elif np.isfinite(values).all():
+            reduced = np.fmod(values, TWO_PI)  # float % without its floor division
+        else:
+            raise ValueError(f"angle must be finite, got {angles}")
         reduced += TWO_PI * (reduced < 0)
     # float modulo may round up to the divisor itself; that angle is 0
     return reduced - TWO_PI * (reduced >= TWO_PI)

@@ -3,7 +3,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lowdepth.blackbox import (
@@ -22,7 +22,7 @@ from lowdepth.blackbox import (
     synth_uqpe2_sample,
 )
 from lowdepth.circphase import circ_diff
-from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec
+from lowdepth.core import TWO_PI, Amplitude, ResourceLedger, SeedSpec, TargetSpec, reduce_angle
 
 A = Amplitude(0.3)
 SEED = SeedSpec(314159, 0)
@@ -185,6 +185,16 @@ class TestSynthUqpe2:
             )
 
 
+SIZED_DRAWS = [
+    lambda size: synth_uqae1_sample(A, Uqae1Contract(0.1, 0.01), 0.0, SEED.rng(),
+                                    ResourceLedger(), size=size),
+    lambda size: synth_uqae2_sample(A, Uqae2Contract(0.1, 0.2, 0.1), 0.0, 0.1, SEED.rng(),
+                                    ResourceLedger(), size=size),
+    lambda size: synth_uqpe2_sample(1.0, Uqpe2Contract(0.1, 0.2, 0.1), 0.0, 0.1,
+                                    SEED.rng(), ResourceLedger(), size=size),
+]
+
+
 class TestSharedMixture:
     def test_amplitude_and_phase_samplers_draw_identical_offsets(self):
         # dyadic settings keep every sum exact, so the offsets compare bit for bit
@@ -199,18 +209,70 @@ class TestSharedMixture:
         assert UQPE2_COST is UQAE2_COST
         assert amp_ledger == phase_ledger
 
-    @pytest.mark.parametrize("draw", [
-        lambda size: synth_uqae1_sample(A, Uqae1Contract(0.1, 0.01), 0.0, SEED.rng(),
-                                        ResourceLedger(), size=size),
-        lambda size: synth_uqae2_sample(A, Uqae2Contract(0.1, 0.2, 0.1), 0.0, 0.1, SEED.rng(),
-                                        ResourceLedger(), size=size),
-        lambda size: synth_uqpe2_sample(1.0, Uqpe2Contract(0.1, 0.2, 0.1), 0.0, 0.1,
-                                        SEED.rng(), ResourceLedger(), size=size),
-    ])
+    @pytest.mark.parametrize("draw", SIZED_DRAWS)
     def test_every_sampler_rejects_an_empty_draw(self, draw):
         assert draw(1).shape == (1,)
         with pytest.raises(ValueError, match="size must be positive"):
             draw(0)
+
+    @pytest.mark.parametrize("draw", SIZED_DRAWS)
+    def test_every_sampler_takes_only_an_integer_size(self, draw):
+        # int() once turned 2.7 into 2 runs, True into 1 and "3" into 3
+        for size in (2.7, True, "3", np.float64(3.0)):
+            with pytest.raises(ValueError, match="size must be an integer"):
+                draw(size)
+        assert draw(np.int64(3)).shape == (3,)
+
+
+def per_run_offsets(rng, size, fail_prob, spread, tail):
+    """Each run's mixture offset by the per-run formula: all coins, then all signs."""
+    coins = rng.random(size)
+    signs = rng.integers(0, 2, size=size) * 2 - 1
+    return ((coins < fail_prob) * (tail - spread) + spread) * signs
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+
+
+class TestPerRunFormulaBitIdentity:
+    """The mixture samplers compute each outcome once and gather it per run, and the phase
+    sampler draws a one-run stage as scalars; every run still holds the bytes the per-run
+    formula gives, and each generator ends where the formula's does, so the stage drawn
+    next (a phase trial's main stage after its one-run reference) is unchanged too."""
+
+    @PROPERTY
+    @given(
+        seeds, st.lists(st.integers(1, 2952), min_size=1, max_size=2),
+        st.floats(0.0, 0.99) | st.just(0.0), st.floats(0.0, 0.3) | st.just(0.0),
+        st.floats(0.0, 0.5), st.floats(-0.1, 0.1), st.floats(0.0, 1.0), st.floats(-7.0, 14.0),
+    )
+    # a phase trial's stages; no tail draws, then no good-branch spread
+    @example(SEED, [1, 2952], 0.0, 0.1, 0.5, 0.05, 0.3, 0.003)
+    @example(SEED, [1, 2952], 0.3, 0.0, 0.2, -0.05, 0.9, TWO_PI - 0.01)
+    @example(SeedSpec(7, 3), [1, 1], 0.9, 0.2, 0.4, 0.1, 0.0, 0.0)
+    @example(SeedSpec(7, 4), [2, 3], 0.5, 0.0, 0.0, -0.1, 1.0, 13.0)
+    @example(SeedSpec(7, 5), [1, 5], 0.0, 0.0, 0.3, 0.1, 0.5, -6.5)
+    def test_samplers_match_the_per_run_formula(self, seed, stage_sizes, fail_prob, spread, tail,
+                                                bias, truth, theta):
+        assume(abs(bias) + spread > 1e-6)  # the amplitude precision, whose inverse the cost takes
+        amp_contract = Uqae2Contract(abs(bias) + 0.01, abs(bias) + spread, fail_prob, 3.0)
+        amp_spread = amp_contract.precision - abs(bias)
+        phase_contract = Uqpe2Contract(abs(bias) + 0.01, abs(bias) + spread + 0.1, fail_prob)
+        amp_rng, amp_formula_rng, phase_rng, phase_formula_rng = (seed.rng() for _ in range(4))
+        for size in stage_sizes:
+            amp = synth_uqae2_sample(Amplitude(truth), amp_contract, bias, tail, amp_rng,
+                                     ResourceLedger(), size=size)
+            offsets = per_run_offsets(amp_formula_rng, size, fail_prob, amp_spread, tail)
+            assert_same_bytes(amp, truth + bias + offsets)
+            phase = synth_uqpe2_sample(theta, phase_contract, bias, tail, phase_rng,
+                                       ResourceLedger(), good_spread=spread, size=size)
+            offsets = per_run_offsets(phase_formula_rng, size, fail_prob, spread, tail)
+            assert_same_bytes(phase, reduce_angle(theta + bias + offsets))
+        # PCG64 keeps the spare half of a word a one-run sign draw took for the next one
+        states = [rng.bit_generator.state
+                  for rng in (amp_rng, amp_formula_rng, phase_rng, phase_formula_rng)]
+        assert states[0] == states[1] == states[2] == states[3]
 
 
 class TestSamplerContracts:

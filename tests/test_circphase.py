@@ -50,8 +50,7 @@ MODULO_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, TWO_PI, -TWO_PI, 4 * 
                 math.nextafter(TWO_PI, 0.0), -math.nextafter(TWO_PI, 0.0), -1e-18, PI, -PI]
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-# angles already in [0, 2 pi), as the phase sampler draws them; circ_diff passes such
-# an array through unreduced, a -0.0 included
+# angles already in [0, 2 pi), as the phase sampler draws them, a -0.0 included
 reduced = st.floats(0.0, TWO_PI, exclude_max=True) | st.just(-0.0)
 BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 
@@ -83,16 +82,30 @@ class TestFloatModuloBitIdentity:
     @PROPERTY
     @given(st.lists(finite, min_size=1, max_size=32))
     @example(MODULO_EDGES)
+    # in [0, 4 pi) with a -0.0, which must still become +0.0 without fmod
+    @example([-0.0, 7.0])
+    # the ends of (-2 pi, 4 pi), reduced without fmod, and just outside them
+    @example([math.nextafter(-TWO_PI, 0.0)])
+    @example([-TWO_PI])
+    @example([TWO_PI, math.nextafter(2 * TWO_PI, 0.0)])
+    @example([2 * TWO_PI])
+    @example([])
     def test_reduce_angle(self, values):
         assert same_bits(reduce_angle(np.array(values)), modulo_reduce(np.array(values)))
         for value in values:
             assert same_bits(reduce_angle(value), modulo_reduce(value))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_range_arrays_raise(self, bad):
+        for values in ([bad], [0.5, bad, 6.0], [bad, -0.5, 7.0]):
+            with pytest.raises(ValueError, match="angle must be finite"):
+                reduce_angle(np.array(values))
+
     @PROPERTY
     @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=32)
            | st.lists(st.tuples(reduced, reduced), min_size=1, max_size=32))
     @example([(theta, phi) for theta in MODULO_EDGES for phi in MODULO_EDGES])
-    # the reference reduces a -0.0 to +0.0, which circ_diff leaves in these arrays
+    # the reference reduces a -0.0 to +0.0, as reduce_angle's in-range copy does
     @example([(-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, PI), (PI, -0.0)])
     @example([(theta, phi) for theta in (0.0, BELOW_TWO_PI, PI) for phi in (0.0, BELOW_TWO_PI)])
     # arrays in range but for one value below 0 or at 2 pi, which must still be reduced

@@ -900,6 +900,17 @@ class TestCli:
         )
         assert main(["run", "--config", str(config_file)]) == 0
 
+    @pytest.mark.parametrize("flag, grid", [("--epsilon-grid", "0.1,,0.05,"),
+                                            ("--beta-grid", "0.5,")])
+    def test_an_empty_grid_entry_exits_two_before_any_cell(self, flag, grid, tmp_path, capsys):
+        # empty entries were once dropped, and the sweep ran on what was left
+        out = tmp_path / "scale.csv"
+        grids = {"--epsilon-grid": "0.1,0.05", "--beta-grid": "0.5", flag: grid}
+        assert main(["scale", *(token for item in grids.items() for token in item),
+                     "--out", str(out)]) == 2
+        assert f"configuration error: {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_import_leaves_scipy_unloaded(self):
         root = Path(__file__).resolve().parents[1]
         code = "import lowdepth.cli, sys; sys.exit('scipy' in sys.modules)"
