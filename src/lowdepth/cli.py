@@ -103,7 +103,8 @@ FLAGS = {
     "scale": {
         "--algorithm": ("algorithm", _one_of(*ALGORITHMS), "type1"),
         "--truth": ("truth", float, 0.3),
-        **_TARGET_FLAGS,
+        # no --epsilon or --beta: each cell runs at its grid point's
+        **{flag: _TARGET_FLAGS[flag] for flag in ("--delta", "--r", "--s", "--cap-C")},
         "--epsilon-grid": ("epsilon_grid", _float_list, [0.1, 0.05, 0.02, 0.01]),
         "--beta-grid": ("beta_grid", _float_list, [0.0, 0.25, 0.5, 0.75, 1.0]),
         **_REPORT_FLAGS,
@@ -196,27 +197,24 @@ _CONSTANT_KEYS = {"r": "r", "s": "s", "cap_c": "C", "bias_scale": "bias_scale",
                   "tail_magnitude": "tail_magnitude"}
 
 
-def _target_and_constants(args) -> tuple[TargetSpec, dict]:
+def _target(args) -> TargetSpec:
     try:
-        target = TargetSpec(args.epsilon, args.delta, args.beta)
+        return TargetSpec(args.epsilon, args.delta, args.beta)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    constants = {name: getattr(args, key) for key, name in _CONSTANT_KEYS.items()
-                 if getattr(args, key, None) is not None}
-    return target, constants
 
 
-def _experiment(args, **fields) -> ExperimentConfig:
-    """The experiment ``args`` set up, with ``fields`` for the rest."""
-    target, constants = _target_and_constants(args)
-    return ExperimentConfig(algorithm=args.algorithm, truth=args.truth, target=target,
-                            constants=constants, master_seed=args.seed, **fields)
+def _constants(args) -> dict:
+    return {name: getattr(args, key) for key, name in _CONSTANT_KEYS.items()
+            if getattr(args, key, None) is not None}
 
 
 def _cmd_run(args) -> int:
     if args.algorithm is None or args.truth is None:
         raise ConfigError("--algorithm and --truth are required (flag or config file)")
-    report = run_experiment(_experiment(args, trials=args.trials, parallel=args.parallel))
+    config = ExperimentConfig(args.algorithm, args.truth, _target(args), _constants(args),
+                              args.trials, args.seed, args.parallel)
+    report = run_experiment(config)
     if args.out is not None:
         export_report(report, args.format, args.out)
     print(
@@ -231,7 +229,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scale(args) -> int:
-    study = scaling_study(_experiment(args), args.epsilon_grid, args.beta_grid)
+    study = scaling_study(args.algorithm, args.truth, args.delta, args.epsilon_grid,
+                          args.beta_grid, _constants(args), args.seed)
     for beta in sorted(study.slopes):
         fits = study.slopes[beta]
         print(
@@ -251,7 +250,7 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    target, constants = _target_and_constants(args)
+    target, constants = _target(args), _constants(args)
     # every plan is built before the first line, so a configuration error
     # prints nothing; phase and Rall-Fuller may be out of range where the others run
     plan1 = ALGORITHMS["type1"].build_plan(target, constants)

@@ -219,6 +219,10 @@ class ExperimentConfig(namedtuple(
     def __new__(cls, algorithm: str, truth: float, target: TargetSpec,
                 constants: dict | None = None, trials: int = 1, master_seed: int = 0,
                 parallel: bool = False):
+        for name, value, kind in (("target", target, TargetSpec), ("parallel", parallel, bool),
+                                  ("constants", {} if constants is None else constants, dict)):
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
         # a fresh dict per config; numpy scalars are stored as the Python
         # numbers the report's JSON and CSV can hold, as are numpy integers below
         constants = {name: plain_number(value) for name, value in (constants or {}).items()}
@@ -382,15 +386,13 @@ def _fit_slope(epsilons, values) -> float:
     return float(np.polyfit(np.log(np.asarray(epsilons)), np.log(np.asarray(values)), 1)[0])
 
 
-def scaling_study(
-    base_config: ExperimentConfig,
-    epsilon_grid: list[float],
-    beta_grid: list[float],
-) -> ScalingStudy:
-    """Runs each grid point alone as trial ``index`` of ``run_experiment`` and
-    fits log-log depth/query slopes per beta.  A repeated grid point, or a plan that
-    can never run, is a ConfigError before the first cell; a failed cell run is
-    a cell error."""
+def scaling_study(algorithm: str, truth: float, delta: float, epsilon_grid: list[float],
+                  beta_grid: list[float], constants: dict | None = None,
+                  master_seed: int = 0) -> ScalingStudy:
+    """Runs grid point ``index`` alone, as trial ``index`` of a one-trial
+    ``ExperimentConfig`` there, and fits log-log depth/query slopes per beta.  A
+    repeated grid point, a config that fails its checks or a plan that can never
+    run is a ConfigError before the first cell; a failed cell run is a cell error."""
     # numpy scalars or arrays as the Python numbers they hold, which the exports write
     epsilon_grid = [plain_number(epsilon) for epsilon in epsilon_grid]
     beta_grid = [plain_number(beta) for beta in beta_grid]
@@ -400,21 +402,20 @@ def scaling_study(
         if len(set(grid)) < len(grid):
             # a slope needs distinct epsilons, and a repeated beta fits twice
             raise ConfigError(f"{name} repeats a point: {grid}")
-    delta = base_config.target.delta
     try:
         targets = [TargetSpec(eps, delta, beta) for beta in beta_grid for eps in epsilon_grid]
     except ValueError as err:
         raise ConfigError(f"grid point: {err}") from err
-    record = ALGORITHMS[base_config.algorithm]
-    constants = base_config.resolved_constants()
-    plans = [record.build_plan(target, constants) for target in targets]
+    configs = [ExperimentConfig(algorithm, truth, target, constants, master_seed=master_seed)
+               for target in targets]
+    plans = [ALGORITHMS[algorithm].build_plan(config.target, config.resolved_constants())
+             for config in configs]
     rows: list[ScalingCell] = []
     errors: list[dict] = []
-    for index, (target, plan) in enumerate(zip(targets, plans)):
-        epsilon, beta = target.epsilon, target.beta
+    for index, (config, plan) in enumerate(zip(configs, plans)):
+        epsilon, beta = config.target.epsilon, config.target.beta
         try:
-            # _replace skips __new__: the cell's target is a checked TargetSpec
-            [(_, depth, queries)] = _run_batch((base_config._replace(target=target), plan, [index]))
+            [(_, depth, queries)] = _run_batch((config, plan, [index]))
         except AlgorithmError as err:
             errors.append({"epsilon": epsilon, "beta": beta, "error": str(err.__cause__)})
             continue
@@ -436,7 +437,9 @@ def scaling_study(
             "queries": _fit_slope(eps, [c.total_queries for c in cells]),
             "product": _fit_slope(eps, [c.max_depth * c.total_queries for c in cells]),
         }
-    provenance = base_config.provenance()
+    # every cell shares these; its own epsilon, beta and single trial are the rows'
+    provenance = {key: value for key, value in configs[0].provenance().items()
+                  if key not in ("epsilon", "beta", "trials")}
     provenance["epsilon_grid"] = epsilon_grid
     provenance["beta_grid"] = beta_grid
     return ScalingStudy(config=provenance, rows=rows, slopes=slopes, errors=errors)

@@ -91,21 +91,14 @@ def phase_run(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def scaling_run(tmp_path_factory):
-    base = ExperimentConfig(
-        algorithm="type1",
-        truth=0.3,
-        target=TargetSpec(0.05, 0.1, 0.5),
-        trials=1,
-        master_seed=MASTER_SEED,
-    )
-    epsilon_grid = [0.1, 0.05, 0.02, 0.01]
-    beta_grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    sweep = dict(algorithm="type1", truth=0.3, delta=0.1, epsilon_grid=[0.1, 0.05, 0.02, 0.01],
+                 beta_grid=[0.0, 0.25, 0.5, 0.75, 1.0], master_seed=MASTER_SEED)
     directory = tmp_path_factory.mktemp("scaling")
     started = time.perf_counter()
-    study = scaling_study(base, epsilon_grid, beta_grid)
+    study = scaling_study(**sweep)
     elapsed = time.perf_counter() - started
     path = export_report(study, "json", directory / "study.json")
-    return study, path, elapsed, (base, epsilon_grid, beta_grid)
+    return study, path, elapsed, sweep
 
 
 def test_criterion_1_bias_variance_success_floor(type1_runs):
@@ -333,8 +326,8 @@ def test_criterion_10_byte_identical_reruns(
         _, rerun_path, _ = _report(tmp_path_factory, kwargs, f"rerun_{name}")
         assert rerun_path.read_bytes() == path.read_bytes(), name
         compared += 1
-    study, path, _, (base, epsilon_grid, beta_grid) = scaling_run
-    rerun = scaling_study(base, epsilon_grid, beta_grid)
+    study, path, _, sweep = scaling_run
+    rerun = scaling_study(**sweep)
     rerun_path = export_report(
         rerun, "json", tmp_path_factory.mktemp("rerun_scaling") / "study.json"
     )

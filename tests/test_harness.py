@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lowdepth import aggregate, blackbox, circphase, rallfuller
+from lowdepth import aggregate, blackbox, circphase, harness, rallfuller
 from lowdepth.circphase import circ_diff
 from lowdepth.cli import FLAGS, main
 from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec, derive_stream
@@ -117,6 +117,19 @@ class TestConfigValidation:
                 quick_config(**{field: value})
         config = quick_config(trials=np.int64(2), master_seed=np.uint64(5))
         assert json.dumps(config.provenance())  # numpy integers are kept as ints
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("target", (0.05, 0.1, 0.5), "target must be a TargetSpec"),
+         ("constants", [("r", 0.1)], "constants must be a dict"),
+         ("parallel", "no", "parallel must be a bool")],
+        ids=["tuple-target", "list-constants", "text-parallel"],
+    )
+    def test_fields_of_the_wrong_kind_rejected(self, field, value, message):
+        # each once got past the config: a tuple target and listed constants
+        # raised AttributeError later, and "no" read as true opened a pool
+        with pytest.raises(ConfigError, match=message):
+            quick_config(**{field: value})
 
     def test_unknown_constants_rejected(self):
         with pytest.raises(ConfigError):
@@ -309,8 +322,7 @@ class TestOneGeneratorPerTrial:
     @pytest.mark.parametrize("algorithm", ["type1", "rallfuller"])
     def test_scaling_study(self, algorithm, monkeypatch):
         built = record_generators(monkeypatch)
-        base = ExperimentConfig(algorithm, 0.4, TargetSpec(0.05, 0.1, 0.5), master_seed=5)
-        study = scaling_study(base, [0.1, 0.05], [0.5, 1.0])
+        study = scaling_study(algorithm, 0.4, 0.1, [0.1, 0.05], [0.5, 1.0], master_seed=5)
         assert len(study.rows) == 4
         assert built == trial_generator_streams(5, 4)
 
@@ -352,8 +364,7 @@ class TestOnePlanPerRun:
 
     def test_scaling_study(self, monkeypatch):
         built = record_plan_builds(monkeypatch)
-        base = ExperimentConfig("phase", 1.0, TargetSpec(0.05, 0.1, 0.5), master_seed=5)
-        study = scaling_study(base, [0.1, 0.05], [0.5, 1.0])
+        study = scaling_study("phase", 1.0, 0.1, [0.1, 0.05], [0.5, 1.0], master_seed=5)
         assert len(study.rows) == 4
         assert [(target.epsilon, target.beta) for target in built] == [
             (0.1, 0.5), (0.05, 0.5), (0.1, 1.0), (0.05, 1.0)
@@ -668,10 +679,7 @@ class TestExport:
 
 @pytest.fixture(scope="module")
 def study():
-    base = ExperimentConfig(
-        "type1", 0.3, TargetSpec(0.05, 0.1, 0.5), trials=1, master_seed=5
-    )
-    return scaling_study(base, [0.1, 0.05, 0.02, 0.01], [0.0, 0.5, 1.0])
+    return scaling_study("type1", 0.3, 0.1, [0.1, 0.05, 0.02, 0.01], [0.0, 0.5, 1.0], master_seed=5)
 
 
 class TestScalingStudy:
@@ -689,8 +697,7 @@ class TestScalingStudy:
     def test_partial_table_flagged(self):
         # at truth 0.9 the beta=1 cells' good branch exceeds the
         # output cap only when sampled, so those cells fail while running
-        base = ExperimentConfig("type2", 0.9, TargetSpec(0.05, 0.1, 0.5), master_seed=3)
-        study = scaling_study(base, [0.1, 0.01], [0.0, 1.0])
+        study = scaling_study("type2", 0.9, 0.1, [0.1, 0.01], [0.0, 1.0], master_seed=3)
         assert study.partial
         cell_errors = [error for error in study.errors if "epsilon" in error]
         assert cell_errors and len(study.rows) + len(cell_errors) == 4
@@ -701,19 +708,16 @@ class TestScalingStudy:
 
     def test_plan_that_can_never_run_rejected_before_any_cell(self, monkeypatch):
         built = record_generators(monkeypatch)
-        base = ExperimentConfig("phase", 1.0, TargetSpec(0.05, 0.1, 0.5), master_seed=5)
         with pytest.raises(ConfigError, match="pi/8"):
-            scaling_study(base, [0.4, 0.1], [0.5])
+            scaling_study("phase", 1.0, 0.1, [0.4, 0.1], [0.5], master_seed=5)
         assert built == []
 
     def test_zero_ledgers_reported_instead_of_fitted(self, tmp_path):
         # monkey-demo charges nothing, so no log-log slope exists to fit
-        base = ExperimentConfig(
-            "monkey-demo", 0.3, TargetSpec(0.05, 0.1, 0.5), trials=1, master_seed=5
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            study = scaling_study(base, [0.1, 0.05, 0.02, 0.01], [0.0, 1.0])
+            study = scaling_study("monkey-demo", 0.3, 0.1, [0.1, 0.05, 0.02, 0.01], [0.0, 1.0],
+                                  master_seed=5)
         assert len(study.rows) == 8
         assert study.slopes == {}
         assert [error["beta"] for error in study.errors] == [0.0, 1.0]
@@ -741,27 +745,64 @@ class TestScalingStudy:
         assert a == b
 
     def test_empty_grid_rejected(self):
-        base = quick_config(trials=1)
         with pytest.raises(ConfigError):
-            scaling_study(base, [], [0.5])
+            scaling_study("type1", 0.3, 0.1, [], [0.5])
 
     def test_float32_grid_exports_json(self, tmp_path):
-        base = quick_config(trials=1)
-        study = scaling_study(base, [np.float32(0.1), np.float32(0.05)], [np.float32(0.5)])
+        study = scaling_study("type1", 0.3, 0.1, [np.float32(0.1), np.float32(0.05)],
+                              [np.float32(0.5)])
         payload = json.loads(export_report(study, "json", tmp_path / "s.json").read_text())
         assert payload["config"]["epsilon_grid"] == [float(np.float32(0.1)), float(np.float32(0.05))]
         assert all(type(value) is float for value in study.config["beta_grid"])
 
     def test_float64_grid_slope_keys_read_as_numbers(self, tmp_path):
-        base = quick_config(trials=1)
-        study = scaling_study(base, [np.float64(0.1), np.float64(0.05)], [np.float64(0.5)])
+        study = scaling_study("type1", 0.3, 0.1, [np.float64(0.1), np.float64(0.05)],
+                              [np.float64(0.5)])
         payload = json.loads(export_report(study, "json", tmp_path / "s.json").read_text())
         assert list(payload["slopes"]) == ["0.5"]
 
+    def test_cell_index_runs_alone_as_a_checked_one_trial_config(self, monkeypatch):
+        jobs, run_batch = [], harness._run_batch
+
+        def recording(job):
+            jobs.append(job)
+            return run_batch(job)
+
+        monkeypatch.setattr(harness, "_run_batch", recording)
+        study = scaling_study("type2", 0.3, 0.1, [0.1, 0.05], [0.0, 1.0], {"C": 2.0}, 5)
+        targets = [TargetSpec(eps, 0.1, beta) for beta in (0.0, 1.0) for eps in (0.1, 0.05)]
+        assert [(job[0], job[2]) for job in jobs] == [
+            (ExperimentConfig("type2", 0.3, target, {"C": 2.0}, master_seed=5), [index])
+            for index, target in enumerate(targets)
+        ]
+        # the provenance is what every cell shares, and the grids
+        assert study.config == {
+            **{key: value for key, value in jobs[0][0].provenance().items()
+               if key not in ("epsilon", "beta", "trials")},
+            "epsilon_grid": [0.1, 0.05], "beta_grid": [0.0, 1.0],
+        }
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("type1", 0.3, 0.0, [0.1], [0.5]), "grid point: delta must lie in"),
+         (("type1", "0.3", 0.1, [0.1], [0.5]), "truth must be a number"),
+         (("phase", 7.0, 0.1, [0.1], [0.5]), "phase truth must lie in"),
+         (("type1", 0.3, 0.1, [0.1], [0.5], [("r", 0.1)]), "constants must be a dict"),
+         (("rallfuller", 0.3, 0.1, [0.1], [0.5], {"r": 0.1}), "does not read constants"),
+         (("type1", 0.3, 0.1, [0.1], [0.5], None, -1), "master_seed must be")],
+        ids=["delta", "text-truth", "phase-truth", "list-constants", "unread-constant", "seed"],
+    )
+    def test_a_config_a_cell_would_refuse_is_rejected_before_any_cell(
+        self, args, message, monkeypatch
+    ):
+        built = record_generators(monkeypatch)
+        with pytest.raises(ConfigError, match=message):
+            scaling_study(*args)
+        assert built == []
+
     def test_array_grid_runs_as_its_list(self):
-        base = quick_config(trials=1)
-        as_arrays = scaling_study(base, np.array([0.1, 0.05]), np.array([0.0, 1.0]))
-        assert as_arrays == scaling_study(base, [0.1, 0.05], [0.0, 1.0])
+        as_arrays = scaling_study("type1", 0.3, 0.1, np.array([0.1, 0.05]), np.array([0.0, 1.0]))
+        assert as_arrays == scaling_study("type1", 0.3, 0.1, [0.1, 0.05], [0.0, 1.0])
 
 
 # Two values of each ``run`` option; a config file sets the first and a flag
@@ -796,6 +837,51 @@ def run_tokens(key: str, value: str) -> list[str]:
     if convert is None:
         return [flag] if value == "yes" else []
     return [f"{flag}={value}"]
+
+
+# Two values of each ``scale`` setting; each must change what the sweep writes.
+# A new option needs an entry here before its test passes.
+SCALE_OPTION_VALUES = {
+    "algorithm": ("type1", "type2"),
+    "truth": ("0.3", "0.6"),
+    "delta": ("0.05", "0.1"),
+    "r": ("0.05", "0.02"),
+    "s": ("0.3", "0.4"),
+    "cap_c": ("1", "1000"),
+    "epsilon_grid": ("0.1,0.05", "0.1,0.02"),
+    "beta_grid": ("0.5", "0,1"),
+    "seed": ("1", "2"),
+    "out": ("a.csv", "b.csv"),
+    "format": ("csv", "json"),
+}
+# The sweep a setting is varied on, where not the base one.  A synthetic row is
+# a function of its plan alone, not of the truth or the seed, so those are
+# varied on a Rall-Fuller sweep, whose ledger follows its path; type1's plan
+# reads no delta, and type2 alone reads the output cap, which at 1000 sets
+# run_fail_prob.
+_RALLFULLER_SWEEP = {"algorithm": "rallfuller", "epsilon_grid": "0.1,0.01"}
+SCALE_OPTION_SWEEPS = {"truth": _RALLFULLER_SWEEP, "seed": _RALLFULLER_SWEEP,
+                       "delta": {"algorithm": "type2"}, "cap_c": {"algorithm": "type2"}}
+
+
+class TestScaleOptions:
+    BASE = {"algorithm": "type1", "epsilon_grid": "0.1,0.05", "beta_grid": "0.5",
+            "out": "s.csv", "format": "csv"}
+
+    @pytest.mark.parametrize("key", sorted({dest for dest, _, _ in FLAGS["scale"].values()}))
+    def test_every_setting_changes_what_the_sweep_writes(self, key, tmp_path, monkeypatch, capsys):
+        flags = {dest: flag for flag, (dest, _, _) in FLAGS["scale"].items()}
+        base = {**self.BASE, **SCALE_OPTION_SWEEPS.get(key, {})}
+        written = []
+        for value in SCALE_OPTION_VALUES[key]:
+            workdir = tmp_path / str(len(written))
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            settings = {**base, key: value}
+            assert main(["scale", *(f"{flags[name]}={text}" for name, text in settings.items())]) == 0
+            # the CSV, except where --out or --format names another file
+            written.append({path.name: path.read_bytes() for path in workdir.iterdir()})
+        assert written[0] != written[1]
 
 
 class TestConfigFile:
@@ -1161,9 +1247,18 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
         assert built == [] and not out.exists()
 
-    def test_scale_runs_cells_finer_than_a_base_epsilon_no_cell_uses(self, capsys):
-        argv = ["scale", "--algorithm", "phase", "--truth", "1.0", "--epsilon", "0.5"]
-        assert main(argv + ["--epsilon-grid", "0.1,0.05", "--beta-grid", "0.5"]) == 0
+    def test_scale_has_no_base_epsilon_or_beta(self, tmp_path, monkeypatch, capsys):
+        # each cell runs at its grid point, so a base epsilon or beta would go unread
+        built = record_generators(monkeypatch)
+        out = tmp_path / "s.json"
+        argv = ["scale", "--algorithm", "phase", "--truth", "1.0", "--epsilon-grid", "0.1,0.05",
+                "--beta-grid", "0.5", "--out", str(out)]
+        for flag in (["--epsilon", "0.5"], ["--beta", "0.1"]):
+            assert main([*argv, *flag]) == 2
+            assert f"unknown scale flag {flag[0]!r}" in capsys.readouterr().err
+            assert built == [] and not out.exists()
+        # the grids alone run cells finer than the 0.5 --epsilon once set
+        assert main(argv) == 0
         assert "beta=0.5: depth slope" in capsys.readouterr().out
 
     @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Small JSON reports of the synthetic algorithms, pinned by their SHA-256.
+"""Small reports and sweeps of the synthetic algorithms, pinned by their SHA-256.
 
 A report is a pure function of its flags, so its bytes replay exactly.  These
 digests match the reports of the per-run samplers that the per-outcome gather
@@ -7,6 +7,10 @@ what the algorithm reports: it updates the digest and says which report moved
 and why.  Rall-Fuller is left out: its floats pass through numpy's
 SIMD-dispatched sin and exp and through pocketfft, whose last bits may differ
 between CPUs and numpy versions.
+
+A sweep is pinned by its CSV, which holds only integers and grid reprs, so it
+is stable across platforms; its JSON also carries the sweep's provenance,
+whose keys may change while no row moves.
 """
 
 import hashlib
@@ -33,10 +37,28 @@ REPORTS = {
                    "26d77672a405af03003d7fc3e208af129b5deb46ee2341c1fd873295f7bfb490"),
 }
 
+SWEEPS = {
+    "type1": ([], "e74bd2e972b5dab46d018002ca5ea4becbd8ba862503d3313f9305c9f7ac35a7"),
+    # 13 of the 20 cells fail when sampled, so the digest pins which ones ran
+    "type2": (["--algorithm", "type2", "--truth", "0.9", "--seed", "3"],
+              "066ff356c03847885a40e34afce9755a0a363946ec096d743f4919b60aec1c1c"),
+    "phase": (["--algorithm", "phase", "--truth", "1.0", "--seed", "3",
+               "--epsilon-grid", "0.1,0.05,0.02,0.01", "--beta-grid", "0,0.5,0.9"],
+              "955d5b4c82771974d54ed9782a7cbc4a380b39399ead8139b7f885e7a9555823"),
+}
+
 
 @pytest.mark.parametrize("name", REPORTS)
 def test_report_bytes_replay(name, tmp_path):
     flags, digest = REPORTS[name]
     out = tmp_path / f"{name}.json"
     assert main(["run", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_csv_bytes_replay(name, tmp_path):
+    flags, digest = SWEEPS[name]
+    out = tmp_path / f"{name}.csv"
+    assert main(["scale", *flags, "--format", "csv", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
