@@ -249,17 +249,25 @@ def _cmd_scale(args) -> int:
     return 0
 
 
+def _charged_depth(plan, cost, target) -> int:
+    """The depth ``cost`` charges the deepest run of ``plan``: a trial's ``max_depth``."""
+    return max(cost.depth_fn(contract) for _, contract, _ in plan.stages(target))
+
+
 def _cmd_params(args) -> int:
     target, constants = _target(args), _constants(args)
     # every plan is built before the first line, so a configuration error
     # prints nothing; phase and Rall-Fuller may be out of range where the others run
     plan1 = ALGORITHMS["type1"].build_plan(target, constants)
     plan2 = ALGORITHMS["type2"].build_plan(target, constants)
+    # printed beside the estimator knobs: the depth the ledger charges, its contract's, not theirs
+    register_charges = f"type2={_charged_depth(plan2, blackbox.UQAE2_COST, target)}"
     try:
         phase_plan = ALGORITHMS["phase"].build_plan(target, constants)
     except ConfigError as err:
         phase_line = f"circular phase plan:   cannot run: {err.__cause__}"
     else:
+        register_charges += f" phase={_charged_depth(phase_plan, blackbox.UQPE2_COST, target)}"
         phase_line = (
             f"circular phase plan:   runs={phase_plan.runs} "
             f"run_precision={phase_plan.run_precision:.6g} "
@@ -288,7 +296,8 @@ def _cmd_params(args) -> int:
     print(
         f"amplitude estimator knobs:  depth_scale={amp.depth_scale:.6g} "
         f"bias_bound={amp.bias_bound:.6g} (bias<= {amp.implied_bias_bound:.6g}, "
-        f"variance<= {amp.implied_variance_bound:.6g})"
+        f"variance<= {amp.implied_variance_bound:.6g}) | charged max_depth: "
+        f"type1={_charged_depth(plan1, blackbox.UQAE1_COST, target)}"
     )
     phase = blackbox.cornelissen_phase_params(target)
     print(
@@ -298,7 +307,7 @@ def _cmd_params(args) -> int:
     register = blackbox.apeldoorn_phase_params(target)
     print(
         f"register phase estimator:   m={register.m:.6g} n={register.n} "
-        f"depth_scale={register.depth_scale}"
+        f"depth_scale={register.depth_scale} | charged max_depth: {register_charges}"
     )
     return 0
 

@@ -51,6 +51,7 @@ _DRIFT_TOL = 1e-12
 # tail of 500 floor-level entries stays far below it, and the kept degree
 # follows the series' true decay.
 _TRIM_BUDGET = 0.1 * CERT_TOL
+_EPS = float(np.finfo(float).eps)
 # Certified semi-Pellians by (scale, k, a_min, width), oldest first.
 _semi_pellians: dict[tuple, SemiPellianPoly] = {}
 
@@ -164,7 +165,8 @@ def _parity_clenshaw(t, series: tuple[float, ...], parity: int):
     1977), carrying s_j = b_j + b_{j+1} = a_j + w b_{j+1} - s_{j+1} with
     w = 2u + 2 = 4t^2, so that nothing cancels in 2u + 2 near t = 0.  The
     sums are then a_0 + (w / 2) b_1 - s_1 and t (a_0 + (w - 2) b_1 - s_1).
-    A 0-d t is summed in Python floats.
+    A 0-d t is summed in Python floats; any other t in one flat array, one
+    ufunc call per operation and coefficient, reshaped at the end.
     """
     head, rest = series[0], series[:0:-1]
     t = np.asarray(t, dtype=float)
@@ -175,15 +177,17 @@ def _parity_clenshaw(t, series: tuple[float, ...], parity: int):
         for a in rest:
             s = a + w * b - s
             b = s - b
-    else:
-        w = 4.0 * t * t
-        s, b, scratch = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
-        for a in rest:
-            np.multiply(w, b, scratch)
-            np.add(scratch, a, scratch)
-            np.subtract(scratch, s, s)
-            np.subtract(s, b, b)
-    return t * (head + (w - 2.0) * b - s) if parity else head + 0.5 * w * b - s
+        return t * (head + (w - 2.0) * b - s) if parity else head + 0.5 * w * b - s
+    shape, t = t.shape, t.ravel()
+    w = 4.0 * t * t
+    s, b, scratch = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    for a in rest:
+        multiply(w, b, scratch)
+        add(scratch, a, scratch)
+        subtract(scratch, s, s)
+        subtract(s, b, b)
+    return (t * (head + (w - 2.0) * b - s) if parity else head + 0.5 * w * b - s).reshape(shape)
 
 
 class ErfApproximant(NamedTuple):
@@ -242,7 +246,7 @@ def _scaled_bessel(z: float, top: int) -> tuple[np.ndarray, float]:
     # every top erf_poly asks for; the search doubles the span until it does.
     span = 2 * top + 64
     while True:
-        log_shrink = np.cumsum(np.log(_amos_ratio(np.arange(top, top + span), z)))
+        log_shrink = np.add.accumulate(np.log(_amos_ratio(np.arange(top, top + span), z)))
         (reached,) = np.nonzero(log_shrink <= -45.0)
         if reached.size:
             break
@@ -252,13 +256,12 @@ def _scaled_bessel(z: float, top: int) -> tuple[np.ndarray, float]:
     for j in range(start, 0, -1):
         ratio = z / (2.0 * j + z * ratio)
         backward.append(ratio)
-    ratios = np.array(backward[::-1])
-    products = np.cumprod(ratios)
-    scaled_i0 = 1.0 / (1.0 + 2.0 * float(np.sum(products)))
-    eps = np.finfo(float).eps
-    damping = np.maximum.accumulate((ratios * np.append(ratios[1:], 0.0))[::-1])[::-1]
-    ratio_error = float(np.sum(1.5 * eps / (1.0 - damping)))
-    rel_error = 2.0 * (ratio_error + start * eps) + 4.0 * eps
+    ratios = np.fromiter(reversed(backward), float, start)
+    products = np.multiply.accumulate(ratios)
+    scaled_i0 = 1.0 / (1.0 + 2.0 * float(np.add.reduce(products)))
+    damping = np.maximum.accumulate((ratios * np.concatenate((ratios[1:], [0.0])))[::-1])[::-1]
+    ratio_error = float(np.add.reduce(1.5 * _EPS / (1.0 - damping)))
+    rel_error = 2.0 * (ratio_error + start * _EPS) + 4.0 * _EPS
     return scaled_i0 * np.concatenate(([1.0], products[:top])), rel_error
 
 
@@ -276,8 +279,9 @@ def _erf_series(scale: float, terms: int) -> tuple[np.ndarray, float]:
     z = 0.5 * big_k * big_k
     bessel, bessel_error = _scaled_bessel(z, terms)
     prefactor = 2.0 * big_k / math.sqrt(math.pi)
-    j = np.arange(terms)
-    odd = prefactor * np.where(j % 2, -1.0, 1.0) * (bessel[:-1] + bessel[1:]) / (2 * j + 1)
+    signed = np.full(terms, prefactor)  # prefactor (-1)^j, exactly
+    signed[1::2] = -prefactor
+    odd = signed * (bessel[:-1] + bessel[1:]) / np.arange(1, 2 * terms, 2)
     # Past the computed terms, sum_{j>=terms} (I_j + I_{j+1}) is at most
     # I_terms (1 + r) / (1 - r), Amos's ratio bound r decreasing in j.
     r = _amos_ratio(terms, z)
@@ -285,8 +289,7 @@ def _erf_series(scale: float, terms: int) -> tuple[np.ndarray, float]:
     # Rounding: each coefficient carries the Bessel values' relative error
     # plus a few roundings of its own, and the tail sums over them add at
     # most ``terms`` more.
-    eps = np.finfo(float).eps
-    rounding = (bessel_error + (terms + 8) * eps) * float(np.sum(np.abs(odd)))
+    rounding = (bessel_error + (terms + 8) * _EPS) * float(np.add.reduce(np.abs(odd)))
     return odd, remainder + rounding
 
 
@@ -295,7 +298,8 @@ def _sized_terms(scale: float, accuracy: float) -> int:
     the remainder bound of :func:`_erf_series` for the terms from j on is at
     most accuracy / 4, e^-z I_j being bounded by the product of Amos's
     ratio bounds below j (and e^-z I_0 <= 1); at most ``_DEGREE_CAP // 2 + 1``.
-    Growing prefixes of j are searched, bit for bit the full range's (elementwise maps, cumprod).
+    Growing prefixes of j are searched, bit for bit the full range's (elementwise maps, a
+    running product).
     """
     big_k = _ERF_DOMAIN_HALF * scale
     z = 0.5 * big_k * big_k
@@ -304,7 +308,7 @@ def _sized_terms(scale: float, accuracy: float) -> int:
     for size in (128, 512, cap):
         j = np.arange(size)
         ratio = _amos_ratio(j, z)
-        scaled_bessel = np.concatenate(([1.0], np.cumprod(ratio[:-1])))
+        scaled_bessel = np.concatenate(([1.0], np.multiply.accumulate(ratio[:-1])))
         remaining = prefactor * scaled_bessel * (1.0 + ratio) / ((1.0 - ratio) * (2.0 * j + 1.0))
         (small,) = np.nonzero(remaining <= 0.25 * accuracy)
         if small.size:
@@ -333,8 +337,8 @@ def erf_poly(scale: float, accuracy: float) -> ErfApproximant:
         raise ValueError("accuracy must lie in (0, 1)")
     odd, left_out = _erf_series(scale, _sized_terms(scale, accuracy))
     # bound[i]: error after truncating at degree 2i + 1; nonincreasing in i.
-    tail = np.cumsum(np.abs(odd[::-1]))[::-1]
-    bound = np.append(tail[1:], 0.0)[: (_DEGREE_CAP + 1) // 2] + left_out
+    tail = np.add.accumulate(np.abs(odd[::-1]))[::-1]
+    bound = np.concatenate((tail[1:], [0.0]))[: (_DEGREE_CAP + 1) // 2] + left_out
     (fits,) = np.nonzero(bound <= accuracy)
     if not fits.size:
         raise PolynomialConstructionError(
@@ -464,31 +468,34 @@ def _build_semi_pellians(keys) -> dict:
             built.update(dict.fromkeys(group, err))
             continue
         a_mids = np.array([[a_min + 0.5 * width] for *_, a_min, width in group])
-        for key, coef in zip(group, _assembled_series(erf_part, scale, a_mids, 5.0 * scale + 2.0)):
+        coefs = _assembled_series(erf_part, scale, a_mids, 5.0 * scale + 2.0)
+        # tails[:, i] is the absolute sum of a row's coef[i:]; each row drops its
+        # longest tail within the budget, keeping at least the constant term.
+        tails = np.zeros((len(group), coefs.shape[1] + 1))
+        np.add.accumulate(np.abs(coefs[:, ::-1]), axis=1, out=tails[:, -2::-1])
+        cuts = np.maximum(np.argmax(tails <= _TRIM_BUDGET, axis=1), 1)
+        trimmed = tails[np.arange(len(group)), cuts]
+        for key, coef, cut, tail in zip(group, coefs.tolist(), cuts.tolist(), trimmed.tolist()):
             if len(_semi_pellians) >= 4096:
                 del _semi_pellians[next(iter(_semi_pellians))]
             try:
-                _semi_pellians[key] = built[key] = _certified(erf_part, coef, *key)
+                _semi_pellians[key] = built[key] = _certified(erf_part, (coef[:cut], tail), *key)
             except (SimulationError, ValueError) as err:
                 built[key] = err
     return built
 
 
-def _certified(erf_part, coef, scale, k, a_min, width) -> SemiPellianPoly:
-    """:func:`semi_pellian` from its untrimmed even half ``coef``, at s = tau = eta = gamma."""
+def _certified(erf_part, kept, scale, k, a_min, width) -> SemiPellianPoly:
+    """:func:`semi_pellian` from ``kept``, the leading even-index coefficients it keeps (a list)
+    and the absolute sum of those it drops, at s = tau = eta = gamma."""
+    coef, trimmed = kept
     a_mid = a_min + 0.5 * width
     denominator = 5.0 * scale + 2.0
-    # tail[i] is the absolute sum of coef[i:]; drop the longest tail within
-    # the budget, keeping at least the constant term.
-    tail = np.append(np.cumsum(np.abs(coef[::-1]))[::-1], 0.0)
-    cut = max(1, int(np.argmax(tail <= _TRIM_BUDGET)))
-    trimmed = float(tail[cut])
     bound = (2.0 + 4.0 * scale) / denominator + trimmed
     if bound > 1.0 + CERT_TOL:
         raise PolynomialConstructionError(
             f"assembled polynomial may exceed the unit bound: |P| <= {bound}"
         )
-    coef = coef[:cut]
 
     # P(a) lies within 2 u / D + trimmed of (2 + 2 s + f(a)) / D, u the sup error, with
     # f(a) = erf(k (a - mid)) - erf(k (a + mid)) nondecreasing for a, mid >= 0,
@@ -507,7 +514,7 @@ def _certified(erf_part, coef, scale, k, a_min, width) -> SemiPellianPoly:
             f"required {0.5 - scale} / {0.5 + scale}"
         )
     return SemiPellianPoly(
-        coefficients=tuple(coef.tolist()),
+        coefficients=tuple(coef),
         gap_certificate=GapCertificate(left_max, right_min),
     )
 
@@ -618,24 +625,29 @@ def rall_fuller_lockstep(oracle_factory, plan, seeds, ledgers, traces=None) -> I
     polynomial.  Yields the midpoints in order; a failed trial raises its error instead."""
     traces = traces or [None] * len(seeds)
     rngs = [derive_stream(seed, 0).rng() for seed in seeds]
-    a_mins, outcomes, oracles = [0.0] * len(seeds), [None] * len(seeds), {}
+    a_mins, outcomes = [0.0] * len(seeds), [None] * len(seeds)
     running = range(len(seeds))
     for step, (width, new_width, (shallow_from, table, tosses)) in enumerate(
             zip(plan.widths, plan.widths[1:], plan.steps)):
-        picks = [(index, a_mins[index] + 0.5 * width >= shallow_from) for index in running]
-        keys = [(table[pick].scale, table[pick].k, a_mins[index], width) for index, pick in picks]
-        built = _build_semi_pellians(keys)
+        # each running trial's table entry and the slot of its key in the step's polynomials
+        slots, picks = {}, []
+        for index in running:
+            pick = a_mins[index] + 0.5 * width >= shallow_from
+            key = (table[pick].scale, table[pick].k, a_mins[index], width)
+            picks.append((index, pick, slots.setdefault(key, len(slots))))
+        built = _build_semi_pellians(slots)
+        polys, oracles = [built[key] for key in slots], {}
         # the kept interval's left end moves by offsets[truth_on_right]
         offsets, running = (0.0, DISCARD_FRACTION * width), []
-        for (index, pick), key in zip(picks, keys):
-            params, poly, count = table[pick], built[key], tosses[pick]
+        for index, pick, slot in picks:
+            params, poly, count = table[pick], polys[slot], tosses[pick]
             if isinstance(poly, Exception):
                 outcomes[index] = poly
                 continue
             try:
-                if key not in oracles:  # the truth, and so the oracle, is the batch's
-                    oracles[key] = oracle_factory(poly)
-                heads = poly_sample(oracles[key], count, rngs[index], ledgers[index])
+                if slot not in oracles:  # the truth, and so the oracle, is the batch's
+                    oracles[slot] = oracle_factory(poly)
+                heads = poly_sample(oracles[slot], count, rngs[index], ledgers[index])
                 truth_on_right = coin_test(heads, count, params.scale)
                 if traces[index] is not None:
                     traces[index].append(StepRecord(

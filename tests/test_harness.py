@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from lowdepth import aggregate, blackbox, circphase, harness, rallfuller
 from lowdepth.circphase import circ_diff
 from lowdepth.cli import FLAGS, main
-from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec, derive_stream
+from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
 from lowdepth.oracle import PolyOracle
 from lowdepth.harness import (
     ALGORITHMS,
@@ -1323,6 +1323,37 @@ class TestCli:
         assert "register phase estimator" in output
         assert main(["params", "--beta", "0"]) == 0
         assert "beta=0\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.03, 0.01])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_params_prints_the_depth_each_run_is_charged(self, epsilon, beta, capsys):
+        # The ledger charges a run its contract's depth, not the published
+        # estimators' knobs: ceil(variance_bound^-1/2) = ceil(K / 10) for
+        # type1, K the Cornelissen amplitude knob, and ceil(1 / precision),
+        # about M / 10 with M the register knob, for type2 and phase (whose
+        # one reference run is charged ceil(4 / pi) = 2).  Each printed
+        # figure is the max_depth of a one-trial report.
+        target = TargetSpec(epsilon, 0.1, beta)
+        argv = ["params", "--epsilon", repr(epsilon), "--delta", "0.1", "--beta", repr(beta)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        charged = {}
+        for knobs in ("amplitude estimator knobs:", "register phase estimator:"):
+            [line] = [line for line in lines if line.startswith(knobs)]
+            figures = line.split(" | charged max_depth: ")[1].split()
+            charged.update((name, int(depth)) for name, depth in map(str.split, figures, "=="))
+        precision = epsilon ** (1.0 - beta)
+        amp = blackbox.cornelissen_amp_params(target)
+        register = blackbox.apeldoorn_phase_params(target)
+        assert charged["type1"] == ceil_int(amp.depth_scale / 10)
+        assert charged["type2"] == ceil_int(1.0 / precision)
+        assert charged["phase"] == max(charged["type2"], 2)
+        assert 10.0 / precision <= register.depth_scale
+        assert register.depth_scale <= 10.0 * (1.0 + 2.0**-register.n) / precision + 1
+        # type2's runs at precision 1 leave the output cap from any truth above 0
+        for algorithm, truth in (("type1", 0.3), ("type2", 0.0), ("phase", 1.0)):
+            config = ExperimentConfig(algorithm, truth, target, trials=1, master_seed=5)
+            assert run_experiment(config).max_depth == charged[algorithm], algorithm
 
     def test_scale_writes_svg(self, tmp_path, capsys):
         out = tmp_path / "scale.svg"

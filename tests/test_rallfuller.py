@@ -394,15 +394,26 @@ class TestParityClenshaw:
     @pytest.mark.parametrize("degree", [1, 2, 217, 4097])
     @pytest.mark.parametrize("rows", [1, 5])
     def test_stacked_rows_match_one_row_at_a_time_bit_for_bit(self, degree, rows):
+        # Rows stacked in 2-D, a 3-D stack, and 2-D views that are not
+        # contiguous (transposed, and every other column) are summed as one
+        # flat array and come back in their own shape, each row's values
+        # those of the row summed alone.
         rng = np.random.default_rng(degree)
         coefficients = tuple(rng.standard_normal(degree + 1).tolist())
         points = rng.uniform(-1.0, 1.0, (rows, degree + 1))
-        for parity in (0, 1):
-            series = coefficients[parity::2]
-            stacked = _parity_clenshaw(points, series, parity)
-            assert stacked.shape == points.shape
-            for row, values in zip(points, stacked):
-                assert values.tobytes() == _parity_clenshaw(row, series, parity).tobytes()
+        cube = rng.uniform(-1.0, 1.0, (2, 2, degree + 1))
+        wide = rng.uniform(-1.0, 1.0, (2, 2 * degree + 2))
+        same = np.asarray
+        for stack, rows_of in ((points, same), (cube, same), (points[:2].T, np.transpose),
+                               (wide[:, ::2], same)):
+            for parity in (0, 1):
+                series = coefficients[parity::2]
+                stacked = _parity_clenshaw(stack, series, parity)
+                assert stacked.shape == stack.shape
+                for row, values in zip(rows_of(stack).reshape(-1, degree + 1),
+                                       rows_of(stacked).reshape(-1, degree + 1)):
+                    alone = _parity_clenshaw(np.array(row), series, parity)
+                    assert values.tobytes() == alone.tobytes()
 
     def test_erf_approximant_accurate_near_zero(self):
         # Degree 791, whose coefficients alternate in sign, so its terms all
@@ -591,6 +602,163 @@ class TestSemiPellian:
         rallfuller._build_semi_pellians([key])
         assert len(cache) == 4096
         assert sentinels[0] not in cache and sentinels[1] in cache and key in cache
+
+
+def per_call_erf_poly(scale, accuracy):
+    """erf_poly(scale, accuracy) built one numpy wrapper call at a time: the
+    series length, Miller's recurrence (its ratios turned from a reversed
+    list into an array), the series and its truncation with np.sum,
+    np.cumsum, np.cumprod and np.append."""
+    cap = rallfuller._DEGREE_CAP // 2 + 1
+    big_k = 2.0 * scale
+    z = 0.5 * big_k * big_k
+    prefactor = 2.0 * big_k / math.sqrt(math.pi)
+    terms = cap
+    for size in (128, 512, cap):
+        j = np.arange(size)
+        ratio = _amos_ratio(j, z)
+        scaled_bessel = np.concatenate(([1.0], np.cumprod(ratio[:-1])))
+        remaining = prefactor * scaled_bessel * (1.0 + ratio) / ((1.0 - ratio) * (2.0 * j + 1.0))
+        (small,) = np.nonzero(remaining <= 0.25 * accuracy)
+        if small.size:
+            terms = min(int(small[0]) + 2, cap)
+            break
+    span = 2 * terms + 64
+    while True:
+        log_shrink = np.cumsum(np.log(_amos_ratio(np.arange(terms, terms + span), z)))
+        (reached,) = np.nonzero(log_shrink <= -45.0)
+        if reached.size:
+            break
+        span *= 2
+    start = terms + int(reached[0]) + 1
+    ratio, backward = 0.0, []
+    for j in range(start, 0, -1):
+        ratio = z / (2.0 * j + z * ratio)
+        backward.append(ratio)
+    ratios = np.array(backward[::-1])
+    products = np.cumprod(ratios)
+    scaled_i0 = 1.0 / (1.0 + 2.0 * float(np.sum(products)))
+    eps = np.finfo(float).eps
+    damping = np.maximum.accumulate((ratios * np.append(ratios[1:], 0.0))[::-1])[::-1]
+    ratio_error = float(np.sum(1.5 * eps / (1.0 - damping)))
+    bessel_error = 2.0 * (ratio_error + start * eps) + 4.0 * eps
+    bessel = scaled_i0 * np.concatenate(([1.0], products[:terms]))
+    j = np.arange(terms)
+    odd = prefactor * np.where(j % 2, -1.0, 1.0) * (bessel[:-1] + bessel[1:]) / (2 * j + 1)
+    r = _amos_ratio(terms, z)
+    remainder = prefactor * bessel[terms] * (1.0 + r) / ((1.0 - r) * (2 * terms + 1))
+    rounding = (bessel_error + (terms + 8) * eps) * float(np.sum(np.abs(odd)))
+    tail = np.cumsum(np.abs(odd[::-1]))[::-1]
+    bound = np.append(tail[1:], 0.0)[: (rallfuller._DEGREE_CAP + 1) // 2] + (remainder + rounding)
+    (fits,) = np.nonzero(bound <= accuracy)
+    if not fits.size:
+        raise PolynomialConstructionError(
+            f"no odd polynomial of degree <= {rallfuller._DEGREE_CAP} reached accuracy {accuracy} "
+            f"for erf({scale} x); best sup error {float(bound[-1])}"
+        )
+    cut = int(fits[0])
+    return ErfApproximant(tuple(odd[: cut + 1].tolist()), float(bound[cut]))
+
+
+def per_row_series(erf_part, scale, a_mid):
+    """One row's untrimmed even-index coefficients, its erf approximant
+    summed by a Clenshaw recurrence on that row alone."""
+    points = erf_part.degree + 1
+    t = (np.sin(0.5 * np.pi / points * np.arange(-points + 1, points + 1, 2)) - a_mid) / 2.0
+    head, rest = erf_part.coefficients[0], erf_part.coefficients[:0:-1]
+    w = 4.0 * t * t
+    s, b, scratch = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+    for a in rest:
+        np.multiply(w, b, scratch)
+        np.add(scratch, a, scratch)
+        np.subtract(scratch, s, s)
+        np.subtract(s, b, b)
+    shifted = 1.0 + scale + t * (head + (w - 2.0) * b - s)
+    values = (shifted + shifted[::-1]) / (5.0 * scale + 2.0)
+    spectrum = np.fft.rfft(np.concatenate((values, values)))[:points:2]
+    coef = (spectrum * np.exp(-0.5j * np.pi / points * np.arange(0, points, 2))).real / points
+    coef[0] *= 0.5
+    return coef
+
+
+def per_key_semi_pellian(scale, k, a_min, width):
+    """The semi-Pellian at one key, or the error building it, from the per-call
+    erf approximant, the per-row series and a per-row tail and cut."""
+    try:
+        erf_part = per_call_erf_poly(k, scale)
+        coef = per_row_series(erf_part, scale, a_min + 0.5 * width)
+        tail = np.append(np.cumsum(np.abs(coef[::-1]))[::-1], 0.0)
+        cut = max(1, int(np.argmax(tail <= _TRIM_BUDGET)))
+        kept = (coef[:cut].tolist(), float(tail[cut]))
+        return rallfuller._certified(erf_part, kept, scale, k, a_min, width)
+    except (PolynomialConstructionError, GapCertificateError) as err:
+        return err
+
+
+class TestBuildMatchesPerKeyPath:
+    """Stacked, batched construction gives the per-key path's floats bit for bit."""
+
+    def test_erf_approximants_match_per_call_construction(self):
+        regimes = set()
+        for scale in np.geomspace(0.3, 700.0, 25):
+            for accuracy in np.geomspace(1e-2, 1e-6, 6):
+                args = (float(scale), float(accuracy))
+                try:
+                    expected = per_call_erf_poly(*args)
+                except PolynomialConstructionError as err:
+                    with pytest.raises(PolynomialConstructionError) as info:
+                        erf_poly.__wrapped__(*args)
+                    assert str(info.value) == str(err)
+                    regimes.add("over the cap")
+                    continue
+                approx = erf_poly.__wrapped__(*args)
+                assert np.array(approx.coefficients).tobytes() == (
+                    np.array(expected.coefficients).tobytes()), args
+                assert approx.sup_error == expected.sup_error, args
+                regimes.add("first prefix" if approx.degree < 256 else "later prefix")
+        assert regimes == {"first prefix", "later prefix", "over the cap"}
+
+    def test_step_groups_match_per_key_construction(self):
+        # groups of 1-7 keys sharing a step's (scale, k), on both branches;
+        # one group fails its gap certificate, one needs an approximant of
+        # degree above the cap
+        rng = np.random.default_rng(34)
+        groups = [[(0.01, 1e-3, 0.1, 0.5), (0.01, 1e-3, 0.3, 0.5)], [(0.001, 600.0, 0.0, 1.0)]]
+        branches = set()
+        while len(groups) < 26:
+            width = 0.9 ** int(rng.integers(0, 60))
+            beta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
+            shallow_from, table = rallfuller._step_rule(width, beta)
+            pick = int(rng.integers(0, len(table)))
+            # the midpoints that pick this entry, inside [width / 2, 1 - width / 2]
+            low, high = (0.5 * width, min(shallow_from, 1.0 - 0.5 * width)) if pick == 0 else (
+                shallow_from, 1.0 - 0.5 * width)
+            if low >= high:
+                continue
+            entry = table[pick]
+            a_mins = rng.uniform(low, high, int(rng.integers(1, 8))) - 0.5 * width
+            groups.append([(entry.scale, entry.k, float(a_min), width) for a_min in a_mins])
+            branches.add(entry.branch)
+        assert branches == {BRANCH_FULL_DEPTH, BRANCH_LOW_DEPTH}
+        assert {len(group) for group in groups} >= {1, 7}
+        outcomes = set()
+        for group in groups:
+            _semi_pellians.clear()
+            erf_poly.cache_clear()
+            built = rallfuller._build_semi_pellians(group)
+            for key in group:
+                expected, poly = per_key_semi_pellian(*key), built[key]
+                assert type(poly) is type(expected), key
+                outcomes.add(type(poly).__name__)
+                if isinstance(expected, Exception):
+                    assert str(poly) == str(expected)
+                    continue
+                assert np.array(poly.coefficients).tobytes() == (
+                    np.array(expected.coefficients).tobytes()), key
+                assert poly.gap_certificate == expected.gap_certificate, key
+                scale, k = key[:2]
+                assert erf_poly(k, scale).sup_error == per_call_erf_poly(k, scale).sup_error
+        assert outcomes == {"SemiPellianPoly", "GapCertificateError", "PolynomialConstructionError"}
 
 
 class TestGridReference:
