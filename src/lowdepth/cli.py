@@ -72,8 +72,7 @@ def _one_of(*choices: str):
     return convert
 
 
-# Each command's flags: flag -> (destination, converter, default).  A converter
-# of None marks a switch, which takes no value and turns its setting on.
+# Each command's flags: flag -> (destination, converter, default).
 _TARGET_FLAGS = {
     "--epsilon": ("epsilon", float, 0.05),
     "--delta": ("delta", float, 0.05),
@@ -95,7 +94,6 @@ FLAGS = {
         "--trials": ("trials", int, 100),
         **_REPORT_FLAGS,
         "--format": ("format", _one_of(*TRIAL_FORMATS), "json"),  # svg is for scale only
-        "--parallel": ("parallel", None, False),
         "--bias-scale": ("bias_scale", float, None),
         "--tail-magnitude": ("tail_magnitude", float, None),
         "--config": ("config", str, None),  # flat key = value config file
@@ -121,21 +119,9 @@ def usage(command: str | None) -> str:
                 f" (lowdepth <command> -h lists its flags)\n\n{__doc__}")
     lines = [f"usage: lowdepth {command} [--flag value | --flag=value ...]"]
     for flag, (_, convert, default) in FLAGS[command].items():
-        kind = "" if convert is None else " " + convert.__name__.lstrip("_")
-        shown = "" if convert is None or default is None else f" (default {default})"
-        lines.append(f"  {flag}{kind}{shown}")
+        shown = "" if default is None else f" (default {default})"
+        lines.append(f"  {flag} {convert.__name__.lstrip('_')}{shown}")
     return "\n".join(lines)
-
-
-def _switch_on(key: str, text: str) -> bool:
-    """A config-file switch entry; any text but the listed spellings is an error."""
-    value = text.strip().lower()
-    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise ConfigError(
-            f"config file value for {key!r}: "
-            f"expected 1, true, yes, on, 0, false, no or off, got {text!r}"
-        )
-    return value in ("1", "true", "yes", "on")
 
 
 def _converted(name: str, convert, text: str):
@@ -167,11 +153,6 @@ def parse_argv(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
         if flag not in flags:
             raise ConfigError(f"unknown {command} flag {flag!r} (flags are spelled out in full)")
         dest, convert, _ = flags[flag]
-        if convert is None:
-            if has_value:
-                raise ConfigError(f"{flag} takes no value")
-            given[dest] = True
-            continue
         if not has_value:
             text = next(tokens, None)
             if text is None or text.startswith("--"):
@@ -185,9 +166,7 @@ def parse_argv(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
             raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
         # every entry is checked, even one the command line overrides
         for key, text in entries.items():
-            value = (_switch_on(key, text) if keys[key] is None
-                     else _converted(f"config file value for {key!r}", keys[key], text))
-            given.setdefault(key, value)
+            given.setdefault(key, _converted(f"config file value for {key!r}", keys[key], text))
     return command, SimpleNamespace(**{dest: given.get(dest, default)
                                        for dest, _, default in flags.values()})
 
@@ -213,7 +192,7 @@ def _cmd_run(args) -> int:
     if args.algorithm is None or args.truth is None:
         raise ConfigError("--algorithm and --truth are required (flag or config file)")
     config = ExperimentConfig(args.algorithm, args.truth, _target(args), _constants(args),
-                              args.trials, args.seed, args.parallel)
+                              args.trials, args.seed)
     report = run_experiment(config)
     if args.out is not None:
         export_report(report, args.format, args.out)
@@ -256,8 +235,8 @@ def _charged_depth(plan, cost, target) -> int:
 
 def _cmd_params(args) -> int:
     target, constants = _target(args), _constants(args)
-    # every plan is built before the first line, so a configuration error
-    # prints nothing; phase and Rall-Fuller may be out of range where the others run
+    # every line is built before the first is printed, so an error prints
+    # nothing; phase and Rall-Fuller may be out of range where the others run
     plan1 = ALGORITHMS["type1"].build_plan(target, constants)
     plan2 = ALGORITHMS["type2"].build_plan(target, constants)
     # printed beside the estimator knobs: the depth the ledger charges, its contract's, not theirs
@@ -279,6 +258,10 @@ def _cmd_params(args) -> int:
         rf_line = f"Rall-Fuller plan:      cannot run: {err.__cause__}"
     else:
         rf_line = f"Rall-Fuller plan:      {rf_plan.summary()}"
+    type1_charge = _charged_depth(plan1, blackbox.UQAE1_COST, target)
+    amp = blackbox.cornelissen_amp_params(target)
+    phase = blackbox.cornelissen_phase_params(target)
+    register = blackbox.apeldoorn_phase_params(target)
     print(f"target: epsilon={target.epsilon:g} delta={target.delta:g} beta={target.beta:g}")
     print(
         f"bias/variance plan:    bias_bound={plan1.bias_bound:.6g} "
@@ -292,19 +275,16 @@ def _cmd_params(args) -> int:
     )
     print(phase_line)
     print(rf_line)
-    amp = blackbox.cornelissen_amp_params(target)
     print(
         f"amplitude estimator knobs:  depth_scale={amp.depth_scale:.6g} "
         f"bias_bound={amp.bias_bound:.6g} (bias<= {amp.implied_bias_bound:.6g}, "
         f"variance<= {amp.implied_variance_bound:.6g}) | charged max_depth: "
-        f"type1={_charged_depth(plan1, blackbox.UQAE1_COST, target)}"
+        f"type1={type1_charge}"
     )
-    phase = blackbox.cornelissen_phase_params(target)
     print(
         f"phase estimator knobs:      depth_scale={phase.depth_scale:.6g} "
         f"bias_bound={phase.bias_bound:.6g}"
     )
-    register = blackbox.apeldoorn_phase_params(target)
     print(
         f"register phase estimator:   m={register.m:.6g} n={register.n} "
         f"depth_scale={register.depth_scale} | charged max_depth: {register_charges}"

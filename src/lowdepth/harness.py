@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 from collections import namedtuple
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -68,7 +67,10 @@ def _type2_trials(truth, target, constants, plan, seeds, ledgers):
 
     def sampler(_stage, contract, rng, run_ledger, size):
         bias_setting = bias_scale * contract.bias_bound
-        run_tail = contract.output_cap - truth - abs(bias_setting) if tail is None else tail
+        # the largest tail the cap allows, floored at 0 so that a truth and bias
+        # already past the cap fail the sampler's output-cap check
+        run_tail = tail if tail is not None else max(
+            0.0, contract.output_cap - truth - abs(bias_setting))
         return blackbox.synth_uqae2_sample(
             amplitude, contract, bias_setting, run_tail, rng, run_ledger, size=size
         )
@@ -211,15 +213,14 @@ _TOLERANCE_PROVENANCE = {
 
 
 class ExperimentConfig(namedtuple(
-        "ExperimentConfig", "algorithm truth target constants trials master_seed parallel")):
+        "ExperimentConfig", "algorithm truth target constants trials master_seed")):
     """One experiment: an algorithm, a hidden truth, a target and a seed."""
 
     __slots__ = ()
 
     def __new__(cls, algorithm: str, truth: float, target: TargetSpec,
-                constants: dict | None = None, trials: int = 1, master_seed: int = 0,
-                parallel: bool = False):
-        for name, value, kind in (("target", target, TargetSpec), ("parallel", parallel, bool),
+                constants: dict | None = None, trials: int = 1, master_seed: int = 0):
+        for name, value, kind in (("target", target, TargetSpec),
                                   ("constants", {} if constants is None else constants, dict)):
             if not isinstance(value, kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
@@ -233,7 +234,7 @@ class ExperimentConfig(namedtuple(
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         self = super().__new__(cls, algorithm, truth, target, constants, int(trials),
-                               int(master_seed), parallel)
+                               int(master_seed))
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHMS)}"
@@ -301,9 +302,8 @@ class TrialReport(NamedTuple):
     trial_queries: list[int]
 
 
-def _run_batch(job) -> list[tuple[float, int, int]]:
-    """Trials ``indices`` of ``config`` on ``plan``, a ``(config, plan, indices)`` job, in order."""
-    config, plan, indices = job
+def _run_batch(config: ExperimentConfig, plan, indices) -> list[tuple[float, int, int]]:
+    """Trials ``indices`` of ``config`` on ``plan``, in order."""
     seeds = [derive_stream(SeedSpec(config.master_seed, 0), index) for index in indices]
     ledgers = [ResourceLedger() for _ in indices]
     estimates = []
@@ -311,32 +311,18 @@ def _run_batch(job) -> list[tuple[float, int, int]]:
         for estimate in ALGORITHMS[config.algorithm].trial(
                 config.truth, config.target, config.resolved_constants(), plan, seeds, ledgers):
             estimates.append(estimate)
-    except (SimulationError, ValueError) as err:
+    except (SimulationError, ValueError, MemoryError) as err:
+        # MemoryError: a stage whose draws numpy cannot allocate fails its trial
         raise AlgorithmError(f"trial {indices[len(estimates)]}: {err}") from err
     return [(estimate, ledger.max_depth, ledger.total_queries)
             for estimate, ledger in zip(estimates, ledgers)]
 
 
 def run_experiment(config: ExperimentConfig) -> TrialReport:
-    """Run all trials on one plan, a contiguous range per worker under ``parallel``, and report."""
+    """Run all trials on one plan as one batch, and report."""
     record = ALGORITHMS[config.algorithm]
     plan = record.build_plan(config.target, config.resolved_constants())
-    indices = range(config.trials)
-    if config.parallel and config.trials > 1:
-        # imported here: the process pool loads multiprocessing, which a
-        # serial call never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one contiguous range of trials per worker, so that a worker's
-        # Rall-Fuller lockstep builds each polynomial its trials share once
-        workers = min(os.cpu_count() or 1, config.trials)
-        size = math.ceil(config.trials / workers)
-        chunks = [(config, plan, indices[start:start + size]) for start in indices[::size]]
-        with ProcessPoolExecutor(workers) as pool:
-            outcomes = [row for rows in pool.map(_run_batch, chunks) for row in rows]
-    else:
-        outcomes = _run_batch((config, plan, indices))
-
+    outcomes = _run_batch(config, plan, range(config.trials))
     estimates, depths, queries = map(list, zip(*outcomes))
     deviations = [record.deviation(estimate, config.truth) for estimate in estimates]
     successes = sum(1 for d in deviations if abs(d) <= config.target.epsilon)
@@ -415,7 +401,7 @@ def scaling_study(algorithm: str, truth: float, delta: float, epsilon_grid: list
     for index, (config, plan) in enumerate(zip(configs, plans)):
         epsilon, beta = config.target.epsilon, config.target.beta
         try:
-            [(_, depth, queries)] = _run_batch((config, plan, [index]))
+            [(_, depth, queries)] = _run_batch(config, plan, [index])
         except AlgorithmError as err:
             errors.append({"epsilon": epsilon, "beta": beta, "error": str(err.__cause__)})
             continue

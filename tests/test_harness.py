@@ -1,7 +1,5 @@
-import concurrent.futures
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import subprocess
@@ -64,31 +62,6 @@ def quick_config(**overrides):
     return ExperimentConfig(**base)
 
 
-@pytest.fixture
-def serial_pools(monkeypatch):
-    """Replace the process pool by one that runs its jobs in order in this
-    process; returns the pools opened, each as (worker count, jobs mapped)."""
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers=None):
-            self.jobs = []
-            pools.append((max_workers, self.jobs))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, function, jobs, chunksize=1):
-            self.jobs.extend(jobs)
-            return map(function, self.jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return pools
-
-
 class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
@@ -121,13 +94,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value, message",
         [("target", (0.05, 0.1, 0.5), "target must be a TargetSpec"),
-         ("constants", [("r", 0.1)], "constants must be a dict"),
-         ("parallel", "no", "parallel must be a bool")],
-        ids=["tuple-target", "list-constants", "text-parallel"],
+         ("constants", [("r", 0.1)], "constants must be a dict")],
+        ids=["tuple-target", "list-constants"],
     )
     def test_fields_of_the_wrong_kind_rejected(self, field, value, message):
         # each once got past the config: a tuple target and listed constants
-        # raised AttributeError later, and "no" read as true opened a pool
+        # raised AttributeError later
         with pytest.raises(ConfigError, match=message):
             quick_config(**{field: value})
 
@@ -202,27 +174,30 @@ class TestRunExperiment:
         second = run_experiment(quick_config(trials=40))
         assert first == second
 
-    def test_parallel_matches_serial(self):
-        serial = run_experiment(quick_config(trials=24))
-        parallel = run_experiment(quick_config(trials=24, parallel=True))
-        assert serial == parallel
+    @pytest.mark.parametrize("truth", [0.999, 1.0])
+    def test_type2_default_tail_past_the_cap_names_the_cap(self, truth):
+        # the default tail is the largest the cap allows, floored at 0, so a
+        # truth and bias past the cap fail on the cap, not on an unset flag
+        config = quick_config(algorithm="type2", truth=truth, trials=2)
+        with pytest.raises(AlgorithmError) as info:
+            run_experiment(config)
+        assert "output cap" in str(info.value) and "tail_magnitude" not in str(info.value)
 
-    @pytest.mark.parametrize("cpus, trials, ranges", [
-        (3, 37, [range(0, 13), range(13, 26), range(26, 37)]),
-        (8, 2, [range(0, 1), range(1, 2)]),
-    ])
-    def test_parallel_maps_one_contiguous_range_per_worker(
-        self, cpus, trials, ranges, serial_pools, monkeypatch
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        config = quick_config(trials=trials, parallel=True)
-        report = run_experiment(config)
-        [(workers, jobs)] = serial_pools
-        assert workers == len(ranges)
-        # each job is (config, plan, indices): the config itself and the one plan
-        assert [(job[0], job[2]) for job in jobs] == [(config, indices) for indices in ranges]
-        assert len({id(job[1]) for job in jobs}) == 1
-        assert report == run_experiment(quick_config(trials=trials))
+    def test_draws_that_cannot_be_allocated_fail_their_trial(self, monkeypatch):
+        # stands in for numpy refusing a stage's draws; never allocate them for real
+        sample = blackbox.synth_uqae1_sample
+
+        def refusing(amplitude, contract, *args, **kwargs):
+            if contract.bias_bound < 0.001:  # the epsilon 0.01 cells' stages alone
+                raise MemoryError("cannot allocate the runs")
+            return sample(amplitude, contract, *args, **kwargs)
+
+        monkeypatch.setattr(blackbox, "synth_uqae1_sample", refusing)
+        with pytest.raises(AlgorithmError, match="^trial 0: cannot allocate the runs$"):
+            run_experiment(quick_config(target=TargetSpec(0.01, 0.1, 0.5), trials=2))
+        study = scaling_study("type1", 0.3, 0.1, [0.1, 0.05, 0.01], [0.5])
+        assert [row.epsilon for row in study.rows] == [0.1, 0.05]
+        assert study.errors[0] == {"epsilon": 0.01, "beta": 0.5, "error": "cannot allocate the runs"}
 
     def test_inner_error_carries_trial_index(self):
         # a tail this far out passes configuration but breaks the sampler's cap
@@ -439,9 +414,8 @@ class TestBatches:
             ), index
 
     def test_records_a_batch_carries_pickle_as_themselves_and_still_validate(self):
-        # a --parallel batch pickles its target and plan to a worker process;
-        # seeds and contracts are records of the same kind, so they take the
-        # same trip, and each must come back equal and as its own class
+        # a target, a plan, a seed and a contract are records a caller may
+        # pickle, to cache or to ship; each must come back equal and as its own class
         target = TargetSpec(0.05, 0.1, 0.5)
         plans = [ALGORITHMS[name].build_plan(target, {}) for name in ("type1", "type2", "phase")]
         contracts = [plans[0].contract(), plans[1].contract(), plans[2].main_contract(target)]
@@ -503,17 +477,13 @@ class TestBatches:
         rallfuller._semi_pellians.clear()
         return low, own[low][-1], alone, refusals
 
-    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
-    def test_a_failed_batch_names_its_lowest_failing_trial(self, parallel, monkeypatch):
-        if parallel and multiprocessing.get_start_method() != "fork":
-            pytest.skip("the refusing builder reaches worker processes only through fork")
-        config = quick_config(algorithm="rallfuller", truth=0.4, trials=20, parallel=parallel)
+    def test_a_failed_batch_names_its_lowest_failing_trial(self, monkeypatch):
+        config = quick_config(algorithm="rallfuller", truth=0.4, trials=20)
         low, step, _, refusals = self.forced_failures(config, monkeypatch)
         with pytest.raises(AlgorithmError) as info:
             run_experiment(config)
         assert str(info.value) == f"trial {low}: refused at step {step}"
-        if not parallel:  # worker processes count in their own copies
-            assert list(refusals.values()) == [1, 1]
+        assert list(refusals.values()) == [1, 1]
 
     def test_trials_before_a_failed_one_run_to_completion(self, monkeypatch):
         config = quick_config(algorithm="rallfuller", truth=0.4, trials=20)
@@ -764,9 +734,9 @@ class TestScalingStudy:
     def test_cell_index_runs_alone_as_a_checked_one_trial_config(self, monkeypatch):
         jobs, run_batch = [], harness._run_batch
 
-        def recording(job):
-            jobs.append(job)
-            return run_batch(job)
+        def recording(config, plan, indices):
+            jobs.append((config, plan, indices))
+            return run_batch(config, plan, indices)
 
         monkeypatch.setattr(harness, "_run_batch", recording)
         study = scaling_study("type2", 0.3, 0.1, [0.1, 0.05], [0.0, 1.0], {"C": 2.0}, 5)
@@ -821,22 +791,16 @@ RUN_OPTION_VALUES = {
     # a value starting with "-" still reads as a value, not a flag
     "out": ("-b.json", "a.json"),
     "format": ("csv", "json"),
-    # a flag can switch --parallel on, not off
-    "parallel": ("no", "yes"),
     "bias_scale": ("-0.5", "1"),
     "tail_magnitude": ("0.2", "0.1"),
 }
-# Each ``run`` setting and its flag, which a switch (converter None) names alone.
-RUN_OPTIONS = {dest: (flag, convert) for flag, (dest, convert, _) in FLAGS["run"].items()
-               if dest != "config"}
+# Each ``run`` setting and its flag.
+RUN_OPTIONS = {dest: flag for flag, (dest, _, _) in FLAGS["run"].items() if dest != "config"}
 
 
 def run_tokens(key: str, value: str) -> list[str]:
     """The command-line tokens giving option ``key`` ``value``."""
-    flag, convert = RUN_OPTIONS[key]
-    if convert is None:
-        return [flag] if value == "yes" else []
-    return [f"{flag}={value}"]
+    return [f"{RUN_OPTIONS[key]}={value}"]
 
 
 # Two values of each ``scale`` setting; each must change what the sweep writes.
@@ -890,12 +854,11 @@ class TestConfigFile:
     BASE = {"algorithm": "type2", "truth": "0.3", "trials": "2", "out": "a.json"}
 
     @pytest.fixture
-    def outcome(self, tmp_path, monkeypatch, capsys, serial_pools):
-        pools = serial_pools
+    def outcome(self, tmp_path, monkeypatch, capsys):
         runs = iter(range(100))
 
         def outcome(flags: dict, entries: dict | None = None):
-            """Exit code, stdout, pools opened and files written by one run."""
+            """Exit code, stdout and files written by one run."""
             workdir = tmp_path / f"run{next(runs)}"
             workdir.mkdir()
             monkeypatch.chdir(workdir)
@@ -905,10 +868,9 @@ class TestConfigFile:
                 config = tmp_path / f"{workdir.name}.cfg"
                 config.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
                 argv += ["--config", str(config)]
-            del pools[:]
             code = main(argv)
             files = {path.name: path.read_bytes() for path in workdir.iterdir()}
-            return code, capsys.readouterr().out, len(pools), files
+            return code, capsys.readouterr().out, files
 
         return outcome
 
@@ -919,7 +881,7 @@ class TestConfigFile:
         by_flag = {}
         for value in (file_value, flag_value):
             by_flag[value] = outcome({**others, key: value})
-            assert by_flag[value][0] == 0 and by_flag[value][3]
+            assert by_flag[value][0] == 0 and by_flag[value][2]
             assert outcome(others, {key: value}) == by_flag[value]
         assert by_flag[file_value] != by_flag[flag_value]
         assert outcome({**others, key: flag_value}, {key: file_value}) == by_flag[flag_value]
@@ -931,7 +893,7 @@ class TestConfigFile:
         assert main(["run", "--config", str(config)]) == 2
         assert "unknown config file keys" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", ["trials = 1.5", "algorithm = bogus", "parallel = ture"])
+    @pytest.mark.parametrize("entry", ["trials = 1.5", "algorithm = bogus"])
     def test_an_entry_its_converter_refuses_exits_two_even_when_overridden(
         self, entry, tmp_path, capsys
     ):
@@ -1011,7 +973,7 @@ class TestCli:
     def test_cli_import_leaves_numpy_random_unloaded(self, module):
         # numpy loads numpy.random on first use; importing the CLI must not
         # move that cost out of the first draw and into start-up; no report
-        # writer uses csv; only --parallel needs the process pool, the
+        # writer uses csv; no report runs in a process pool, the
         # Chebyshev nodes are computed without numpy.polynomial, no record
         # is a dataclass, whose methods are compiled when its class is built,
         # and the flags are read from a table, not by argparse
@@ -1059,11 +1021,16 @@ class TestCli:
         config_file.write_text("algorithm = type1\ntruth = 0.3\ntrails = 5\n")
         assert main(["run", "--config", str(config_file)]) == 2
 
-    def test_config_file_parallel_must_be_a_listed_spelling(self, tmp_path, capsys):
-        config_file = tmp_path / "parallel.cfg"
-        for value, code in (("ture", 2), ("off", 0)):
-            config_file.write_text(f"algorithm = type1\ntruth = 0.3\ntrials = 2\nparallel = {value}\n")
-            assert main(["run", "--config", str(config_file)]) == code
+    def test_parallel_flag_and_config_entry_are_unknown(self, tmp_path, capsys):
+        # every report runs its trials as one batch in this process
+        out, config_file = tmp_path / "par.json", tmp_path / "parallel.cfg"
+        config_file.write_text("parallel = 1\n")
+        run = ["run", "--algorithm", "type1", "--truth", "0.3", "--trials", "2", "--out", str(out)]
+        assert main([*run, "--parallel"]) == 2
+        assert "unknown run flag '--parallel'" in capsys.readouterr().err
+        assert main([*run, "--config", str(config_file)]) == 2
+        assert "unknown config file keys: ['parallel']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_out_of_range_seed_exits_two(self, seed, capsys):
@@ -1087,7 +1054,6 @@ class TestCli:
             ["run", "--algorithm", "type1", "--truth", "--trials", "2"],
             # argparse took an unambiguous prefix; a flag is now spelled out in full
             ["run", "--algorithm", "type1", "--truth", "0.3", "--eps", "0.1"],
-            ["run", "--algorithm", "type1", "--truth", "0.3", "--parallel=yes"],
             ["params", "--trials", "5"],
             ["run", "--algorithm", "type1", "--truth", "0.3", "stray"],
             ["--epsilon", "0.1", "params"],
@@ -1136,6 +1102,13 @@ class TestCli:
         assert main(["params", "--cap-C", cap]) == 2
         captured = capsys.readouterr()
         assert "output_cap must be finite" in captured.err and captured.out == ""
+
+    def test_params_prints_nothing_when_a_line_fails(self, capsys):
+        # the register estimator's line is the last, and the only one that fails here
+        assert main(["params", "--delta", "1e-300"]) == 3
+        captured = capsys.readouterr()
+        assert "algorithm error: cannot take ceiling of inf" in captured.err
+        assert captured.out == ""
 
     def test_params_prints_why_phase_cannot_run(self, capsys):
         assert main(["params", "--epsilon", "0.5"]) == 0
@@ -1369,21 +1342,6 @@ class TestCli:
         )
         assert code == 0
         ET.fromstring(out.read_text())
-
-    def test_parallel_flag_accepted(self, tmp_path, capsys):
-        out = tmp_path / "par.json"
-        code = main(
-            [
-                "run",
-                "--algorithm", "type1",
-                "--truth", "0.3",
-                "--trials", "8",
-                "--seed", "11",
-                "--parallel",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0 and out.exists()
 
     def test_bad_scale_grid_exits_two(self, capsys):
         assert main(["scale", "--epsilon-grid", "2,3", "--beta-grid", "0"]) == 2

@@ -1036,7 +1036,7 @@ class TestRfPlan:
             assert tosses == tuple(coin_tosses(entry.scale, delta / steps) for entry in table)
         forced = [table for _, table, _ in plan.steps if len(table) == 1][-1]
         assert forced == (plan.forced,) and plan.forced.branch == BRANCH_FULL_DEPTH
-        # --parallel ships the plan to its workers
+        # a plan pickles as itself, as the harness's other records do
         copy = pickle.loads(pickle.dumps(plan))
         assert type(copy) is RfPlan and copy == plan
 
