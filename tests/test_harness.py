@@ -1021,13 +1021,18 @@ class TestCli:
         config_file.write_text("algorithm = type1\ntruth = 0.3\ntrails = 5\n")
         assert main(["run", "--config", str(config_file)]) == 2
 
-    def test_parallel_flag_and_config_entry_are_unknown(self, tmp_path, capsys):
+    def test_parallel_flag_is_unknown(self, tmp_path, capsys):
         # every report runs its trials as one batch in this process
-        out, config_file = tmp_path / "par.json", tmp_path / "parallel.cfg"
-        config_file.write_text("parallel = 1\n")
+        out = tmp_path / "par.json"
         run = ["run", "--algorithm", "type1", "--truth", "0.3", "--trials", "2", "--out", str(out)]
         assert main([*run, "--parallel"]) == 2
         assert "unknown run flag '--parallel'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_parallel_entry_is_unknown(self, tmp_path, capsys):
+        out, config_file = tmp_path / "par.json", tmp_path / "parallel.cfg"
+        config_file.write_text("parallel = 1\n")
+        run = ["run", "--algorithm", "type1", "--truth", "0.3", "--trials", "2", "--out", str(out)]
         assert main([*run, "--config", str(config_file)]) == 2
         assert "unknown config file keys: ['parallel']" in capsys.readouterr().err
         assert not out.exists()
