@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .blackbox import Sampler, Uqae1Contract, Uqae2Contract, walk_stages
-from .core import ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream, exact_sum
+from .core import ResourceLedger, SeedSpec, TargetSpec, ceil_int, counted_sum, derive_stream
 
 # Bias fraction r and variance fraction s used by default for the
 # bias/variance plan; they satisfy s < (1 - r)^2 / 2 with modest slack.
@@ -160,9 +160,9 @@ def aggregate_type1(
 
     The runs are the plan's one stage, drawn as :mod:`lowdepth.core` lays out.
     """
-    [values] = walk_stages(sampler, plan.stages(), derive_stream(seed, 0).rng(), ledger)
-    # an exactly rounded sum, independent of summation order
-    return exact_sum(values) / plan.runs
+    [outcomes] = walk_stages(sampler, plan.stages(), derive_stream(seed, 0).rng(), ledger)
+    # the exactly rounded sum of each outcome times its count: fsum of the runs
+    return counted_sum(outcomes) / plan.runs
 
 
 # bound here for bench/tracing.py, which wraps this name apart from aggregate_type1

@@ -3,7 +3,8 @@
 The synthetic samplers realise their contracts *exactly* (two-point
 constructions), which isolates the aggregation math from any particular
 estimation circuit.  Each draws ``size`` independent runs from the generator
-it is given and returns them as an array, run i being element i.  The
+it is given and returns them as ``(values, counts)``: each outcome of the
+construction and how many runs landed on it.  The
 parameter calculators translate a precision / failure / depth target into
 the knob settings of the three published weakly-biased estimators this
 package models.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,26 +121,39 @@ UQPE2_COST = UQAE2_COST
 
 
 # A sampler draws ``size`` independent runs of one contract from the trial's
-# generator as a float array (angles for a phase contract); its first argument
-# names the plan stage it serves, the one way it tells stages apart.  The
-# generator type is quoted: numpy loads numpy.random on first use, and that
-# cost belongs to the first draw, not to importing this package.
+# generator and returns them as ``(values, counts)``: a 1-D sequence of outcome
+# values (angles for a phase contract) and a same-length sequence of non-negative
+# integer counts, summing to ``size``, of the runs that landed on each.  Its first
+# argument names the plan stage it serves, the one way it tells stages apart.  The
+# generator type is quoted: numpy loads numpy.random on first use, and that cost
+# belongs to the first draw, not to importing this package.
 Sampler = Callable[
     [str, Uqae1Contract | Uqae2Contract | Uqpe2Contract, "np.random.Generator", ResourceLedger, int],
-    np.ndarray,
+    tuple[Sequence[float], Sequence[int]],
 ]
 
 
 def walk_stages(sampler: Sampler, stages, rng: np.random.Generator, ledger: ResourceLedger):
     """One sampler call per ``(name, contract, runs)`` stage, in list order,
-    all drawing from ``rng``; returns the draws in that order.  A draw whose
-    shape is not ``(runs,)`` is rejected."""
+    all drawing from ``rng``; returns each stage's runs as a list of
+    ``(value, count)`` pairs of Python numbers, in the sampler's order, for the
+    outcomes at least one run landed on.  Values that are not 1-D, counts of
+    another length, counts that are not non-negative integers and counts that
+    do not sum to ``runs`` are rejected."""
     draws = []
     for name, contract, runs in stages:
-        values = np.asarray(sampler(name, contract, rng, ledger, runs), dtype=float)
-        if values.shape != (runs,):
-            raise ValueError(f"stage {name!r} drew shape {values.shape}, expected ({runs},)")
-        draws.append(values)
+        values, counts = sampler(name, contract, rng, ledger, runs)
+        values, counts = np.asarray(values, dtype=float), np.asarray(counts)
+        if values.ndim != 1 or counts.shape != values.shape:
+            raise ValueError(f"stage {name!r} drew values of shape {values.shape} and counts "
+                             f"of shape {counts.shape}, expected two 1-D arrays of one length")
+        counts = counts.tolist()
+        if any(type(count) is not int or count < 0 for count in counts):
+            raise ValueError(
+                f"stage {name!r} drew counts {counts}, expected non-negative integers")
+        if sum(counts) != runs:
+            raise ValueError(f"stage {name!r} drew {sum(counts)} runs, expected {runs}")
+        draws.append([(value, count) for value, count in zip(values.tolist(), counts) if count])
     return draws
 
 
@@ -156,20 +170,23 @@ def _run_count(size) -> int:
     return n
 
 
-# The mixture's four outcomes, indexed 2 * tail + (sign > 0): which branch, which sign.
-_OUTCOME_TAIL = np.array([False, False, True, True])
-_OUTCOME_SIGN = np.array([-1, 1, -1, 1])
-
-
-def _mixture_offsets(rng: np.random.Generator, size: int, fail_prob: float, spread: float,
-                     tail_magnitude: float) -> tuple[np.ndarray, np.ndarray]:
-    """``size`` runs, each +/- tail_magnitude with probability fail_prob and +/- spread
-    otherwise, either sign equally likely (all coins, then all signs): each run's outcome
-    index and the four outcome offsets it indexes, each computed as a run's would be."""
-    n = _run_count(size)
-    fails = rng.random(n) < fail_prob
-    index = 2 * fails + rng.integers(0, 2, size=n)
-    return index, (_OUTCOME_TAIL * (tail_magnitude - spread) + spread) * _OUTCOME_SIGN
+def _mixture_outcomes(rng: np.random.Generator, n: int, fail_prob: float, spread: float,
+                      tail_magnitude: float) -> tuple[list[float], list[int]]:
+    """``n`` runs, each +/- tail_magnitude with probability fail_prob and +/- spread
+    otherwise, either sign equally likely (all coins, then all signs): the outcome offsets,
+    each computed as a run's would be, and how many runs landed on each.  One run draws
+    scalars, which move the generator as size-1 arrays do, and keeps its one outcome."""
+    if n == 1:
+        outcomes, counts = [(rng.random() < fail_prob, int(rng.integers(0, 2)))], [1]
+    else:
+        fails = rng.random(n) < fail_prob
+        signs = rng.integers(0, 2, size=n)
+        tails, ups = np.count_nonzero(fails), np.count_nonzero(signs)
+        tail_ups = np.count_nonzero(signs[fails])
+        outcomes = [(False, 0), (False, 1), (True, 0), (True, 1)]
+        counts = [n - tails - ups + tail_ups, ups - tail_ups, tails - tail_ups, tail_ups]
+    offsets = [(tail * (tail_magnitude - spread) + spread) * (up * 2 - 1) for tail, up in outcomes]
+    return offsets, counts
 
 
 def synth_uqae1_sample(
@@ -180,7 +197,7 @@ def synth_uqae1_sample(
     ledger: ResourceLedger,
     *,
     size: int,
-) -> np.ndarray:
+) -> tuple[list[float], list[int]]:
     """Two-point estimator meeting a bias/variance contract exactly.
 
     Returns a + bias_setting +/- sqrt(variance_bound) with equal sign
@@ -190,10 +207,10 @@ def synth_uqae1_sample(
     if abs(bias_setting) > contract.bias_bound + ABS_TOL:
         raise ValueError("bias_setting exceeds the contracted bias bound")
     n = _run_count(size)
-    signs = rng.integers(0, 2, size=n) * 2 - 1
-    values = a.value + bias_setting + math.sqrt(contract.variance_bound) * signs
+    ups = np.count_nonzero(rng.integers(0, 2, size=n))
+    spread = math.sqrt(contract.variance_bound)
     UQAE1_COST.charge(contract, ledger, n)
-    return values
+    return [a.value + bias_setting + spread * sign for sign in (-1, 1)], [n - ups, ups]
 
 
 def synth_uqae2_sample(
@@ -205,7 +222,7 @@ def synth_uqae2_sample(
     ledger: ResourceLedger,
     *,
     size: int,
-) -> np.ndarray:
+) -> tuple[list[float], list[int]]:
     """Mixture estimator meeting a bias/precision/failure contract exactly.
 
     With probability 1 - fail_prob the output is a + bias_setting
@@ -224,9 +241,10 @@ def synth_uqae2_sample(
     if abs(a.value) + contract.precision > cap + ABS_TOL:
         raise ValueError("good branch would exceed the output cap")
     spread = contract.precision - abs(bias_setting)
-    index, offsets = _mixture_offsets(rng, size, contract.fail_prob, spread, tail_magnitude)
-    UQAE2_COST.charge(contract, ledger, index.size)
-    return (a.value + bias_setting + offsets).take(index)
+    n = _run_count(size)
+    offsets, counts = _mixture_outcomes(rng, n, contract.fail_prob, spread, tail_magnitude)
+    UQAE2_COST.charge(contract, ledger, n)
+    return [a.value + bias_setting + offset for offset in offsets], counts
 
 
 def synth_uqpe2_sample(
@@ -239,7 +257,7 @@ def synth_uqpe2_sample(
     *,
     good_spread: float | None = None,
     size: int,
-) -> np.ndarray:
+) -> tuple[list[float], list[int]]:
     """Circular two-point mixture honouring a phase contract exactly.
 
     Angles are returned in [0, 2 pi).  ``good_spread`` narrows the good
@@ -256,17 +274,9 @@ def synth_uqpe2_sample(
     if abs(bias_setting) + max(spread, tail_magnitude) > math.pi:
         raise ValueError("offsets must stay below pi for unambiguous circular bias")
     n = _run_count(size)
-    if n == 1:
-        # a phase trial's reference stage: scalar draws move the generator as size-1 arrays
-        # do, and one run's float ops on Python floats give the bits they give on arrays
-        fails = rng.random() < contract.fail_prob
-        offset = (fails * (tail_magnitude - spread) + spread) * (int(rng.integers(0, 2)) * 2 - 1)
-        angles = np.array([reduce_angle(theta + bias_setting + offset)])
-    else:
-        index, offsets = _mixture_offsets(rng, n, contract.fail_prob, spread, tail_magnitude)
-        angles = reduce_angle(theta + bias_setting + offsets).take(index)
+    offsets, counts = _mixture_outcomes(rng, n, contract.fail_prob, spread, tail_magnitude)
     UQPE2_COST.charge(contract, ledger, n)
-    return angles
+    return [reduce_angle(theta + bias_setting + offset) for offset in offsets], counts
 
 
 def monkey_sample(a: Amplitude, epsilon: float) -> float:

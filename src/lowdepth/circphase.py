@@ -5,7 +5,9 @@ estimator first pins down a short arc around a shallow reference estimate
 that contains the truth with high probability, and averages only there.
 Mapping that arc onto [0, 1], averaging and mapping back is an affine map
 of the circular offsets from the arc's centre, so the estimator works with
-those offsets directly: the estimate is the reference plus the mean offset.
+those offsets directly: the estimate is the reference plus the mean offset,
+each distinct estimate's offset taken once and weighted by how many runs
+gave that estimate.
 
 :func:`circ_diff` takes plain floats, :class:`Angle` objects or numpy arrays
 of angles through one code path; scalar inputs give a Python ``float``,
@@ -18,11 +20,9 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-import numpy as np
-
 from .aggregate import DEFAULT_BIAS_FRACTION_PF, DEFAULT_TAIL_FRACTION_PF, hoeffding_runs
 from .blackbox import Sampler, Uqpe2Contract, walk_stages
-from .core import ResourceLedger, SeedSpec, TargetSpec, derive_stream, exact_sum, reduce_angle
+from .core import ResourceLedger, SeedSpec, TargetSpec, counted_sum, derive_stream, reduce_angle
 
 # Tolerance on the escape test |offset| <= half-width; an offset is one
 # circular difference, a cancellation of magnitude at most 2 pi.
@@ -113,23 +113,25 @@ def lowdepth_phase_estimate(
 
     Preprocessing runs the sampler once at quarter-circle precision; its
     estimate is the reference.  The main stage runs it ``plan.runs`` times at
-    hardware precision.  Postprocessing takes each estimate's circular
-    offset from the reference once and returns the reference plus the mean
-    offset.  That is the arc construction of the paper: the arc centred on
-    the reference with half-width H = pi/8 + run precision, mapped onto
-    [0, 1] by theta -> (offset + H) / (2H), averaged and mapped back.  The
-    map is affine, so averaging the fractions and unmapping gives the
-    reference plus the mean offset up to rounding.  Any estimate whose
-    offset exceeds H (by more than ``ARC_TOL``) escapes the arc and aborts
-    to the zero angle, which the harness counts as a failure.
+    hardware precision.  Postprocessing takes each distinct estimate's
+    circular offset from the reference once, in Python floats, and returns
+    the reference plus the offsets' mean weighted by the runs on each
+    (:func:`~lowdepth.core.counted_sum`, exactly rounded).  That is the arc
+    construction of the paper: the arc centred on the reference with
+    half-width H = pi/8 + run precision, mapped onto [0, 1] by
+    theta -> (offset + H) / (2H), averaged and mapped back.  The map is
+    affine, so averaging the fractions and unmapping gives the reference
+    plus the mean offset up to rounding.  Any estimate some run
+    gave whose offset exceeds H (by more than ``ARC_TOL``) escapes the arc
+    and aborts to the zero angle, which the harness counts as a failure.
 
     The two stages are the plan's, drawn as :mod:`lowdepth.core` lays out.
     """
     rng = derive_stream(seed, 0).rng()
-    [first], estimates = walk_stages(sampler, plan.stages(target), rng, ledger)
+    [(first, _)], estimates = walk_stages(sampler, plan.stages(target), rng, ledger)
     reference = Angle(first)
-    offsets = circ_diff(estimates, reference)
+    offsets = [(circ_diff(estimate, reference), count) for estimate, count in estimates]
     half_width = _REF_ARC_HALF_WIDTH + plan.run_precision
-    if np.abs(offsets).max() > half_width + ARC_TOL:
+    if max(abs(offset) for offset, _ in offsets) > half_width + ARC_TOL:
         return Angle(0.0)
-    return Angle(reference.value + exact_sum(offsets) / plan.runs)
+    return Angle(reference.value + counted_sum(offsets) / plan.runs)

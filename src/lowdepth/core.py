@@ -15,10 +15,10 @@ independent runs:
   ``"main"`` stage of ``runs`` runs.
 
 :func:`lowdepth.blackbox.walk_stages` draws them from that generator in list
-order, one sampler call per stage, telling the sampler the stage's name; run
-i takes the i-th element of its stage's draw.  Rall-Fuller, whose steps
-depend on the path and so form no list, draws one head count per shrinking
-step, step 0 first.
+order, one sampler call per stage, telling the sampler the stage's name; the
+sampler counts how many of the stage's runs landed on each outcome.
+Rall-Fuller, whose steps depend on the path and so form no list, draws one
+head count per shrinking step, step 0 first.
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ _CEIL_SLACK = 1e-9
 
 _UINT64_SPAN = 2**64
 
-# exact_sum's fast path: values scaled below 2^38 split into an integer limb and a
-# 20-bit fraction limb, whose float sums stay exact while below 2^53, so for at most
-# 2^15 values; below 512 values math.fsum is as fast.
-_WHOLE_BITS, _FRACTION_BITS = 38, 20
-_EXACT_SUM_COUNTS = range(512, 2**15 + 1)
-
-
 class SimulationError(Exception):
     """Base class for errors raised by this package."""
 
@@ -62,30 +55,23 @@ def plain_number(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def exact_sum(values: np.ndarray) -> float:
-    """``math.fsum`` of a 1-D float64 array, bit for bit: the exactly rounded sum.
+def counted_sum(outcomes) -> float:
+    """``math.fsum`` of the runs a list of ``(value, count)`` pairs holds, bit for bit:
+    the exactly rounded sum of each float value taken count times.
 
-    Values scaled by 2^shift (shift >= 0, a power of two, so exact) below 2^38
-    split into an integer limb and a 20-bit fraction limb; numpy sums each
-    limb exactly, and one Python int division by 2^(shift + 20) rounds the
-    total correctly.  Non-finite, all-zero or too large values, a fraction
-    limb that is not integral and a count outside the fast range take fsum.
+    Finite values are each m / scale over one power-of-two ``scale``, so one int
+    division rounds sum(count m) correctly, as in :func:`population_variance`.  While
+    the runs' magnitudes sum below 2^1000, fsum's partials cannot overflow; past that,
+    or with a value that is not finite, fsum sums the runs one by one.
     """
-    if values.size not in _EXACT_SUM_COUNTS:
-        return math.fsum(values.data)
-    lo, hi = np.minimum.reduce(values), np.maximum.reduce(values)
-    if not (-(2.0**_WHOLE_BITS) < lo and hi < 2.0**_WHOLE_BITS) or lo == hi == 0.0:
-        return math.fsum(values.data)
-    # capped so 2^shift stays finite; values that need more fail the limb check
-    shift = min(_WHOLE_BITS - math.frexp(max(hi, -lo))[1], 1023)
-    scaled = values * 2.0**shift
-    whole = np.trunc(scaled)
-    high = int(np.add.reduce(whole))
-    scaled -= whole
-    scaled *= 2.0**_FRACTION_BITS
-    if np.count_nonzero(np.not_equal(np.trunc(scaled, out=whole), scaled)):
-        return math.fsum(values.data)
-    return ((high << _FRACTION_BITS) + int(np.add.reduce(scaled))) / (1 << (shift + _FRACTION_BITS))
+    if all(math.isfinite(value) for value, _ in outcomes):
+        ratios = [(value.as_integer_ratio(), count) for value, count in outcomes]
+        scale = max((denominator for (_, denominator), _ in ratios), default=1)
+        weighted = [numerator * (scale // denominator) * count
+                    for (numerator, denominator), count in ratios]
+        if sum(map(abs, weighted)) < scale << 1000:
+            return sum(weighted) / scale
+    return math.fsum(value for value, count in outcomes for _ in range(count))
 
 
 def population_variance(values) -> float:
@@ -189,29 +175,17 @@ class SeedSpec(namedtuple("SeedSpec", "master_seed stream_index")):
 
 def reduce_angle(angles):
     """Canonical representative(s) in [0, 2 pi), bit for bit float % then the fix below: an
-    array for an array, and a float for a scalar, checked and reduced in Python floats.
-
-    An array's min and max pick its path: wholly in [0, 2 pi) it comes back as a copy;
-    wholly in (-2 pi, 4 pi) fmod's remainder is v, or v - 2 pi exactly (Sterbenz), so
-    fmod is skipped; anything else, non-finite or empty included, takes fmod."""
+    array for an array, and a float for a scalar, checked and reduced in Python floats."""
     values = np.asarray(angles, dtype=float)
     if values.ndim == 0:
         if not math.isfinite(values):
             raise ValueError(f"angle must be finite, got {angles}")
         reduced = values.item() % TWO_PI
+    elif np.isfinite(values).all():
+        reduced = np.fmod(values, TWO_PI)  # float % without its floor division
+        reduced += TWO_PI * (reduced < 0)  # -0.0 becomes +0.0, as under float %
     else:
-        # NaN bounds, an empty array's or any NaN's, fail both range tests
-        lo, hi = ((np.minimum.reduce(values, axis=None), np.maximum.reduce(values, axis=None))
-                  if values.size else (math.nan, math.nan))
-        if 0.0 <= lo and hi < TWO_PI:
-            return values + 0.0  # -0.0 made +0.0, as the fix-up below makes it
-        if -TWO_PI < lo and hi < 2.0 * TWO_PI:
-            reduced = values - TWO_PI * (values >= TWO_PI)
-        elif np.isfinite(values).all():
-            reduced = np.fmod(values, TWO_PI)  # float % without its floor division
-        else:
-            raise ValueError(f"angle must be finite, got {angles}")
-        reduced += TWO_PI * (reduced < 0)
+        raise ValueError(f"angle must be finite, got {angles}")
     # float modulo may round up to the divisor itself; that angle is 0
     return reduced - TWO_PI * (reduced >= TWO_PI)
 

@@ -105,7 +105,7 @@ def _monkey_trials(truth, target, constants, plan, seeds, ledgers):
     amplitude = Amplitude(truth)
 
     def sampler(_stage, _contract, _rng, _run_ledger, size):
-        return np.full(size, blackbox.monkey_sample(amplitude, target.epsilon))
+        return [blackbox.monkey_sample(amplitude, target.epsilon)], [size]
 
     return (aggregate.aggregate_type1(sampler, plan, seed=seed, ledger=ledger)
             for seed, ledger in zip(seeds, ledgers))

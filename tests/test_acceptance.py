@@ -9,7 +9,6 @@ criterion re-runs every configuration and byte-compares the report files.
 import math
 import time
 
-import numpy as np
 import pytest
 
 from lowdepth.aggregate import Type1Plan, aggregate_type1, bias_variance_floor
@@ -138,7 +137,7 @@ def test_criterion_3_monkey_falsification():
     epsilon = 0.05
 
     def monkey(_stage, _contract, _rng, _ledger, size):
-        return np.full(size, monkey_sample(truth, epsilon))
+        return [monkey_sample(truth, epsilon)], [size]
 
     observed = []
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):

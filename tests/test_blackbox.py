@@ -1,11 +1,13 @@
 import math
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lowdepth.aggregate import Type1Plan, Type2Plan, aggregate_type1, aggregate_type2
 from lowdepth.blackbox import (
     UQAE1_COST,
     UQAE2_COST,
@@ -20,8 +22,9 @@ from lowdepth.blackbox import (
     synth_uqae1_sample,
     synth_uqae2_sample,
     synth_uqpe2_sample,
+    walk_stages,
 )
-from lowdepth.circphase import circ_diff
+from lowdepth.circphase import PhasePlan, circ_diff, lowdepth_phase_estimate
 from lowdepth.core import TWO_PI, Amplitude, ResourceLedger, SeedSpec, TargetSpec, reduce_angle
 
 A = Amplitude(0.3)
@@ -50,6 +53,13 @@ def assert_one_charge(ledger, cost, contract, size):
     assert ledger.charges == [(expected.max_depth, expected.total_queries)]
 
 
+def runs(draw):
+    """A sampler's ``(values, counts)`` as one array of its runs, each value ``count`` times."""
+    values, counts = draw
+    assert len(values) == len(counts) and all(count >= 0 for count in counts)
+    return np.repeat(np.asarray(values, dtype=float), counts)
+
+
 def assert_binomial(count, size, probability):
     # Six standard deviations: the draws are fixed by derandomised examples,
     # so this only guards against a wrong branch probability.
@@ -59,28 +69,30 @@ def assert_binomial(count, size, probability):
 class TestSynthUqae1:
     def test_two_point_support(self):
         contract = Uqae1Contract(bias_bound=0.05, variance_bound=0.01)
-        values = synth_uqae1_sample(A, contract, 0.0, SEED.rng(), ResourceLedger(), size=10_000)
+        values = runs(synth_uqae1_sample(A, contract, 0.0, SEED.rng(), ResourceLedger(), size=10_000))
         assert set(np.round(values, 12)) == {0.2, 0.4}
 
     def test_mean_and_variance_exact_shape(self):
         contract = Uqae1Contract(bias_bound=0.05, variance_bound=0.01)
         n = 1_000_000
-        values = synth_uqae1_sample(A, contract, 0.02, SeedSpec(1, 1).rng(), ResourceLedger(), size=n)
+        values = runs(synth_uqae1_sample(A, contract, 0.02, SeedSpec(1, 1).rng(), ResourceLedger(),
+                                         size=n))
         assert abs(values.mean() - 0.32) < 3 * math.sqrt(0.01 / n)
         assert values.var() <= 0.01 * 1.05
 
     def test_degenerate_zero_variance_worst_bias(self):
         contract = Uqae1Contract(bias_bound=0.05, variance_bound=0.0)
         for index in range(5):
-            values = synth_uqae1_sample(
+            values = runs(synth_uqae1_sample(
                 A, contract, 0.05, SeedSpec(1, index).rng(), ResourceLedger(), size=1
-            )
+            ))
             assert values[0] == 0.35
 
     def test_contract_conformance(self):
         contract = Uqae1Contract(bias_bound=0.01, variance_bound=0.004)
         n = 1_000_000
-        values = synth_uqae1_sample(A, contract, 0.01, SeedSpec(1, 2).rng(), ResourceLedger(), size=n)
+        values = runs(synth_uqae1_sample(A, contract, 0.01, SeedSpec(1, 2).rng(), ResourceLedger(),
+                                         size=n))
         assert abs(values.mean() - A.value) <= contract.bias_bound + 4 * math.sqrt(
             contract.variance_bound / n
         )
@@ -103,16 +115,17 @@ class TestSynthUqae1:
 class TestSynthUqae2:
     def test_zero_failure_reduces_to_two_point_within_precision(self):
         contract = Uqae2Contract(bias_bound=0.01, precision=0.05, fail_prob=0.0)
-        values = synth_uqae2_sample(A, contract, 0.01, 0.5, SeedSpec(2, 0).rng(), ResourceLedger(), size=5000)
+        values = runs(synth_uqae2_sample(A, contract, 0.01, 0.5, SeedSpec(2, 0).rng(),
+                                         ResourceLedger(), size=5000))
         assert np.all(np.abs(values - A.value) <= 0.05 + 1e-12)
         assert set(np.round(values, 12)) == {round(0.3 + 0.01 - 0.04, 12), round(0.3 + 0.01 + 0.04, 12)}
 
     def test_tail_rate_matches_fail_prob(self):
         contract = Uqae2Contract(bias_bound=0.01, precision=0.05, fail_prob=0.02)
         n = 1_000_000
-        values = synth_uqae2_sample(
+        values = runs(synth_uqae2_sample(
             A, contract, 0.0, 0.6, SeedSpec(2, 1).rng(), ResourceLedger(), size=n
-        )
+        ))
         out_rate = float(np.mean(np.abs(values - A.value) > contract.precision))
         assert out_rate <= contract.fail_prob + 4 * math.sqrt(contract.fail_prob / n)
         assert out_rate >= contract.fail_prob - 4 * math.sqrt(contract.fail_prob / n)
@@ -122,7 +135,8 @@ class TestSynthUqae2:
         bias = contract.bias_bound
         tail = 1.0 - A.value - bias  # maximal allowed
         n = 1_000_000
-        values = synth_uqae2_sample(A, contract, bias, tail, SeedSpec(2, 2).rng(), ResourceLedger(), size=n)
+        values = runs(synth_uqae2_sample(A, contract, bias, tail, SeedSpec(2, 2).rng(),
+                                         ResourceLedger(), size=n))
         assert np.max(np.abs(values)) <= 1.0 + 1e-12
         sigma = values.std() / math.sqrt(n)
         assert abs(values.mean() - (A.value + bias)) < 4 * sigma
@@ -132,7 +146,8 @@ class TestSynthUqae2:
         bias = contract.bias_bound
         tail = 1.0 - A.value - bias
         n = 2_000_000
-        values = synth_uqae2_sample(A, contract, bias, tail, SeedSpec(2, 3).rng(), ResourceLedger(), size=n)
+        values = runs(synth_uqae2_sample(A, contract, bias, tail, SeedSpec(2, 3).rng(),
+                                         ResourceLedger(), size=n))
         good = np.abs(values - A.value) <= contract.precision
         bad_mass = float(np.mean(np.where(good, 0.0, values)))
         # |E[bad part]| <= cap * delta, so the good part's mean is shifted
@@ -153,7 +168,8 @@ class TestSynthUqae2:
 class TestSynthUqpe2:
     def test_wraps_into_canonical_range(self):
         contract = Uqpe2Contract(bias_bound=0.05, precision=0.2, fail_prob=0.0)
-        values = synth_uqpe2_sample(0.02, contract, 0.0, 0.0, SeedSpec(3, 0).rng(), ResourceLedger(), size=2000)
+        values = runs(synth_uqpe2_sample(0.02, contract, 0.0, 0.0, SeedSpec(3, 0).rng(),
+                                         ResourceLedger(), size=2000))
         assert np.all((0.0 <= values) & (values < 2 * math.pi))
         deviations = circ_diff(values, 0.02)
         assert np.all(np.abs(deviations) <= 0.2 + 1e-12)
@@ -161,17 +177,17 @@ class TestSynthUqpe2:
     def test_circular_bias_matches_setting(self):
         contract = Uqpe2Contract(bias_bound=0.05, precision=0.2, fail_prob=0.0)
         n = 200_000
-        values = synth_uqpe2_sample(
+        values = runs(synth_uqpe2_sample(
             6.27, contract, 0.05, 0.0, SeedSpec(3, 1).rng(), ResourceLedger(), size=n
-        )
+        ))
         deviations = circ_diff(values, 6.27)
         assert abs(deviations.mean() - 0.05) < 4 * deviations.std() / math.sqrt(n)
 
     def test_good_spread_narrowing(self):
         contract = Uqpe2Contract(bias_bound=0.05, precision=math.pi / 4, fail_prob=0.0)
-        values = synth_uqpe2_sample(
+        values = runs(synth_uqpe2_sample(
             1.0, contract, 0.0, 0.0, SeedSpec(3, 2).rng(), ResourceLedger(), good_spread=0.1, size=500
-        )
+        ))
         deviations = circ_diff(values, 1.0)
         assert np.all(np.abs(np.abs(deviations) - 0.1) < 1e-12)
 
@@ -200,10 +216,10 @@ class TestSharedMixture:
         # dyadic settings keep every sum exact, so the offsets compare bit for bit
         bias, tail, size = 0.125, 0.25, 1000
         amp_ledger, phase_ledger = ResourceLedger(), ResourceLedger()
-        amp = synth_uqae2_sample(Amplitude(0.25), Uqae2Contract(0.125, 0.5, 0.3), bias, tail,
-                                 SEED.rng(), amp_ledger, size=size)
-        phase = synth_uqpe2_sample(1.0, Uqpe2Contract(0.125, 0.5, 0.3), bias, tail,
-                                   SEED.rng(), phase_ledger, size=size)
+        amp = runs(synth_uqae2_sample(Amplitude(0.25), Uqae2Contract(0.125, 0.5, 0.3), bias, tail,
+                                      SEED.rng(), amp_ledger, size=size))
+        phase = runs(synth_uqpe2_sample(1.0, Uqpe2Contract(0.125, 0.5, 0.3), bias, tail,
+                                        SEED.rng(), phase_ledger, size=size))
         assert np.array_equal(amp - 0.375, phase - 1.125)
         assert set(np.abs(amp - 0.375)) == {0.375, 0.25}
         assert UQPE2_COST is UQAE2_COST
@@ -211,7 +227,7 @@ class TestSharedMixture:
 
     @pytest.mark.parametrize("draw", SIZED_DRAWS)
     def test_every_sampler_rejects_an_empty_draw(self, draw):
-        assert draw(1).shape == (1,)
+        assert runs(draw(1)).shape == (1,)
         with pytest.raises(ValueError, match="size must be positive"):
             draw(0)
 
@@ -221,7 +237,7 @@ class TestSharedMixture:
         for size in (2.7, True, "3", np.float64(3.0)):
             with pytest.raises(ValueError, match="size must be an integer"):
                 draw(size)
-        assert draw(np.int64(3)).shape == (3,)
+        assert runs(draw(np.int64(3))).shape == (3,)
 
 
 def per_run_offsets(rng, size, fail_prob, spread, tail):
@@ -231,15 +247,17 @@ def per_run_offsets(rng, size, fail_prob, spread, tail):
     return ((coins < fail_prob) * (tail - spread) + spread) * signs
 
 
-def assert_same_bytes(actual, expected):
-    assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+def multiset(runs):
+    """An array of runs as a Counter of their float bit patterns."""
+    return Counter(np.asarray(runs, dtype=float).view(np.int64).tolist())
 
 
 class TestPerRunFormulaBitIdentity:
-    """The mixture samplers compute each outcome once and gather it per run, and the phase
-    sampler draws a one-run stage as scalars; every run still holds the bytes the per-run
-    formula gives, and each generator ends where the formula's does, so the stage drawn
-    next (a phase trial's main stage after its one-run reference) is unchanged too."""
+    """The samplers count the runs that land on each outcome instead of returning the runs,
+    and draw a one-run stage as scalars; their ``(values, counts)`` still hold, bit for bit,
+    the multiset of runs the per-run formula gives, and each generator ends where the
+    formula's does, so the stage drawn next (a phase trial's main stage after its one-run
+    reference) is unchanged too."""
 
     @PROPERTY
     @given(
@@ -253,26 +271,98 @@ class TestPerRunFormulaBitIdentity:
     @example(SeedSpec(7, 3), [1, 1], 0.9, 0.2, 0.4, 0.1, 0.0, 0.0)
     @example(SeedSpec(7, 4), [2, 3], 0.5, 0.0, 0.0, -0.1, 1.0, 13.0)
     @example(SeedSpec(7, 5), [1, 5], 0.0, 0.0, 0.3, 0.1, 0.5, -6.5)
+    # the tail equals the spread, so two outcomes hold one value
+    @example(SeedSpec(7, 6), [40], 0.5, 0.25, 0.25, 0.0, 0.5, 1.0)
     def test_samplers_match_the_per_run_formula(self, seed, stage_sizes, fail_prob, spread, tail,
                                                 bias, truth, theta):
         assume(abs(bias) + spread > 1e-6)  # the amplitude precision, whose inverse the cost takes
+        mean_contract = Uqae1Contract(abs(bias) + 0.01, spread**2)
         amp_contract = Uqae2Contract(abs(bias) + 0.01, abs(bias) + spread, fail_prob, 3.0)
         amp_spread = amp_contract.precision - abs(bias)
         phase_contract = Uqpe2Contract(abs(bias) + 0.01, abs(bias) + spread + 0.1, fail_prob)
-        amp_rng, amp_formula_rng, phase_rng, phase_formula_rng = (seed.rng() for _ in range(4))
+        rngs = [seed.rng() for _ in range(6)]
+        mean_rng, mean_formula_rng, amp_rng, amp_formula_rng, phase_rng, phase_formula_rng = rngs
         for size in stage_sizes:
+            mean = synth_uqae1_sample(Amplitude(truth), mean_contract, bias, mean_rng,
+                                      ResourceLedger(), size=size)
+            signs = mean_formula_rng.integers(0, 2, size=size) * 2 - 1
+            expected = truth + bias + math.sqrt(mean_contract.variance_bound) * signs
+            assert multiset(runs(mean)) == multiset(expected)
             amp = synth_uqae2_sample(Amplitude(truth), amp_contract, bias, tail, amp_rng,
                                      ResourceLedger(), size=size)
             offsets = per_run_offsets(amp_formula_rng, size, fail_prob, amp_spread, tail)
-            assert_same_bytes(amp, truth + bias + offsets)
+            assert multiset(runs(amp)) == multiset(truth + bias + offsets)
             phase = synth_uqpe2_sample(theta, phase_contract, bias, tail, phase_rng,
                                        ResourceLedger(), good_spread=spread, size=size)
             offsets = per_run_offsets(phase_formula_rng, size, fail_prob, spread, tail)
-            assert_same_bytes(phase, reduce_angle(theta + bias + offsets))
+            assert multiset(runs(phase)) == multiset(reduce_angle(theta + bias + offsets))
         # PCG64 keeps the spare half of a word a one-run sign draw took for the next one
-        states = [rng.bit_generator.state
-                  for rng in (amp_rng, amp_formula_rng, phase_rng, phase_formula_rng)]
-        assert states[0] == states[1] == states[2] == states[3]
+        states = [rng.bit_generator.state for rng in rngs]
+        assert states[0] == states[1]
+        assert states[2] == states[3] == states[4] == states[5]
+
+
+WALK_TARGET = TargetSpec(0.1, 0.1, 0.5)
+
+# Every estimator draws its stages through walk_stages: each case names the stage
+# a bad draw is returned for and runs the estimator with a given sampler.
+STAGE_CASES = {
+    "type1": ("aggregate", lambda sampler: aggregate_type1(
+        sampler, Type1Plan.from_target(WALK_TARGET), seed=SEED, ledger=ResourceLedger())),
+    "type2": ("aggregate", lambda sampler: aggregate_type2(
+        sampler, Type2Plan.from_target(WALK_TARGET), seed=SEED, ledger=ResourceLedger())),
+    **{stage: (stage, lambda sampler: lowdepth_phase_estimate(
+        sampler, WALK_TARGET, PhasePlan.from_target(WALK_TARGET), seed=SEED,
+        ledger=ResourceLedger())) for stage in ("reference", "main")},
+}
+
+
+def assert_rejected(case, bad, match):
+    """The case's estimator, handed ``bad(runs)`` for its stage, names that stage."""
+    stage, estimate = STAGE_CASES[case]
+
+    def sampler(served, contract, rng, ledger, size):
+        return bad(size) if served == stage else ([1.0], [size])
+
+    with pytest.raises(ValueError, match=f"^stage '{stage}' drew .*{match}"):
+        estimate(sampler)
+
+
+class TestWalkStages:
+    @pytest.mark.parametrize("case", STAGE_CASES)
+    @pytest.mark.parametrize("bad", [
+        lambda size: ([[1.0]], [[size]]),
+        lambda size: (1.0, size),
+        lambda size: ([1.0, 1.0], [size]),
+        lambda size: ([1.0], [size, 0]),
+    ], ids=["two-d", "scalar", "fewer-counts", "more-counts"])
+    def test_rejects_values_not_1d_or_counts_of_another_length(self, case, bad):
+        assert_rejected(case, bad, "expected two 1-D arrays of one length")
+
+    @pytest.mark.parametrize("case", STAGE_CASES)
+    @pytest.mark.parametrize("bad", [
+        lambda size: ([1.0] * size, [True] * size),
+        lambda size: ([1.0], [float(size)]),
+        lambda size: ([1.0], np.array([size], dtype=float)),
+        lambda size: ([1.0, 2.0], [size + 1, -1]),
+    ], ids=["bool", "float", "float-array", "negative"])
+    def test_rejects_counts_that_are_not_non_negative_integers(self, case, bad):
+        assert_rejected(case, bad, "expected non-negative integers")
+
+    @pytest.mark.parametrize("case", STAGE_CASES)
+    def test_rejects_counts_that_do_not_sum_to_the_runs(self, case):
+        # one run too many
+        assert_rejected(case, lambda size: ([1.0], [size + 1]), "runs, expected")
+
+    def test_returns_the_outcomes_some_run_landed_on_as_python_numbers(self):
+        def sampler(stage, contract, rng, ledger, size):
+            return np.array([0.5, 0.25, 0.5], dtype=np.float32), np.array([2, 0, size - 2])
+
+        stages = [("first", None, 3), ("second", None, 2)]
+        draws = walk_stages(sampler, stages, SEED.rng(), ResourceLedger())
+        assert draws == [[(0.5, 2), (0.5, 1)], [(0.5, 2)]]
+        assert {(type(value), type(count)) for draw in draws for value, count in draw} == {
+            (float, int)}
 
 
 class TestSamplerContracts:
@@ -287,7 +377,8 @@ class TestSamplerContracts:
     def test_uqae1(self, truth, bias_bound, bias_fraction, variance, seed, size):
         contract = Uqae1Contract(bias_bound=bias_bound, variance_bound=variance)
         bias, ledger = bias_fraction * bias_bound, ChargeLog()
-        values = synth_uqae1_sample(Amplitude(truth), contract, bias, seed.rng(), ledger, size=size)
+        values = runs(synth_uqae1_sample(Amplitude(truth), contract, bias, seed.rng(), ledger,
+                                         size=size))
         assert values.shape == (size,)
         deviations = values - (truth + bias)
         np.testing.assert_allclose(np.abs(deviations), math.sqrt(variance), rtol=0, atol=1e-12)
@@ -309,7 +400,8 @@ class TestSamplerContracts:
         bias = bias_fraction * min(bias_bound, precision)
         tail = tail_fraction * (1.0 - truth - abs(bias))
         ledger = ChargeLog()
-        values = synth_uqae2_sample(Amplitude(truth), contract, bias, tail, seed.rng(), ledger, size=size)
+        values = runs(synth_uqae2_sample(Amplitude(truth), contract, bias, tail, seed.rng(), ledger,
+                                         size=size))
         assert values.shape == (size,)
         assert np.all(np.abs(values) <= contract.output_cap + 1e-12)
         magnitudes = np.abs(values - (truth + bias))
@@ -336,7 +428,8 @@ class TestSamplerContracts:
         bias = bias_fraction * min(bias_bound, precision)
         tail = tail_fraction * (math.pi - abs(bias))
         ledger = ChargeLog()
-        values = synth_uqpe2_sample(theta, contract, bias, tail, seed.rng(), ledger, size=size)
+        values = runs(synth_uqpe2_sample(theta, contract, bias, tail, seed.rng(), ledger,
+                                         size=size))
         assert values.shape == (size,)
         assert np.all((0.0 <= values) & (values < 2 * math.pi))
         offsets = circ_diff(values, theta + bias)

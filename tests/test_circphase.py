@@ -268,7 +268,7 @@ class TestLowdepthPhaseEstimate:
         truth = 1.234
 
         def exact(_stage, contract, rng, ledger, size):
-            return np.full(size, truth)
+            return [truth], [size]
 
         target = TargetSpec(0.01, 0.1, 0.5)
         estimate = lowdepth_phase_estimate(
@@ -283,15 +283,15 @@ class TestLowdepthPhaseEstimate:
         lambda rng, size: np.broadcast_to(TWO_PI - 0.005, (size,)),
     ], ids=["constant-strided", "random-strided", "broadcast"])
     def test_a_strided_draw_estimates_as_its_list(self, draw):
-        # the draws sit at the wrap; a strided or broadcast view is reduced
-        # and averaged as the list of its values is
+        # the draws sit at the wrap, each run its own outcome; strided or broadcast
+        # values and strided counts are reduced and averaged as their lists are
         target = TargetSpec(0.01, 0.1, 0.5)
         plan = PhasePlan.from_target(target)
         drawn = []
 
         def sampler(_stage, _contract, rng, _ledger, size):
             drawn.append(draw(rng, size))
-            return drawn[-1]
+            return drawn[-1], np.ones(2 * size, dtype=np.int64)[::2]
 
         estimate = lowdepth_phase_estimate(sampler, target, plan, seed=SeedSpec(81, 0),
                                            ledger=ResourceLedger())
@@ -305,7 +305,7 @@ class TestLowdepthPhaseEstimate:
 
         def escaping(stage, contract, rng, ledger, size):
             # reference lands on the truth, main runs land opposite
-            return np.full(size, truth if stage == "reference" else truth + PI)
+            return [truth if stage == "reference" else truth + PI], [size]
 
         target = TargetSpec(0.01, 0.1, 0.5)
         estimate = lowdepth_phase_estimate(
@@ -326,7 +326,7 @@ class TestLowdepthPhaseEstimate:
 
         def sampler(served, contract, rng, ledger, size):
             at_reference = served == "reference"
-            return np.full(size, Angle(reference + (0.0 if at_reference else offset)).value)
+            return [Angle(reference + (0.0 if at_reference else offset)).value], [size]
 
         estimate = lowdepth_phase_estimate(
             sampler, target, plan, seed=SeedSpec(89, 0), ledger=ResourceLedger()
@@ -372,7 +372,7 @@ class TestLowdepthPhaseEstimate:
         hits = 0
         trials = 500
         for index in range(trials):
-            ref = synth_uqpe2_sample(
+            [ref], _ = synth_uqpe2_sample(
                 truth,
                 contract,
                 0.0,
@@ -381,7 +381,7 @@ class TestLowdepthPhaseEstimate:
                 ResourceLedger(),
                 good_spread=PI / 10,
                 size=1,
-            )[0]
+            )
             hits += abs(circ_diff(truth, ref)) <= PI / 8
         sigma = math.sqrt(plan.run_fail_prob * (1 - plan.run_fail_prob) / trials) or 1e-3
         assert hits / trials >= 1 - plan.run_fail_prob - 3 * sigma
@@ -412,7 +412,7 @@ class TestLowdepthPhaseEstimate:
 
         def recording(stage, contract, rng, ledger, size):
             seen.append((stage, contract, size))
-            return np.full(size, 1.0)
+            return [1.0], [size]
 
         lowdepth_phase_estimate(
             recording, target, plan, seed=SeedSpec(90, 0), ledger=ResourceLedger()
@@ -420,19 +420,27 @@ class TestLowdepthPhaseEstimate:
         assert [(stage, size) for stage, _, size in seen] == [("reference", 1), ("main", plan.runs)]
         assert seen[0][1].precision == seen[1][1].precision
 
-    @pytest.mark.parametrize("stage", ["reference", "main"])
-    def test_rejects_sampler_returning_wrong_run_count(self, stage):
-        def sampler(served, contract, rng, ledger, size):
-            # one run too many from the chosen stage only
-            extra = served == stage
-            return np.full(size + extra, 1.0)
+    def test_a_zero_count_outcome_never_aborts(self):
+        # the tail outcome sits opposite the reference, far outside the arc
+        truth, target = 1.0, TargetSpec(0.01, 0.1, 0.5)
+        plan = PhasePlan.from_target(target)
 
-        target = TargetSpec(0.05, 0.1, 0.5)
-        with pytest.raises(ValueError, match="shape"):
-            lowdepth_phase_estimate(
-                sampler, target, PhasePlan.from_target(target), seed=SeedSpec(88, 0),
-                ledger=ResourceLedger(),
-            )
+        def sampler(tail_count, *, omit_tail=False):
+            def draw(stage, contract, rng, ledger, size):
+                if stage == "reference":
+                    return [truth], [1]
+                values = [truth - 0.01, truth + PI, truth + 0.02]
+                counts = [size // 2, tail_count, size - size // 2 - tail_count]
+                return (values[::2], counts[::2]) if omit_tail else (values, counts)
+
+            return draw
+
+        def estimate(draw):
+            return lowdepth_phase_estimate(draw, target, plan, seed=SeedSpec(88, 0),
+                                           ledger=ResourceLedger())
+
+        assert estimate(sampler(0)) == estimate(sampler(0, omit_tail=True)) != Angle(0.0)
+        assert estimate(sampler(1)) == Angle(0.0)
 
     def test_rejects_coarse_target(self):
         target = TargetSpec(0.6, 0.1, 0.5)

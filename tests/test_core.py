@@ -12,8 +12,8 @@ from lowdepth.core import (
     SeedSpec,
     TargetSpec,
     ceil_int,
+    counted_sum,
     derive_stream,
-    exact_sum,
     population_variance,
 )
 
@@ -172,12 +172,10 @@ class TestCeilInt:
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
-# exact_sum's fast path takes 512 to 2^15 values below 2^38 in magnitude
-COUNT_EDGES = [1, 2, 511, 512, 513, 2952, 2**15 - 1, 2**15, 2**15 + 1]
-LIMB_EDGE = math.nextafter(2.0**38, 0.0)
 finite = st.floats(allow_nan=False, allow_infinity=False)
-# dyadic values of mixed magnitude, which the limbs hold exactly
+# dyadic values of mixed magnitude
 dyadic = st.builds(math.ldexp, st.integers(-2**30, 2**30), st.integers(-60, 10))
+counts = st.integers(0, 3000) | st.sampled_from([0, 1, 2])
 
 
 def outcome(function, values):
@@ -198,60 +196,58 @@ def same_outcome(actual, expected):
 
 
 @st.composite
-def tiled(draw, elements):
-    """A few drawn values tiled to a drawn count, sometimes as a strided view."""
-    values = draw(st.lists(elements, min_size=1, max_size=8))
-    count = draw(st.sampled_from(COUNT_EDGES) | st.integers(1, 4000))
-    if draw(st.booleans()):
-        return np.resize(np.array(values), 2 * count)[::2]
-    return np.resize(np.array(values), count)
+def counted(draw, elements):
+    """A few drawn values, each with a drawn count, zero included."""
+    values = draw(st.lists(elements, min_size=1, max_size=6))
+    return [(value, draw(counts)) for value in values]
 
 
 @st.composite
 def mixtures(draw):
-    """Draws shaped like the samplers': centre +/- spread, or +/- tail with probability p."""
+    """Outcomes shaped like the samplers': centre +/- spread and centre +/- tail, counted."""
     centre = draw(st.floats(-7.0, 7.0))
     spread, tail = draw(st.floats(0.0, 4.0)), draw(st.floats(0.0, 4.0))
-    p = draw(st.sampled_from([0.0, 0.01, 0.5]))
-    count = draw(st.sampled_from(COUNT_EDGES) | st.integers(1, 4000))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    signs = rng.integers(0, 2, size=count) * 2 - 1
-    return centre + ((rng.random(count) < p) * (tail - spread) + spread) * signs
+    return [(centre + offset, draw(counts)) for offset in (-spread, spread, -tail, tail)]
 
 
-def padded(values, count=600):
-    """``values`` followed by zeros up to ``count``, which leave every sum as it is."""
-    return np.concatenate([values, np.zeros(count - len(values))])
+# 2^1000 bounds the runs' summed magnitudes that the int division takes
+NEAR_BOUND = math.nextafter(2.0**999, 0.0)
 
 
-class TestExactSum:
-    """exact_sum gives what math.fsum gives on the values as a list, bit for bit."""
+class TestCountedSum:
+    """counted_sum gives what math.fsum gives on the runs listed out, bit for bit."""
 
     @PROPERTY
-    @given(tiled(finite) | tiled(dyadic) | tiled(st.floats(-4.0, 4.0)) | mixtures())
-    @example(np.array([0.0, -0.0] * 300))
-    @example(np.full(600, -0.0))
-    @example(np.zeros(600))
-    @example(padded([5e-324, -5e-324, 2.5e-323]))
-    @example(np.array([1.0, 5e-324] * 300))
-    @example(padded([2.0**-1000, -(2.0**-1000 - 2.0**-1043)]))  # a subnormal sum on the fast path
-    @example(np.full(600, 2.0**38))
-    @example(np.full(600, LIMB_EDGE))
-    @example(np.full(600, -LIMB_EDGE))
-    @example(np.full(2**15 - 1, LIMB_EDGE))
-    @example(np.full(2**15, LIMB_EDGE))
-    @example(np.full(2**15 + 1, LIMB_EDGE))
-    @example(padded([math.nan]))
-    @example(padded([math.inf, 1.0]))
-    @example(padded([-math.inf]))
-    @example(padded([math.inf, -math.inf]))
-    @example(padded([1e308, 1e308]))
+    @given(counted(finite) | counted(dyadic) | counted(st.floats(-4.0, 4.0)) | mixtures())
+    @example([(0.0, 300), (-0.0, 300)])
+    @example([(-0.0, 600)])
+    @example([(0.0, 0)])
+    @example([])
+    @example([(5e-324, 1), (-5e-324, 1), (2.5e-323, 1)])
+    @example([(1.0, 300), (5e-324, 300)])
+    @example([(2.0**-1000, 1), (-(2.0**-1000 - 2.0**-1043), 1)])  # a subnormal sum
+    @example([(math.nan, 1), (0.0, 599)])
+    @example([(math.nan, 0), (1.0, 3)])  # a value no run landed on is not summed
+    @example([(math.inf, 1), (1.0, 1)])
+    @example([(-math.inf, 1)])
+    @example([(math.inf, 1), (-math.inf, 1)])
+    @example([(1e308, 2)])
+    @example([(1e308, 2), (-1e308, 2)])  # overflows on the way to an exact 0
+    @example([(NEAR_BOUND, 2)])
+    @example([(2.0**999, 2)])
+    @example([(NEAR_BOUND, 2), (-NEAR_BOUND, 1)])
     # 2^947 is half an ulp of 2^1000 and 2^-1000 breaks the tie: fsum gives
-    # 0x1.0000000000001p+1000, and limbs that dropped 2^-1000 would round to even
-    @example(np.array([2.0**1000, 2.0**947, 2.0**-1000]))
-    @example(padded([2.0**1000, 2.0**947, 2.0**-1000]))
-    def test_matches_fsum(self, values):
-        assert same_outcome(outcome(exact_sum, values), outcome(math.fsum, values.tolist()))
+    # 0x1.0000000000001p+1000; the same tie scaled by 2^-100 takes the int division
+    @example([(2.0**1000, 1), (2.0**947, 1), (2.0**-1000, 1)])
+    @example([(2.0**900, 1), (2.0**847, 1), (2.0**-1000, 1)])
+    @example([(2.0**900, 1), (2.0**847, 1)])
+    @example([(2.0**847, 2), (2.0**900, 1), (2.0**-1000, 0)])
+    def test_matches_fsum_of_the_runs(self, outcomes):
+        runs = [value for value, count in outcomes for _ in range(count)]
+        assert same_outcome(outcome(counted_sum, outcomes), outcome(math.fsum, runs))
+
+    def test_counts_are_never_listed_out(self):
+        assert counted_sum([(0.1, 2**60), (-0.1, 2**60 - 1)]) == 0.1
 
 
 class TestPopulationVariance:

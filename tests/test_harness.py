@@ -10,13 +10,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lowdepth import aggregate, blackbox, circphase, harness, rallfuller
 from lowdepth.circphase import circ_diff
 from lowdepth.cli import FLAGS, main
-from lowdepth.core import Amplitude, ResourceLedger, SeedSpec, TargetSpec, ceil_int, derive_stream
+from lowdepth.core import (
+    Amplitude,
+    ResourceLedger,
+    SeedSpec,
+    TargetSpec,
+    ceil_int,
+    derive_stream,
+    reduce_angle,
+)
 from lowdepth.oracle import PolyOracle
 from lowdepth.harness import (
     ALGORITHMS,
@@ -387,6 +395,80 @@ class TestStageLedger:
                       for _, contract, runs in stages)
         assert report.trial_depths == [depth, depth]
         assert report.trial_queries == [queries, queries]
+
+
+def per_run_offsets(rng, size, fail_prob, spread, tail):
+    """Each run's mixture offset, one array element per run: all coins, then all signs."""
+    coins = rng.random(size)
+    signs = rng.integers(0, 2, size=size) * 2 - 1
+    return ((coins < fail_prob) * (tail - spread) + spread) * signs
+
+
+def per_run_estimate(algorithm, truth, target, constants, plan, seed):
+    """One synthetic trial by the per-run route: every run drawn as its own element, the
+    mean summed by math.fsum, and the phase escape test taken over every run."""
+    rng = derive_stream(seed, 0).rng()
+    bias_scale = constants["bias_scale"]
+    if algorithm == "type1":
+        bias = bias_scale * plan.bias_bound
+        signs = rng.integers(0, 2, size=plan.runs) * 2 - 1
+        values = truth + bias + math.sqrt(plan.variance_bound) * signs
+        return math.fsum(values.tolist()) / plan.runs
+    if algorithm == "type2":
+        bias = bias_scale * plan.bias_bound
+        tail = max(0.0, plan.output_cap - truth - abs(bias))
+        offsets = per_run_offsets(rng, plan.runs, plan.run_fail_prob,
+                                  plan.run_precision - abs(bias), tail)
+        return math.fsum((truth + bias + offsets).tolist()) / plan.runs
+    tail = constants["tail_magnitude"]
+    ref_bias = bias_scale * plan.ref_contract(target).bias_bound
+    ref_spread = max(0.0, harness._REF_SPREAD - abs(ref_bias))
+    first = reduce_angle(truth + ref_bias + per_run_offsets(
+        rng, 1, plan.run_fail_prob, ref_spread, tail))
+    reference = circphase.Angle(first[0])
+    bias = bias_scale * plan.main_contract(target).bias_bound
+    offsets = per_run_offsets(rng, plan.runs, plan.run_fail_prob,
+                              plan.run_precision - abs(bias), tail)
+    deviations = circ_diff(reduce_angle(truth + bias + offsets), reference)
+    if np.abs(deviations).max() > math.pi / 8 + plan.run_precision + circphase.ARC_TOL:
+        return 0.0
+    return circphase.Angle(reference.value + math.fsum(deviations.tolist()) / plan.runs).value
+
+
+class TestPerRunOracle:
+    """Counting the runs on each outcome changes no estimate: every synthetic trial of a
+    batch gives, bit for bit, what the per-run route recomputed here gives."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        algorithm=st.sampled_from(["type1", "type2", "phase"]), truth_fraction=st.floats(0.0, 0.999),
+        epsilon=st.floats(0.02, 0.3), beta=st.floats(0.0, 1.0),
+        master_seed=st.integers(0, 2**64 - 1), bias_scale=st.floats(-1.0, 1.0),
+    )
+    # at the wrap, where offsets cross 0 and 2 pi
+    @example(algorithm="phase", truth_fraction=0.0, epsilon=0.01, beta=0.5, master_seed=5,
+             bias_scale=1.0)
+    @example(algorithm="phase", truth_fraction=(2 * math.pi - 0.01) / (2 * math.pi),
+             epsilon=0.01, beta=0.5, master_seed=5, bias_scale=-1.0)
+    # 40 000 runs per trial
+    @example(algorithm="type1", truth_fraction=0.3, epsilon=0.005, beta=1.0, master_seed=4,
+             bias_scale=1.0)
+    def test_each_estimate_is_the_per_run_estimate(self, algorithm, truth_fraction, epsilon,
+                                                   beta, master_seed, bias_scale):
+        record, target = ALGORITHMS[algorithm], TargetSpec(epsilon, 0.1, beta)
+        truth = truth_fraction * (2 * math.pi if record.circular else 1.0)
+        config = ExperimentConfig(algorithm, truth, target, {"bias_scale": bias_scale},
+                                  trials=3, master_seed=master_seed)
+        constants = config.resolved_constants()
+        plan = record.build_plan(target, constants)
+        try:
+            batch = harness._run_batch(config, plan, range(config.trials))
+        except AlgorithmError:
+            assume(False)  # a type2 truth whose good branch breaks the output cap
+        for index, (estimate, _, _) in enumerate(batch):
+            seed = derive_stream(SeedSpec(master_seed, 0), index)
+            expected = per_run_estimate(algorithm, truth, target, constants, plan, seed)
+            assert estimate.hex() == expected.hex(), index
 
 
 class TestBatches:
