@@ -2,9 +2,10 @@
 
 The synthetic samplers realise their contracts *exactly* (two-point
 constructions), which isolates the aggregation math from any particular
-estimation circuit.  Each draws ``size`` independent runs from the generator
-it is given and returns them as ``(values, counts)``: each outcome of the
-construction and how many runs landed on it.  The
+estimation circuit.  Each is a :class:`SyntheticStage`, built once from a
+contract (its checks, its outcome values and the charge of one run), whose
+draw takes ``size`` independent runs from the generator it is given and
+returns how many runs landed on each outcome.  The
 parameter calculators translate a precision / failure / depth target into
 the knob settings of the three published weakly-biased estimators this
 package models.
@@ -77,16 +78,16 @@ class Uqpe2Contract(namedtuple("Uqpe2Contract", "bias_bound precision fail_prob"
 
 
 class SyntheticCostModel(NamedTuple):
-    """Symbolic depth/query costs charged per synthetic sample."""
+    """Symbolic depth/query costs charged per synthetic run."""
 
     depth_fn: Callable[[object], int]
     queries_fn: Callable[[object], int]
 
-    def charge(self, contract, ledger: ResourceLedger, copies: int) -> None:
+    def per_run(self, contract) -> tuple[int, int]:
+        """``(depth, queries)`` one run of ``contract`` charges."""
         depth = self.depth_fn(contract)
         # A single run can never make fewer queries than its deepest circuit.
-        queries = max(depth, self.queries_fn(contract))
-        ledger.charge(depth, queries * copies)
+        return depth, max(depth, self.queries_fn(contract))
 
 
 def _log_bias_factor(bias_bound: float) -> float:
@@ -137,24 +138,50 @@ def walk_stages(sampler: Sampler, stages, rng: np.random.Generator, ledger: Reso
     """One sampler call per ``(name, contract, runs)`` stage, in list order,
     all drawing from ``rng``; returns each stage's runs as a list of
     ``(value, count)`` pairs of Python numbers, in the sampler's order, for the
-    outcomes at least one run landed on.  Values that are not 1-D, counts of
-    another length, counts that are not non-negative integers and counts that
-    do not sum to ``runs`` are rejected."""
+    outcomes at least one run landed on.  A draw that is not a ``(values, counts)``
+    pair, values that are not 1-D, counts of another length, counts that are not
+    non-negative integers and counts that do not sum to ``runs`` are rejected,
+    naming the stage."""
     draws = []
     for name, contract, runs in stages:
-        values, counts = sampler(name, contract, rng, ledger, runs)
-        values, counts = np.asarray(values, dtype=float), np.asarray(counts)
-        if values.ndim != 1 or counts.shape != values.shape:
-            raise ValueError(f"stage {name!r} drew values of shape {values.shape} and counts "
-                             f"of shape {counts.shape}, expected two 1-D arrays of one length")
-        counts = counts.tolist()
-        if any(type(count) is not int or count < 0 for count in counts):
-            raise ValueError(
-                f"stage {name!r} drew counts {counts}, expected non-negative integers")
-        if sum(counts) != runs:
-            raise ValueError(f"stage {name!r} drew {sum(counts)} runs, expected {runs}")
-        draws.append([(value, count) for value, count in zip(values.tolist(), counts) if count])
+        draw = sampler(name, contract, rng, ledger, runs)
+        try:
+            values, counts = draw
+        except (TypeError, ValueError):
+            raise ValueError(f"stage {name!r} drew a {type(draw).__name__} that is not a "
+                             "(values, counts) pair") from None
+        outcomes = _listed_outcomes(values, counts, runs)
+        draws.append(_array_outcomes(name, values, counts, runs) if outcomes is None
+                     else outcomes)
     return draws
+
+
+def _array_outcomes(name: str, values, counts, runs: int) -> list[tuple[float, int]]:
+    """A stage's draw checked as numpy holds it, ``values`` as a float array and
+    ``counts`` as np.asarray makes them, and returned as :func:`walk_stages` does."""
+    values, counts = np.asarray(values, dtype=float), np.asarray(counts)
+    if values.ndim != 1 or counts.shape != values.shape:
+        raise ValueError(f"stage {name!r} drew values of shape {values.shape} and counts "
+                         f"of shape {counts.shape}, expected two 1-D arrays of one length")
+    counts = counts.tolist()
+    if any(type(count) is not int or count < 0 for count in counts):
+        raise ValueError(f"stage {name!r} drew counts {counts}, expected non-negative integers")
+    if sum(counts) != runs:
+        raise ValueError(f"stage {name!r} drew {sum(counts)} runs, expected {runs}")
+    return [(value, count) for value, count in zip(values.tolist(), counts) if count]
+
+
+def _listed_outcomes(values, counts, runs: int) -> list[tuple[float, int]] | None:
+    """:func:`_array_outcomes` without numpy for a draw it accepts: lists or tuples of
+    one length, of Python floats and of non-negative ints summing to ``runs`` below
+    2^63, which np.asarray holds as float64 and int64 arrays and tolist gives back
+    unchanged.  None for any other draw, which :func:`_array_outcomes` then checks."""
+    if (type(values) in (list, tuple) and type(counts) in (list, tuple)
+            and len(values) == len(counts) and {*map(type, values)} <= {float}
+            and {*map(type, counts)} <= {int} and min(counts, default=0) >= 0
+            and sum(counts) == runs and runs < 2**63):
+        return [(value, count) for value, count in zip(values, counts) if count]
+    return None
 
 
 def _run_count(size) -> int:
@@ -170,34 +197,47 @@ def _run_count(size) -> int:
     return n
 
 
-def _mixture_outcomes(rng: np.random.Generator, n: int, fail_prob: float, spread: float,
-                      tail_magnitude: float) -> tuple[list[float], list[int]]:
-    """``n`` runs, each +/- tail_magnitude with probability fail_prob and +/- spread
-    otherwise, either sign equally likely (all coins, then all signs): the outcome offsets,
-    each computed as a run's would be, and how many runs landed on each.  One run draws
-    scalars, which move the generator as size-1 arrays do, and keeps its one outcome."""
-    if n == 1:
-        outcomes, counts = [(rng.random() < fail_prob, int(rng.integers(0, 2)))], [1]
-    else:
-        fails = rng.random(n) < fail_prob
-        signs = rng.integers(0, 2, size=n)
-        tails, ups = np.count_nonzero(fails), np.count_nonzero(signs)
-        tail_ups = np.count_nonzero(signs[fails])
-        outcomes = [(False, 0), (False, 1), (True, 0), (True, 1)]
-        counts = [n - tails - ups + tail_ups, ups - tail_ups, tails - tail_ups, tail_ups]
-    offsets = [(tail * (tail_magnitude - spread) + spread) * (up * 2 - 1) for tail, up in outcomes]
-    return offsets, counts
+class SyntheticStage(NamedTuple):
+    """One contract's synthetic runs, built once and drawn per trial: the outcome values
+    in Python floats, the mixture's ``fail_prob`` (None for a two-point stage, whose
+    values are its minus and plus outcomes) and the ``depth`` and ``queries`` each run
+    charges.  The builders below check the contract and compute all of it."""
+
+    values: tuple[float, ...]
+    fail_prob: float | None
+    depth: int
+    queries: int
+
+    def draw(self, rng: np.random.Generator, ledger: ResourceLedger, size: int) -> list[int]:
+        """How many of ``size`` runs from ``rng`` land on each of ``values``, charged to
+        ``ledger``.  A two-point stage draws every run's sign; a mixture draws every run's
+        coin (a tail with probability fail_prob), then every run's sign, and one run
+        draws scalars, which move the generator as size-1 arrays do."""
+        n = _run_count(size)
+        if self.fail_prob is None:
+            ups = int(np.count_nonzero(rng.integers(0, 2, size=n)))
+            counts = [n - ups, ups]
+        elif n == 1:
+            counts = [0, 0, 0, 0]
+            counts[2 * (rng.random() < self.fail_prob) + int(rng.integers(0, 2))] = 1
+        else:
+            fails = rng.random(n) < self.fail_prob
+            signs = rng.integers(0, 2, size=n)
+            tails, ups = int(np.count_nonzero(fails)), int(np.count_nonzero(signs))
+            tail_ups = int(np.count_nonzero(signs[fails]))
+            counts = [n - tails - ups + tail_ups, ups - tail_ups, tails - tail_ups, tail_ups]
+        ledger.charge(self.depth, self.queries * n)
+        return counts
 
 
-def synth_uqae1_sample(
-    a: Amplitude,
-    contract: Uqae1Contract,
-    bias_setting: float,
-    rng: np.random.Generator,
-    ledger: ResourceLedger,
-    *,
-    size: int,
-) -> tuple[list[float], list[int]]:
+def _mixture_offsets(spread: float, tail_magnitude: float) -> list[float]:
+    """The four outcome offsets, good and tail branch each at minus then plus, computed
+    as a run's would be."""
+    return [(tail * (tail_magnitude - spread) + spread) * (up * 2 - 1)
+            for tail in (False, True) for up in (0, 1)]
+
+
+def uqae1_stage(a: Amplitude, contract: Uqae1Contract, bias_setting: float) -> SyntheticStage:
     """Two-point estimator meeting a bias/variance contract exactly.
 
     Returns a + bias_setting +/- sqrt(variance_bound) with equal sign
@@ -206,23 +246,13 @@ def synth_uqae1_sample(
     """
     if abs(bias_setting) > contract.bias_bound + ABS_TOL:
         raise ValueError("bias_setting exceeds the contracted bias bound")
-    n = _run_count(size)
-    ups = np.count_nonzero(rng.integers(0, 2, size=n))
     spread = math.sqrt(contract.variance_bound)
-    UQAE1_COST.charge(contract, ledger, n)
-    return [a.value + bias_setting + spread * sign for sign in (-1, 1)], [n - ups, ups]
+    values = tuple(a.value + bias_setting + spread * sign for sign in (-1, 1))
+    return SyntheticStage(values, None, *UQAE1_COST.per_run(contract))
 
 
-def synth_uqae2_sample(
-    a: Amplitude,
-    contract: Uqae2Contract,
-    bias_setting: float,
-    tail_magnitude: float,
-    rng: np.random.Generator,
-    ledger: ResourceLedger,
-    *,
-    size: int,
-) -> tuple[list[float], list[int]]:
+def uqae2_stage(a: Amplitude, contract: Uqae2Contract, bias_setting: float,
+                tail_magnitude: float) -> SyntheticStage:
     """Mixture estimator meeting a bias/precision/failure contract exactly.
 
     With probability 1 - fail_prob the output is a + bias_setting
@@ -240,27 +270,16 @@ def synth_uqae2_sample(
         raise ValueError("tail branch would exceed the output cap")
     if abs(a.value) + contract.precision > cap + ABS_TOL:
         raise ValueError("good branch would exceed the output cap")
-    spread = contract.precision - abs(bias_setting)
-    n = _run_count(size)
-    offsets, counts = _mixture_outcomes(rng, n, contract.fail_prob, spread, tail_magnitude)
-    UQAE2_COST.charge(contract, ledger, n)
-    return [a.value + bias_setting + offset for offset in offsets], counts
+    offsets = _mixture_offsets(contract.precision - abs(bias_setting), tail_magnitude)
+    values = tuple(a.value + bias_setting + offset for offset in offsets)
+    return SyntheticStage(values, contract.fail_prob, *UQAE2_COST.per_run(contract))
 
 
-def synth_uqpe2_sample(
-    theta: float,
-    contract: Uqpe2Contract,
-    bias_setting: float,
-    tail_magnitude: float,
-    rng: np.random.Generator,
-    ledger: ResourceLedger,
-    *,
-    good_spread: float | None = None,
-    size: int,
-) -> tuple[list[float], list[int]]:
+def uqpe2_stage(theta: float, contract: Uqpe2Contract, bias_setting: float,
+                tail_magnitude: float, *, good_spread: float | None = None) -> SyntheticStage:
     """Circular two-point mixture honouring a phase contract exactly.
 
-    Angles are returned in [0, 2 pi).  ``good_spread`` narrows the good
+    Angles are in [0, 2 pi).  ``good_spread`` narrows the good
     branch below its maximum precision - |bias_setting|; all offsets must
     stay below pi so circular differences recover them unambiguously.
     """
@@ -273,10 +292,34 @@ def synth_uqpe2_sample(
         raise ValueError("tail_magnitude must be nonnegative")
     if abs(bias_setting) + max(spread, tail_magnitude) > math.pi:
         raise ValueError("offsets must stay below pi for unambiguous circular bias")
-    n = _run_count(size)
-    offsets, counts = _mixture_outcomes(rng, n, contract.fail_prob, spread, tail_magnitude)
-    UQPE2_COST.charge(contract, ledger, n)
-    return [reduce_angle(theta + bias_setting + offset) for offset in offsets], counts
+    values = tuple(reduce_angle(theta + bias_setting + offset)
+                   for offset in _mixture_offsets(spread, tail_magnitude))
+    return SyntheticStage(values, contract.fail_prob, *UQPE2_COST.per_run(contract))
+
+
+def synth_uqae1_sample(a: Amplitude, contract: Uqae1Contract, bias_setting: float,
+                       rng: np.random.Generator, ledger: ResourceLedger, *,
+                       size: int) -> tuple[tuple[float, ...], list[int]]:
+    """:func:`uqae1_stage` built for one call and drawn once: ``(values, counts)``."""
+    stage = uqae1_stage(a, contract, bias_setting)
+    return stage.values, stage.draw(rng, ledger, size)
+
+
+def synth_uqae2_sample(a: Amplitude, contract: Uqae2Contract, bias_setting: float,
+                       tail_magnitude: float, rng: np.random.Generator, ledger: ResourceLedger,
+                       *, size: int) -> tuple[tuple[float, ...], list[int]]:
+    """:func:`uqae2_stage` built for one call and drawn once: ``(values, counts)``."""
+    stage = uqae2_stage(a, contract, bias_setting, tail_magnitude)
+    return stage.values, stage.draw(rng, ledger, size)
+
+
+def synth_uqpe2_sample(theta: float, contract: Uqpe2Contract, bias_setting: float,
+                       tail_magnitude: float, rng: np.random.Generator, ledger: ResourceLedger,
+                       *, good_spread: float | None = None,
+                       size: int) -> tuple[tuple[float, ...], list[int]]:
+    """:func:`uqpe2_stage` built for one call and drawn once: ``(values, counts)``."""
+    stage = uqpe2_stage(theta, contract, bias_setting, tail_magnitude, good_spread=good_spread)
+    return stage.values, stage.draw(rng, ledger, size)
 
 
 def monkey_sample(a: Amplitude, epsilon: float) -> float:

@@ -175,12 +175,13 @@ class SeedSpec(namedtuple("SeedSpec", "master_seed stream_index")):
 
 def reduce_angle(angles):
     """Canonical representative(s) in [0, 2 pi), bit for bit float % then the fix below: an
-    array for an array, and a float for a scalar, checked and reduced in Python floats."""
-    values = np.asarray(angles, dtype=float)
-    if values.ndim == 0:
+    array for an array, and a float for a scalar, checked and reduced in Python floats; a
+    Python float skips the numpy round trip."""
+    values = angles if type(angles) is float else np.asarray(angles, dtype=float)
+    if type(values) is float or values.ndim == 0:
         if not math.isfinite(values):
             raise ValueError(f"angle must be finite, got {angles}")
-        reduced = values.item() % TWO_PI
+        reduced = float(values) % TWO_PI
     elif np.isfinite(values).all():
         reduced = np.fmod(values, TWO_PI)  # float % without its floor division
         reduced += TWO_PI * (reduced < 0)  # -0.0 becomes +0.0, as under float %

@@ -48,15 +48,27 @@ class AlgorithmError(SimulationError):
 _REF_SPREAD = math.pi / 10.0
 
 
+def _built_once(build):
+    """A sampler that builds each stage's :class:`~lowdepth.blackbox.SyntheticStage`
+    with ``build(stage, contract)`` on its first draw, keyed by stage name and contract,
+    and reuses it for every later trial, which draws only its counts.  The build's
+    checks thus still fail the first trial that draws the stage."""
+    built = {}
+
+    def sampler(stage, contract, rng, run_ledger, size):
+        synthetic = built.get((stage, contract))
+        if synthetic is None:
+            synthetic = built[stage, contract] = build(stage, contract)
+        return synthetic.values, synthetic.draw(rng, run_ledger, size)
+
+    return sampler
+
+
 def _type1_trials(truth, target, constants, plan, seeds, ledgers):
     amplitude = Amplitude(truth)
     bias_scale = constants["bias_scale"]
-
-    def sampler(_stage, contract, rng, run_ledger, size):
-        return blackbox.synth_uqae1_sample(
-            amplitude, contract, bias_scale * contract.bias_bound, rng, run_ledger, size=size
-        )
-
+    sampler = _built_once(lambda _stage, contract: blackbox.uqae1_stage(
+        amplitude, contract, bias_scale * contract.bias_bound))
     return (aggregate.aggregate_type1(sampler, plan, seed=seed, ledger=ledger)
             for seed, ledger in zip(seeds, ledgers))
 
@@ -65,16 +77,15 @@ def _type2_trials(truth, target, constants, plan, seeds, ledgers):
     amplitude = Amplitude(truth)
     bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
-    def sampler(_stage, contract, rng, run_ledger, size):
+    def build(_stage, contract):
         bias_setting = bias_scale * contract.bias_bound
         # the largest tail the cap allows, floored at 0 so that a truth and bias
         # already past the cap fail the sampler's output-cap check
         run_tail = tail if tail is not None else max(
             0.0, contract.output_cap - truth - abs(bias_setting))
-        return blackbox.synth_uqae2_sample(
-            amplitude, contract, bias_setting, run_tail, rng, run_ledger, size=size
-        )
+        return blackbox.uqae2_stage(amplitude, contract, bias_setting, run_tail)
 
+    sampler = _built_once(build)
     return (aggregate.aggregate_type2(sampler, plan, seed=seed, ledger=ledger)
             for seed, ledger in zip(seeds, ledgers))
 
@@ -82,13 +93,12 @@ def _type2_trials(truth, target, constants, plan, seeds, ledgers):
 def _phase_trials(truth, target, constants, plan, seeds, ledgers):
     bias_scale, tail = constants["bias_scale"], constants["tail_magnitude"]
 
-    def sampler(stage, contract, rng, run_ledger, size):
+    def build(stage, contract):
         bias_setting = bias_scale * contract.bias_bound
         spread = max(0.0, _REF_SPREAD - abs(bias_setting)) if stage == "reference" else None
-        return blackbox.synth_uqpe2_sample(
-            truth, contract, bias_setting, tail, rng, run_ledger, good_spread=spread, size=size
-        )
+        return blackbox.uqpe2_stage(truth, contract, bias_setting, tail, good_spread=spread)
 
+    sampler = _built_once(build)
     return (circphase.lowdepth_phase_estimate(sampler, target, plan, seed=seed, ledger=ledger).value
             for seed, ledger in zip(seeds, ledgers))
 

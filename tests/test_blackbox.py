@@ -22,8 +22,12 @@ from lowdepth.blackbox import (
     synth_uqae1_sample,
     synth_uqae2_sample,
     synth_uqpe2_sample,
+    uqae1_stage,
+    uqae2_stage,
+    uqpe2_stage,
     walk_stages,
 )
+from lowdepth.blackbox import _array_outcomes, _listed_outcomes
 from lowdepth.circphase import PhasePlan, circ_diff, lowdepth_phase_estimate
 from lowdepth.core import TWO_PI, Amplitude, ResourceLedger, SeedSpec, TargetSpec, reduce_angle
 
@@ -48,9 +52,8 @@ class ChargeLog(ResourceLedger):
 
 
 def assert_one_charge(ledger, cost, contract, size):
-    expected = ResourceLedger()
-    cost.charge(contract, expected, size)
-    assert ledger.charges == [(expected.max_depth, expected.total_queries)]
+    depth, queries = cost.per_run(contract)
+    assert ledger.charges == [(depth, queries * size)]
 
 
 def runs(draw):
@@ -302,6 +305,44 @@ class TestPerRunFormulaBitIdentity:
         assert states[2] == states[3] == states[4] == states[5]
 
 
+# Each sampler's stage builder, one-call sampler and the arguments they share, as a
+# harness stage passes them; the phase ones reduce offsets past 2 pi and build a
+# narrowed reference stage.
+STAGE_BUILDS = {
+    "uqae1": (uqae1_stage, synth_uqae1_sample, (A, Uqae1Contract(0.0125, 0.01), -0.0125), {}),
+    "uqae2": (uqae2_stage, synth_uqae2_sample,
+              (A, Uqae2Contract(0.025, 0.1, 0.3), 0.025, 0.4), {}),
+    "uqpe2": (uqpe2_stage, synth_uqpe2_sample,
+              (TWO_PI - 0.01, Uqpe2Contract(0.025, 0.1, 0.3), 0.025, 1.5), {}),
+    "uqpe2-reference": (uqpe2_stage, synth_uqpe2_sample,
+                        (0.003, Uqpe2Contract(0.1, math.pi / 4, 0.3), -0.1, 1.5),
+                        {"good_spread": math.pi / 10 - 0.1}),
+}
+
+
+class TestStageBuiltOnce:
+    """A stage built once and drawn by trial after trial, each on its own generator,
+    gives what the one-call sampler gives that trial, bit for bit: the values, the
+    counts, the ledger's charges and the generator's state afterwards."""
+
+    @pytest.mark.parametrize("sampler", STAGE_BUILDS)
+    def test_matches_the_one_call_sampler(self, sampler):
+        build, sample, args, kwargs = STAGE_BUILDS[sampler]
+        stage = build(*args, **kwargs)
+        for seed in (SEED, SeedSpec(0, 0), SeedSpec(7, 3), SeedSpec(2**64 - 1, 2**20)):
+            built_rng, call_rng = seed.rng(), seed.rng()
+            built_ledger, call_ledger = ChargeLog(), ChargeLog()
+            for size in (1, 2, 2952, 1):
+                counts = stage.draw(built_rng, built_ledger, size)
+                values, call_counts = sample(*args, call_rng, call_ledger, size=size, **kwargs)
+                assert [value.hex() for value in stage.values] == [
+                    value.hex() for value in values]
+                assert counts == call_counts and sum(counts) == size
+                assert {type(count) for count in counts} == {int}
+            assert built_ledger.charges == call_ledger.charges
+            assert built_rng.bit_generator.state == call_rng.bit_generator.state
+
+
 WALK_TARGET = TargetSpec(0.1, 0.1, 0.5)
 
 # Every estimator draws its stages through walk_stages: each case names the stage
@@ -354,6 +395,24 @@ class TestWalkStages:
         # one run too many
         assert_rejected(case, lambda size: ([1.0], [size + 1]), "runs, expected")
 
+    @pytest.mark.parametrize("case", STAGE_CASES)
+    @pytest.mark.parametrize("bad", [
+        lambda size: np.full(size, 1.0),
+        lambda size: ([1.0], [size], [0.0]),
+        lambda size: 1.0,
+    ], ids=["per-run-array", "three-tuple", "scalar"])
+    def test_rejects_a_draw_that_is_not_a_pair(self, case, bad):
+        # the old protocol's bare per-run array, among others
+        assert_rejected(case, bad, r"that is not a \(values, counts\) pair")
+
+    def test_a_per_run_array_of_two_runs_still_names_its_stage(self):
+        # two runs unpack into two scalars, which are no 1-D arrays
+        def sampler(stage, contract, rng, ledger, size):
+            return np.array([0.5, 0.25])
+
+        with pytest.raises(ValueError, match=r"^stage 'pair' drew values of shape \(\)"):
+            walk_stages(sampler, [("pair", None, 2)], SEED.rng(), ResourceLedger())
+
     def test_returns_the_outcomes_some_run_landed_on_as_python_numbers(self):
         def sampler(stage, contract, rng, ledger, size):
             return np.array([0.5, 0.25, 0.5], dtype=np.float32), np.array([2, 0, size - 2])
@@ -363,6 +422,80 @@ class TestWalkStages:
         assert draws == [[(0.5, 2), (0.5, 1)], [(0.5, 2)]]
         assert {(type(value), type(count)) for draw in draws for value, count in draw} == {
             (float, int)}
+
+
+def checked(route):
+    """A route's result with each pair's float bits and number types, or its error."""
+    try:
+        return [(value.hex(), type(value), count, type(count)) for value, count in route()]
+    except (TypeError, ValueError, OverflowError) as err:
+        return type(err), str(err)
+
+
+def counted_runs(counts) -> int:
+    try:
+        return int(sum(int(count) for count in np.asarray(counts).tolist()))
+    except (TypeError, ValueError, OverflowError):
+        return 0
+
+
+CONTAINERS = st.sampled_from([list, tuple, np.array])
+value_items = (st.floats() | st.floats(-1.0, 1.0) | st.integers(-3, 3)
+               | st.floats(-1.0, 1.0).map(np.float64))
+count_items = (st.integers(0, 3000) | st.integers(0, 3) | st.integers(-3, -1)
+               | st.integers(2**63 - 2, 2**64) | st.booleans() | st.integers(0, 50).map(np.int64)
+               | st.floats(0.0, 5.0))
+
+
+class TestListRoute:
+    """walk_stages takes a draw of Python lists without numpy, and accepts and rejects
+    every draw exactly as the array route does, with the same messages."""
+
+    @settings(PROPERTY, max_examples=400)
+    @given(CONTAINERS, CONTAINERS, st.integers(0, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(), min_size=n, max_size=n)
+        | st.lists(value_items, min_size=n, max_size=n),
+        st.lists(st.integers(0, 3000), min_size=n, max_size=n + 1)
+        | st.lists(count_items, min_size=n, max_size=n + 1))),
+        st.sampled_from([0, 0, 0, 1, -1]))
+    # Python lists and tuples of floats and ints, which the list route takes
+    @example(list, list, ([0.5, -0.0, math.nan], [2, 0, 1]), 0)
+    @example(tuple, tuple, ([0.5, math.inf], [0, 3]), 0)
+    @example(list, list, ([], []), 0)
+    # numpy ints, which the array route holds as int64
+    @example(list, list, ([0.5, 0.25], [np.int64(2), np.int64(1)]), 0)
+    # a bool beside an int is held as int64 and taken; bools alone are refused
+    @example(list, list, ([0.5, 0.25], [True, 1]), 0)
+    @example(list, list, ([0.5, 0.25], [True, False]), 0)
+    # a count past int64 beside a small one is held as a float and refused
+    @example(list, list, ([0.5, 0.25], [1, 2**63]), 0)
+    @example(list, list, ([0.5], [2**63]), 0)
+    @example(list, list, ([0.5, 0.25], [2**63 - 1, 0]), 0)
+    # negatives, wrong lengths, wrong sums, ints as values, float counts
+    @example(list, list, ([0.5, 0.25], [4, -1]), 0)
+    @example(list, list, ([0.5, 0.25], [3]), 0)
+    @example(list, list, ([0.5], [3, 0]), 0)
+    @example(list, list, ([0.5, 0.25], [2, 1]), 1)
+    @example(list, list, ([1, 2], [2, 1]), 0)
+    @example(list, list, ([0.5], [3.0]), 0)
+    def test_accepts_and_rejects_as_the_array_route(self, values_kind, counts_kind, draw,
+                                                    surplus):
+        values, counts = values_kind(draw[0]), counts_kind(draw[1])
+        runs = counted_runs(counts) + surplus
+        array = checked(lambda: _array_outcomes("s", values, counts, runs))
+        listed = _listed_outcomes(values, counts, runs)
+        assert listed is None or checked(lambda: listed) == array
+        if (values_kind is not np.array and counts_kind is not np.array
+                and all(type(value) is float for value in values)
+                and all(type(count) is int for count in counts) and runs < 2**63):
+            # the list route takes every such draw the array route accepts
+            assert (listed is None) == (type(array) is tuple)
+
+        def sampler(stage, contract, rng, ledger, size):
+            return values, counts
+
+        assert checked(lambda: walk_stages(sampler, [("s", None, runs)], SEED.rng(),
+                                           ResourceLedger())[0]) == array
 
 
 class TestSamplerContracts:
@@ -474,9 +607,8 @@ class TestMonkey:
 class TestCostModels:
     def test_queries_never_below_depth(self):
         contract = Uqae2Contract(bias_bound=0.5, precision=0.01, fail_prob=0.9)
-        ledger = ResourceLedger()
-        UQAE2_COST.charge(contract, ledger, 1)
-        assert ledger.total_queries >= ledger.max_depth
+        depth, queries = UQAE2_COST.per_run(contract)
+        assert queries >= depth
 
     def test_depth_scales_like_inverse_sqrt_variance(self):
         for variance in (0.01, 0.0001):

@@ -82,9 +82,9 @@ class TestFloatModuloBitIdentity:
     @PROPERTY
     @given(st.lists(finite, min_size=1, max_size=32))
     @example(MODULO_EDGES)
-    # in [0, 4 pi) with a -0.0, which must still become +0.0 without fmod
+    # a -0.0, which the array route's fix-up and float % both make +0.0, beside a value past 2 pi
     @example([-0.0, 7.0])
-    # the ends of (-2 pi, 4 pi), reduced without fmod, and just outside them
+    # the ends of (-2 pi, 4 pi), where one fix-up or none brings fmod's remainder into range
     @example([math.nextafter(-TWO_PI, 0.0)])
     @example([-TWO_PI])
     @example([TWO_PI, math.nextafter(2 * TWO_PI, 0.0)])
@@ -101,11 +101,22 @@ class TestFloatModuloBitIdentity:
             with pytest.raises(ValueError, match="angle must be finite"):
                 reduce_angle(np.array(values))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalars_raise(self, bad):
+        # a Python float takes the float route, a numpy scalar the array route
+        for value in (bad, np.float64(bad)):
+            with pytest.raises(ValueError, match=f"^angle must be finite, got {bad}$"):
+                reduce_angle(value)
+
+    @pytest.mark.parametrize("value", MODULO_EDGES)
+    def test_numpy_scalars_reduce_as_python_floats(self, value):
+        assert same_bits(reduce_angle(np.float64(value)), modulo_reduce(value))
+
     @PROPERTY
     @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=32)
            | st.lists(st.tuples(reduced, reduced), min_size=1, max_size=32))
     @example([(theta, phi) for theta in MODULO_EDGES for phi in MODULO_EDGES])
-    # the reference reduces a -0.0 to +0.0, as reduce_angle's in-range copy does
+    # a -0.0 on either side, which both the reference and reduce_angle reduce to +0.0
     @example([(-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, PI), (PI, -0.0)])
     @example([(theta, phi) for theta in (0.0, BELOW_TWO_PI, PI) for phi in (0.0, BELOW_TWO_PI)])
     # arrays in range but for one value below 0 or at 2 pi, which must still be reduced
@@ -372,7 +383,7 @@ class TestLowdepthPhaseEstimate:
         hits = 0
         trials = 500
         for index in range(trials):
-            [ref], _ = synth_uqpe2_sample(
+            values, counts = synth_uqpe2_sample(
                 truth,
                 contract,
                 0.0,
@@ -382,6 +393,8 @@ class TestLowdepthPhaseEstimate:
                 good_spread=PI / 10,
                 size=1,
             )
+            # the one run's outcome: the stage's one value with a nonzero count
+            [ref] = [value for value, count in zip(values, counts) if count]
             hits += abs(circ_diff(truth, ref)) <= PI / 8
         sigma = math.sqrt(plan.run_fail_prob * (1 - plan.run_fail_prob) / trials) or 1e-3
         assert hits / trials >= 1 - plan.run_fail_prob - 3 * sigma

@@ -193,14 +193,14 @@ class TestRunExperiment:
 
     def test_draws_that_cannot_be_allocated_fail_their_trial(self, monkeypatch):
         # stands in for numpy refusing a stage's draws; never allocate them for real
-        sample = blackbox.synth_uqae1_sample
+        draw = blackbox.SyntheticStage.draw
 
-        def refusing(amplitude, contract, *args, **kwargs):
-            if contract.bias_bound < 0.001:  # the epsilon 0.01 cells' stages alone
+        def refusing(stage, rng, ledger, size):
+            if size >= 100:  # the epsilon 0.01 cells' stages alone (10 and 20 runs elsewhere)
                 raise MemoryError("cannot allocate the runs")
-            return sample(amplitude, contract, *args, **kwargs)
+            return draw(stage, rng, ledger, size)
 
-        monkeypatch.setattr(blackbox, "synth_uqae1_sample", refusing)
+        monkeypatch.setattr(blackbox.SyntheticStage, "draw", refusing)
         with pytest.raises(AlgorithmError, match="^trial 0: cannot allocate the runs$"):
             run_experiment(quick_config(target=TargetSpec(0.01, 0.1, 0.5), trials=2))
         study = scaling_study("type1", 0.3, 0.1, [0.1, 0.05, 0.01], [0.5])
@@ -253,16 +253,24 @@ class TestRunExperiment:
         # reference precision pi/4; the main stage still gets its full spread
         target = TargetSpec(0.05, 0.1, beta)
         plan = circphase.PhasePlan.from_target(target)
-        calls, sample = [], blackbox.synth_uqpe2_sample
+        builds, draws = [], []
+        build, draw = blackbox.uqpe2_stage, blackbox.SyntheticStage.draw
 
-        def spy(*args, good_spread=None, size, **kwargs):
-            calls.append((size, good_spread))
-            return sample(*args, good_spread=good_spread, size=size, **kwargs)
+        def build_spy(*args, good_spread=None, **kwargs):
+            builds.append(good_spread)
+            return build(*args, good_spread=good_spread, **kwargs)
 
-        monkeypatch.setattr(blackbox, "synth_uqpe2_sample", spy)
-        run_experiment(quick_config(algorithm="phase", truth=1.0, target=target, trials=1))
+        def draw_spy(stage, rng, ledger, size):
+            draws.append(size)
+            return draw(stage, rng, ledger, size)
+
+        monkeypatch.setattr(blackbox, "uqpe2_stage", build_spy)
+        monkeypatch.setattr(blackbox.SyntheticStage, "draw", draw_spy)
+        run_experiment(quick_config(algorithm="phase", truth=1.0, target=target, trials=2))
         assert (plan.run_precision == circphase.REF_PRECISION) == (beta > 0.9)
-        assert calls == [(1, pytest.approx(math.pi / 10 - 0.05)), (plan.runs, None)]
+        # each stage is built on the batch's first draw of it and drawn by every trial
+        assert builds == [pytest.approx(math.pi / 10 - 0.05), None]
+        assert draws == [1, plan.runs] * 2
 
     def test_byte_identical_report_files(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
